@@ -30,7 +30,9 @@ use crate::searcher::CtcSearcher;
 use ctc_graph::error::Result;
 use ctc_graph::{CsrGraph, Parallelism, VertexId};
 use ctc_truss::snapshot::snapshot_to_bytes;
-use ctc_truss::{DeltaLogFile, DynamicIndex, RecoveryReport, Snapshot, TrussIndex, UpdateReport};
+use ctc_truss::{
+    DeltaLogFile, DynamicIndex, LabelTable, RecoveryReport, Snapshot, TrussIndex, UpdateReport,
+};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -184,7 +186,8 @@ pub struct BatchReport {
 pub struct CommunityEngine {
     graph: Arc<CsrGraph>,
     index: Arc<TrussIndex>,
-    labels: Arc<Vec<u64>>,
+    /// Shared by clones, so the reverse label index is built once.
+    labels: Arc<LabelTable>,
     cfg: CtcConfig,
     batch_par: Parallelism,
     scratch: Arc<ScratchPool>,
@@ -212,7 +215,7 @@ impl CommunityEngine {
         CommunityEngine {
             graph: Arc::new(snap.graph),
             index: Arc::new(snap.index),
-            labels: Arc::new(snap.labels),
+            labels: Arc::new(LabelTable::new(snap.labels)),
             cfg: CtcConfig::default(),
             batch_par: Parallelism::serial(),
             scratch: Arc::new(ScratchPool::default()),
@@ -243,7 +246,7 @@ impl CommunityEngine {
     /// with crash-safety discipline (temp file → fsync → rename →
     /// parent-directory fsync).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let bytes = snapshot_to_bytes(&self.graph, &self.index, &self.labels);
+        let bytes = snapshot_to_bytes(&self.graph, &self.index, self.labels.as_slice());
         ctc_graph::storage::write_durable(&ctc_graph::storage::RealEnv, path.as_ref(), &bytes)
     }
 
@@ -272,7 +275,7 @@ impl CommunityEngine {
 
     /// Dense id → original label table (empty ⇒ identity).
     pub fn labels(&self) -> &[u64] {
-        &self.labels
+        self.labels.as_slice()
     }
 
     /// The per-query configuration.
@@ -282,12 +285,14 @@ impl CommunityEngine {
 
     /// The original label of dense vertex `v`.
     pub fn label_of(&self, v: VertexId) -> u64 {
-        ctc_truss::snapshot::label_of(&self.labels, v)
+        self.labels.label_of(v)
     }
 
-    /// The dense id carrying original label `label`, if any.
+    /// The dense id carrying original label `label`, if any: arithmetic
+    /// on an identity-labeled engine, otherwise a binary search of the
+    /// reverse index the first lookup builds (shared by every clone).
     pub fn vertex_of_label(&self, label: u64) -> Option<VertexId> {
-        ctc_truss::snapshot::vertex_of_label(&self.labels, self.graph.num_vertices(), label)
+        self.labels.vertex_of(label, self.graph.num_vertices())
     }
 
     /// Resolves a whole query of original labels to dense ids, in input
@@ -315,7 +320,7 @@ impl CommunityEngine {
             num_vertices: self.graph.num_vertices(),
             num_edges: self.graph.num_edges(),
             max_truss: self.index.max_truss(),
-            labeled: !self.labels.is_empty(),
+            labeled: !self.labels.as_slice().is_empty(),
         }
     }
 
@@ -325,9 +330,7 @@ impl CommunityEngine {
     /// a memory budget; scratch pools and dynamic-maintenance overlays are
     /// transient and deliberately excluded.
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes()
-            + self.index.memory_bytes()
-            + self.labels.len() * std::mem::size_of::<u64>()
+        self.graph.memory_bytes() + self.index.memory_bytes() + self.labels.memory_bytes()
     }
 
     /// A zero-cost searcher borrowing the engine's graph and index.
@@ -693,6 +696,52 @@ mod tests {
         let eng = CommunityEngine::from_snapshot(snap);
         assert_eq!(eng.label_of(VertexId(0)), 100);
         assert_eq!(eng.vertex_of_label(100), Some(VertexId(0)));
+    }
+
+    #[test]
+    fn label_lookup_agrees_with_the_scan() {
+        use ctc_truss::snapshot::vertex_of_label;
+        // Unsorted, with the extremes and a repeated label (the scan
+        // answers its lowest id, and so must the binary search).
+        let table: Vec<u64> = vec![
+            u64::MAX,
+            40,
+            0,
+            7,
+            40,
+            1 << 40,
+            3,
+            99,
+            12,
+            u64::MAX - 1,
+            5,
+            8,
+        ];
+        let snap = Snapshot::build(figure1_graph())
+            .with_labels(table.clone())
+            .unwrap();
+        let eng = CommunityEngine::from_snapshot(snap);
+        let clone = eng.clone();
+        assert!(Arc::ptr_eq(&eng.labels, &clone.labels), "clones share");
+        let n = eng.graph().num_vertices();
+        let probes = table
+            .iter()
+            .flat_map(|&l| [l, l.wrapping_add(1), l.wrapping_sub(1)])
+            .chain([1, 2, 4, 6, 11, 41, 1000, u64::MAX - 2]);
+        for label in probes {
+            assert_eq!(
+                clone.vertex_of_label(label),
+                vertex_of_label(&table, n, label),
+                "label {label}"
+            );
+        }
+        assert_eq!(eng.vertex_of_label(40), Some(VertexId(1)));
+        assert_eq!(eng.resolve_labels(&[0, 6]), Err(6), "missing label");
+        // Identity engines resolve arithmetically, index or no index.
+        let bare = engine();
+        assert_eq!(bare.vertex_of_label(11), Some(VertexId(11)));
+        assert_eq!(bare.vertex_of_label(12), None);
+        assert_eq!(bare.vertex_of_label(u64::MAX), None);
     }
 
     #[test]

@@ -29,7 +29,9 @@ const NIL: usize = usize::MAX;
 #[derive(Clone, Debug)]
 struct Slot<K, V> {
     key: K,
-    value: V,
+    /// `None` once [`LruCache::retain`] freed the slot: a dropped value
+    /// is released at once, not when an insert reuses the slot.
+    value: Option<V>,
     prev: usize,
     next: usize,
 }
@@ -82,6 +84,19 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.is_empty()
     }
 
+    /// The cached values, most recently used first.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        let mut idx = self.head;
+        std::iter::from_fn(move || {
+            if idx == NIL {
+                return None;
+            }
+            let slot = &self.slots[idx];
+            idx = slot.next;
+            slot.value.as_ref()
+        })
+    }
+
     /// Unlinks slot `idx` from the recency list without freeing it.
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
@@ -117,7 +132,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             self.unlink(idx);
             self.link_front(idx);
         }
-        Some(self.slots[idx].value.clone())
+        self.slots[idx].value.clone()
     }
 
     /// Inserts (or refreshes) `key → value`, evicting the least recently
@@ -127,7 +142,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             return;
         }
         if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].value = value;
+            self.slots[idx].value = Some(value);
             if self.head != idx {
                 self.unlink(idx);
                 self.link_front(idx);
@@ -140,7 +155,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
             self.slots[victim].key = key.clone();
-            self.slots[victim].value = value;
+            self.slots[victim].value = Some(value);
             self.map.insert(key, victim);
             self.link_front(victim);
             return;
@@ -148,13 +163,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.slots[idx].key = key.clone();
-                self.slots[idx].value = value;
+                self.slots[idx].value = Some(value);
                 idx
             }
             None => {
                 self.slots.push(Slot {
                     key: key.clone(),
-                    value,
+                    value: Some(value),
                     prev: NIL,
                     next: NIL,
                 });
@@ -183,9 +198,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         while idx != NIL {
             let next = self.slots[idx].next;
             let slot = &self.slots[idx];
-            if !keep(&slot.key, &slot.value) {
+            if !slot.value.as_ref().is_some_and(|v| keep(&slot.key, v)) {
                 self.map.remove(&self.slots[idx].key);
                 self.unlink(idx);
+                self.slots[idx].value = None;
                 self.free.push(idx);
             }
             idx = next;
@@ -271,6 +287,33 @@ mod tests {
         c.insert('e', 5); // evicts 'a' (oldest survivor)
         assert_eq!(c.get(&'a'), None);
         assert_eq!(c.get(&'c'), Some(3));
+    }
+
+    #[test]
+    fn retain_releases_dropped_values_at_once() {
+        use std::sync::Arc;
+        let dropped = Arc::new(vec![0u8; 64]);
+        let mut c = LruCache::new(4);
+        c.insert(1, Arc::clone(&dropped));
+        c.insert(2, Arc::new(Vec::new()));
+        c.retain(|k, _| *k != 1);
+        assert_eq!(
+            Arc::strong_count(&dropped),
+            1,
+            "a freed slot must not keep its value alive"
+        );
+        assert_eq!(c.values().count(), 1);
+    }
+
+    #[test]
+    fn values_walk_live_entries_most_recent_first() {
+        let mut c = LruCache::new(3);
+        for (k, v) in [('a', 1), ('b', 2), ('c', 3), ('d', 4)] {
+            c.insert(k, v); // 'd' evicts 'a'
+        }
+        c.get(&'b');
+        c.retain(|_, v| *v != 3);
+        assert_eq!(c.values().copied().collect::<Vec<_>>(), [2, 4]);
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //! }
 //! ```
 
+use std::io::{self, IoSlice, Write};
+use std::sync::Arc;
+
 /// Hard cap on the request head (request line + all headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Hard cap on the number of request headers.
@@ -256,6 +259,10 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Parse, HttpError> {
     ))
 }
 
+/// Room reserved for a response head: the status line and the fixed
+/// headers fit well inside it.
+const HEAD_CAPACITY: usize = 128;
+
 /// A response under construction: status, extra headers, JSON body.
 #[derive(Clone, Debug)]
 pub struct Response {
@@ -266,13 +273,21 @@ pub struct Response {
     /// Extra headers beyond the always-present `content-type`,
     /// `content-length` and `connection`.
     pub headers: Vec<(&'static str, String)>,
-    /// The response body (JSON everywhere in this server).
-    pub body: Vec<u8>,
+    /// The response body (JSON everywhere in this server). Shared, not
+    /// owned: a cached answer is handed to every response that serves it
+    /// without being copied.
+    pub body: Arc<Vec<u8>>,
 }
 
 impl Response {
     /// A 200 response with a JSON body.
     pub fn ok(body: Vec<u8>) -> Self {
+        Self::shared(Arc::new(body))
+    }
+
+    /// A 200 response over a body other holders keep too (the answer
+    /// cache): the response takes a reference, not a copy.
+    pub fn shared(body: Arc<Vec<u8>>) -> Self {
         Response {
             status: 200,
             reason: "OK",
@@ -287,7 +302,7 @@ impl Response {
             status,
             reason,
             headers: Vec::new(),
-            body,
+            body: Arc::new(body),
         }
     }
 
@@ -297,25 +312,51 @@ impl Response {
         self
     }
 
-    /// Serializes the response. The header set is fixed and deterministic
-    /// (no date, no server banner), so identical payloads yield identical
-    /// bytes — the property the soak test pins end to end.
-    pub fn encode(&self, close: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).as_bytes());
+    /// Appends the status line and headers, through the blank line that
+    /// ends the head. The header set is fixed and deterministic (no date,
+    /// no server banner), so identical payloads yield identical bytes —
+    /// the property the soak test pins end to end.
+    fn write_head(&self, close: bool, out: &mut Vec<u8>) {
+        // Writing into a Vec cannot fail.
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason);
         out.extend_from_slice(b"content-type: application/json\r\n");
         for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            let _ = write!(out, "{name}: {value}\r\n");
         }
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
+        let _ = write!(out, "content-length: {}\r\n", self.body.len());
         out.extend_from_slice(if close {
-            b"connection: close\r\n"
+            b"connection: close\r\n\r\n"
         } else {
-            b"connection: keep-alive\r\n"
+            b"connection: keep-alive\r\n\r\n"
         });
-        out.extend_from_slice(b"\r\n");
+    }
+
+    /// Serializes the response, head and body, into one buffer.
+    pub fn encode(&self, close: bool) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEAD_CAPACITY + self.body.len());
+        self.write_head(close, &mut out);
         out.extend_from_slice(&self.body);
         out
+    }
+
+    /// Writes the bytes [`Response::encode`] returns to `w`, without
+    /// assembling them: the head is formatted on its own and goes out
+    /// with the shared body in vectored writes (`writev` on a socket), so
+    /// the body is never copied on its way to the kernel.
+    pub fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
+        self.write_head(close, &mut head);
+        let mut parts = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match w.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -484,6 +525,72 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
         let keep = Response::ok(Vec::new()).encode(false);
         assert!(String::from_utf8(keep).unwrap().contains("keep-alive"));
+    }
+
+    /// A writer that takes at most `step` bytes of the first non-empty
+    /// slice per call and reports `Interrupted` on every third call, so
+    /// every resumption path of [`Response::write_to`] runs.
+    struct Trickle {
+        out: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_to_sends_exactly_the_encoded_bytes() {
+        let body = Arc::new(br#"{"k":4,"vertices":[1,2,3]}"#.to_vec());
+        let responses = [
+            Response::shared(Arc::clone(&body)).with_header("x-cache", "hit"),
+            Response::error(404, "Not Found", b"{}".to_vec()),
+            Response::ok(Vec::new()),
+        ];
+        for response in &responses {
+            for close in [false, true] {
+                for step in [1, 7, 1 << 20] {
+                    let mut w = Trickle {
+                        out: Vec::new(),
+                        step,
+                        calls: 0,
+                    };
+                    response.write_to(&mut w, close).unwrap();
+                    assert_eq!(w.out, response.encode(close), "step {step}");
+                }
+            }
+        }
+        assert!(Arc::ptr_eq(&responses[0].body, &body), "shared, not copied");
+    }
+
+    #[test]
+    fn write_to_reports_a_stalled_writer() {
+        struct Stalled;
+        impl Write for Stalled {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = Response::ok(b"{}".to_vec())
+            .write_to(&mut Stalled, true)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

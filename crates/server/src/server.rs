@@ -64,7 +64,7 @@ use ctc_core::{CommunityEngine, EngineUpdate, SearchAlgo};
 use ctc_graph::Parallelism;
 use ctc_truss::{DeltaLogFile, DeltaOp, DeltaRecord};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::fd::AsRawFd;
@@ -379,6 +379,24 @@ fn lock_cache<'a>(
             guard
         }
     }
+}
+
+/// A tenant's `cache` stats object. `bytes` sums the cached bodies,
+/// read from the cache itself under the caller's lock rather than kept
+/// as a second counter.
+fn cache_stats(
+    cache: &LruCache<crate::wire::QueryKey, CachedAnswer>,
+    hits: u64,
+    misses: u64,
+) -> Json {
+    let bytes: usize = cache.values().map(|a| a.body.len()).sum();
+    Json::Object(vec![
+        ("capacity".into(), Json::Uint(cache.capacity() as u64)),
+        ("entries".into(), Json::Uint(cache.len() as u64)),
+        ("bytes".into(), Json::Uint(bytes as u64)),
+        ("hits".into(), Json::Uint(hits)),
+        ("misses".into(), Json::Uint(misses)),
+    ])
 }
 
 impl AppState {
@@ -820,17 +838,17 @@ impl AppState {
             }
         };
         let key = parsed.key();
-        // Bind the lookup to a statement so the cache mutex is released
-        // before the body bytes are copied into the response: under the
-        // lock a hit is only an Arc bump, so concurrent workers never
-        // serialize on a large-body memcpy.
+        // Bind the lookup to its own statement so the cache mutex is
+        // released at once: under the lock a hit is only an Arc bump, and
+        // the response shares the cached body, never copying it, here or
+        // on its way to the socket.
         let hit = lock_cache(tenant).get(&key);
         if let Some(ans) = hit {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.counters.search_ok.fetch_add(1, Ordering::Relaxed);
             tenant.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             tenant.counters.search_ok.fetch_add(1, Ordering::Relaxed);
-            return Response::ok(ans.body.as_ref().clone()).with_header("x-cache", "hit");
+            return Response::shared(ans.body).with_header("x-cache", "hit");
         }
         // Miss: run the search under the per-request config. The engine
         // clone is three Arc bumps; per-query inner parallelism stays
@@ -859,9 +877,9 @@ impl AppState {
                 self.counters
                     .phase_total_us
                     .fetch_add(tu, Ordering::Relaxed);
-                // Cache the *encoded* body: a hit costs one memcpy, never
-                // a re-encode of the whole community (encoding dominates
-                // per-hit cost for large answers).
+                // Encode once into an exact-size buffer that the cache
+                // and this response share: a later hit neither re-encodes
+                // nor copies the community.
                 let body = Arc::new(encode_community(&snapshot, &c));
                 {
                     let mut cache = lock_cache(tenant);
@@ -880,7 +898,7 @@ impl AppState {
                         );
                     }
                 }
-                Response::ok(body.as_ref().clone()).with_header("x-cache", "miss")
+                Response::shared(body).with_header("x-cache", "miss")
             }
             Err(e) => {
                 search_err();
@@ -1112,7 +1130,11 @@ impl AppState {
         let s = tenant.serving.read().expect("serving poisoned").stats();
         let c = &tenant.counters;
         let load = |a: &AtomicU64| Json::Uint(a.load(Ordering::Relaxed));
-        let cache = lock_cache(tenant);
+        let cache = cache_stats(
+            &lock_cache(tenant),
+            c.cache_hits.load(Ordering::Relaxed),
+            c.cache_misses.load(Ordering::Relaxed),
+        );
         let h = tenant.health.snapshot();
         Json::Object(vec![
             ("tenant".into(), Json::Str(tenant.name().into())),
@@ -1143,15 +1165,7 @@ impl AppState {
                     ("labeled".into(), Json::Bool(s.labeled)),
                 ]),
             ),
-            (
-                "cache".into(),
-                Json::Object(vec![
-                    ("capacity".into(), Json::Uint(cache.capacity() as u64)),
-                    ("entries".into(), Json::Uint(cache.len() as u64)),
-                    ("hits".into(), load(&c.cache_hits)),
-                    ("misses".into(), load(&c.cache_misses)),
-                ]),
-            ),
+            ("cache".into(), cache),
             (
                 "requests".into(),
                 Json::Object(vec![
@@ -1186,7 +1200,11 @@ impl AppState {
     fn encode_stats(&self) -> Vec<u8> {
         let s = self.engine().stats();
         let c = self.counters.snapshot();
-        let cache = lock_cache(&self.default_tenant);
+        let cache = cache_stats(
+            &lock_cache(&self.default_tenant),
+            c.cache_hits,
+            c.cache_misses,
+        );
         Json::Object(vec![
             (
                 "graph".into(),
@@ -1197,15 +1215,7 @@ impl AppState {
                     ("labeled".into(), Json::Bool(s.labeled)),
                 ]),
             ),
-            (
-                "cache".into(),
-                Json::Object(vec![
-                    ("capacity".into(), Json::Uint(cache.capacity() as u64)),
-                    ("entries".into(), Json::Uint(cache.len() as u64)),
-                    ("hits".into(), Json::Uint(c.cache_hits)),
-                    ("misses".into(), Json::Uint(c.cache_misses)),
-                ]),
-            ),
+            ("cache".into(), cache),
             (
                 "requests".into(),
                 Json::Object(vec![
@@ -1338,8 +1348,8 @@ impl<T> ConnQueue<T> {
 /// healthy kernel buffer anyway.
 fn shed_503(stream: &mut TcpStream, io_timeout: Duration, detail: &str) {
     let _ = stream.set_write_timeout(Some(io_timeout));
-    let response = Response::error(503, "Service Unavailable", encode_error(detail)).encode(true);
-    let _ = stream.write_all(&response);
+    let _ =
+        Response::error(503, "Service Unavailable", encode_error(detail)).write_to(stream, true);
 }
 
 /// What [`CtcServer::serve`] reports after a graceful shutdown.
@@ -1814,8 +1824,7 @@ fn service_conn(
                 // unknowable.
                 let (routed, panicked) = state.route_caught(&req);
                 let close = panicked || req.wants_close() || state.is_shutting_down();
-                let response = routed.encode(close);
-                if conn.stream.write_all(&response).is_err() {
+                if routed.write_to(&mut conn.stream, close).is_err() {
                     return Fate::Close;
                 }
                 if close {
@@ -1824,8 +1833,7 @@ fn service_conn(
                 conn.deadline = Instant::now() + request_deadline;
             }
             Err(e) => {
-                let response = state.reject(e).encode(true);
-                let _ = conn.stream.write_all(&response);
+                let _ = state.reject(e).write_to(&mut conn.stream, true);
                 return Fate::Close;
             }
         }
@@ -1895,6 +1903,7 @@ mod tests {
     use super::*;
     use ctc_core::SearchAlgo;
     use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
+    use std::io::Write;
 
     fn state(cache_cap: usize) -> AppState {
         AppState::new(
@@ -2203,6 +2212,133 @@ mod tests {
         let (head, _) = split(&s.respond(b"GET / HTTP/2\r\n\r\n").unwrap());
         assert!(head.starts_with("HTTP/1.1 505"));
         assert_eq!(s.counters().http_rejects, 1);
+    }
+
+    fn search_body(algo: &str) -> String {
+        let f = Figure1Ids::default();
+        format!(
+            r#"{{"query":[{},{},{}],"algo":"{algo}"}}"#,
+            f.q1.0, f.q2.0, f.q3.0
+        )
+    }
+
+    #[test]
+    fn hits_share_the_cached_body_allocation() {
+        let s = state(8);
+        let raw = req("POST", "/search", &search_body("bd"));
+        let Ok(Parse::Complete(r, _)) = parse_request(&raw, DEFAULT_MAX_BODY) else {
+            panic!("complete request");
+        };
+        let [miss, hit, again] = [s.route(&r), s.route(&r), s.route(&r)];
+        assert_eq!(miss.headers, [("x-cache", "miss".to_string())]);
+        assert_eq!(hit.headers, [("x-cache", "hit".to_string())]);
+        assert!(Arc::ptr_eq(&hit.body, &again.body), "a hit copied the body");
+        assert!(
+            Arc::ptr_eq(&miss.body, &hit.body),
+            "the miss answers from the buffer it cached"
+        );
+    }
+
+    #[test]
+    fn keep_alive_socket_pipelines_a_miss_and_a_hit_byte_for_byte() {
+        let body = search_body("lctc");
+        let search = req("POST", "/search", &body);
+        let closing = format!(
+            "POST /search HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes();
+        let reference = state(8);
+        let mut expected = reference.respond(&search).unwrap();
+        expected.extend(reference.respond(&closing).unwrap());
+        let server = CtcServer::bind(
+            CommunityEngine::build(figure1_graph()),
+            "127.0.0.1:0",
+            ServeConfig {
+                pool: Parallelism::threads(2),
+                cache_cap: 8,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.serve());
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        conn.write_all(&[search, closing].concat()).unwrap();
+        let mut got = Vec::new();
+        conn.read_to_end(&mut got).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&expected)
+        );
+        handle.shutdown();
+        let report = join.join().expect("serve thread panicked");
+        assert_eq!(
+            (report.counters.cache_misses, report.counters.cache_hits),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn stats_cache_bytes_sum_the_cached_bodies() {
+        let s = state(2);
+        let stats = |target: &str| {
+            let (_, body) = split(&s.respond(&req("GET", target, "")).unwrap());
+            let json = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            let cache = json.get("cache").expect("cache object");
+            (
+                cache.get("entries").and_then(Json::as_u64).unwrap(),
+                cache.get("bytes").and_then(Json::as_u64).unwrap(),
+            )
+        };
+        assert_eq!(stats("/stats"), (0, 0));
+        let mut sizes = Vec::new();
+        for algo in ["basic", "bd", "lctc"] {
+            let raw = s.respond(&req("POST", "/search", &search_body(algo)));
+            sizes.push(split(&raw.unwrap()).1.len() as u64);
+        }
+        // Capacity 2: the first answer was evicted, the last two remain.
+        let want = (2, sizes[1] + sizes[2]);
+        assert_eq!(stats("/stats"), want);
+        assert_eq!(stats("/t/default/stats"), want);
+        // A hit moves nothing.
+        s.respond(&req("POST", "/search", &search_body("lctc")));
+        assert_eq!(stats("/stats"), want);
+    }
+
+    #[test]
+    fn labels_past_u32_are_unknown_not_panics() {
+        let s = state(8);
+        let (head, body) = split(
+            &s.respond(&req(
+                "POST",
+                "/search",
+                r#"{"query":[18446744073709551615]}"#,
+            ))
+            .unwrap(),
+        );
+        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+        assert_eq!(
+            body,
+            br#"{"error":"label 18446744073709551615 not in graph"}"#
+        );
+        let (head, body) = split(
+            &s.respond(&req(
+                "POST",
+                "/update",
+                r#"{"updates":[{"op":"insert","u":0,"v":4294967296}]}"#,
+            ))
+            .unwrap(),
+        );
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            String::from_utf8(body).unwrap().contains(r#""rejected":1"#),
+            "the op is rejected alone"
+        );
+        assert_eq!(s.server_counters().panics, 0);
     }
 
     #[test]

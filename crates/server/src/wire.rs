@@ -6,8 +6,11 @@
 //!
 //! * **Determinism** — [`encode_community`] writes fields in a fixed
 //!   order with no timing or identity data, so the same [`Community`]
-//!   always encodes to the same bytes. The soak test pins that a served
-//!   answer is byte-identical to a directly computed one, cached or not.
+//!   always encodes to the same bytes. Each answer is encoded once, into
+//!   a buffer of exactly its size that the answer cache and every
+//!   response serving it share, never copied; the soak test pins that a
+//!   served answer is byte-identical to a directly computed one, cached
+//!   or not.
 //! * **Normalization** — a query is a vertex *set*; [`SearchRequest`]
 //!   sorts and deduplicates labels, so every permutation of the same set
 //!   shares one [`QueryKey`] (and therefore one cache slot), and the
@@ -365,34 +368,88 @@ pub fn encode_update_response(
 /// Vertices and edges are reported as *original labels* (the engine's
 /// label table applies); field order is fixed; no timings ride along, so
 /// identical communities encode to identical bytes.
+///
+/// The body is the compact JSON of
+/// `{"k","num_vertices","num_edges","query_distance","vertices","edges"}`,
+/// written without building a [`Json`] tree: one pass sums the exact
+/// length (fixed punctuation plus the digit count of every number), the
+/// second writes the bytes into a buffer allocated at exactly that size,
+/// so the body never reallocates and carries no spare capacity into the
+/// answer cache.
 pub fn encode_community(engine: &CommunityEngine, c: &Community) -> Vec<u8> {
-    let vertices = Json::Array(
-        c.vertices
-            .iter()
-            .map(|&v| Json::Uint(engine.label_of(v)))
-            .collect(),
-    );
-    let edges = Json::Array(
-        c.edges
-            .iter()
-            .map(|&(u, v)| {
-                Json::Array(vec![
-                    Json::Uint(engine.label_of(u)),
-                    Json::Uint(engine.label_of(v)),
-                ])
-            })
-            .collect(),
-    );
-    Json::Object(vec![
-        ("k".into(), Json::Uint(c.k as u64)),
-        ("num_vertices".into(), Json::Uint(c.num_vertices() as u64)),
-        ("num_edges".into(), Json::Uint(c.num_edges() as u64)),
-        ("query_distance".into(), Json::Uint(c.query_distance as u64)),
-        ("vertices".into(), vertices),
-        ("edges".into(), edges),
-    ])
-    .encode()
-    .into_bytes()
+    let mut len = 0usize;
+    write_community(engine, c, &mut len);
+    let mut out = Vec::with_capacity(len);
+    write_community(engine, c, &mut out);
+    debug_assert_eq!(out.len(), len, "measured and written body lengths differ");
+    out
+}
+
+/// Where [`write_community`] sends the body: a `usize` counts its bytes,
+/// a `Vec<u8>` receives them. One writer drives both, so the measured
+/// length and the written bytes cannot disagree.
+trait BodySink {
+    fn put(&mut self, bytes: &[u8]);
+    fn uint(&mut self, n: u64);
+}
+
+impl BodySink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+
+    fn uint(&mut self, n: u64) {
+        *self += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
+impl BodySink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn uint(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.extend_from_slice(&digits[at..]);
+    }
+}
+
+/// The `/search` body of `c`, field by field, in the order and spelling
+/// `Json::encode` gives the equivalent object.
+fn write_community(engine: &CommunityEngine, c: &Community, out: &mut impl BodySink) {
+    out.put(br#"{"k":"#);
+    out.uint(u64::from(c.k));
+    out.put(br#","num_vertices":"#);
+    out.uint(c.num_vertices() as u64);
+    out.put(br#","num_edges":"#);
+    out.uint(c.num_edges() as u64);
+    out.put(br#","query_distance":"#);
+    out.uint(u64::from(c.query_distance));
+    out.put(br#","vertices":["#);
+    for (i, &v) in c.vertices.iter().enumerate() {
+        if i > 0 {
+            out.put(b",");
+        }
+        out.uint(engine.label_of(v));
+    }
+    out.put(br#"],"edges":["#);
+    for (i, &(u, v)) in c.edges.iter().enumerate() {
+        out.put(if i > 0 { b",[" } else { b"[" });
+        out.uint(engine.label_of(u));
+        out.put(b",");
+        out.uint(engine.label_of(v));
+        out.put(b"]");
+    }
+    out.put(b"]}");
 }
 
 /// Encodes the uniform error body `{"error": message}`.
@@ -628,6 +685,159 @@ mod tests {
             parsed.get("vertices").unwrap().as_array().unwrap()[0],
             Json::Uint(c.vertices[0].0 as u64)
         );
+    }
+
+    /// The `Json`-tree encoding `encode_community` replaced, kept as its
+    /// oracle: the two must agree byte for byte.
+    fn encode_community_tree(engine: &CommunityEngine, c: &Community) -> Vec<u8> {
+        let vertices = Json::Array(
+            c.vertices
+                .iter()
+                .map(|&v| Json::Uint(engine.label_of(v)))
+                .collect(),
+        );
+        let edges = Json::Array(
+            c.edges
+                .iter()
+                .map(|&(u, v)| {
+                    Json::Array(vec![
+                        Json::Uint(engine.label_of(u)),
+                        Json::Uint(engine.label_of(v)),
+                    ])
+                })
+                .collect(),
+        );
+        Json::Object(vec![
+            ("k".into(), Json::Uint(c.k as u64)),
+            ("num_vertices".into(), Json::Uint(c.num_vertices() as u64)),
+            ("num_edges".into(), Json::Uint(c.num_edges() as u64)),
+            ("query_distance".into(), Json::Uint(c.query_distance as u64)),
+            ("vertices".into(), vertices),
+            ("edges".into(), edges),
+        ])
+        .encode()
+        .into_bytes()
+    }
+
+    /// Figure 1 under a label table of digit-count boundaries, from `0`
+    /// to `u64::MAX`, one per vertex.
+    fn labeled_engine() -> CommunityEngine {
+        let labels = vec![
+            u64::MAX,
+            0,
+            9,
+            10,
+            99,
+            100,
+            u64::from(u32::MAX),
+            1 << 32,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            u64::MAX - 1,
+            7,
+        ];
+        CommunityEngine::from_snapshot(
+            ctc_truss::Snapshot::build(figure1_graph())
+                .with_labels(labels)
+                .unwrap(),
+        )
+    }
+
+    fn community(k: u32, query_distance: u32, vertices: &[u32], edges: &[(u32, u32)]) -> Community {
+        use ctc_graph::VertexId;
+        Community {
+            k,
+            vertices: vertices.iter().map(|&v| VertexId(v)).collect(),
+            edges: edges
+                .iter()
+                .map(|&(u, v)| (VertexId(u), VertexId(v)))
+                .collect(),
+            query_distance,
+            iterations: 0,
+            g0_size: (0, 0),
+            timings: Default::default(),
+        }
+    }
+
+    /// Encodes with both encoders and checks they agree, and that the new
+    /// one's buffer is exactly the body's size.
+    fn assert_matches_oracle(engine: &CommunityEngine, c: &Community) -> Vec<u8> {
+        let body = encode_community(engine, c);
+        assert_eq!(
+            String::from_utf8_lossy(&body),
+            String::from_utf8_lossy(&encode_community_tree(engine, c))
+        );
+        assert_eq!(body.capacity(), body.len(), "exact-size buffer");
+        body
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..Default::default()
+        })]
+
+        /// Random communities over the labeled table (every digit count
+        /// from 1 to 20) and over identity labels spanning the `u32` ids.
+        #[test]
+        fn community_encoding_matches_the_json_tree(
+            header in (0u32..u32::MAX, 0u32..u32::MAX),
+            small in proptest::collection::vec(0u32..12, 0..24),
+            small_edges in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+            wide in proptest::collection::vec(0u32..u32::MAX, 0..24),
+            wide_edges in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX), 0..24),
+        ) {
+            let labeled = labeled_engine();
+            let identity = CommunityEngine::build(figure1_graph());
+            let (k, qd) = header;
+            for (engine, c) in [
+                (&labeled, community(k, qd, &small, &small_edges)),
+                (&identity, community(k, qd, &small, &small_edges)),
+                (&identity, community(k % 16, qd % 8, &wide, &wide_edges)),
+            ] {
+                let body = encode_community(engine, &c);
+                proptest::prop_assert_eq!(
+                    &body,
+                    &encode_community_tree(engine, &c),
+                    "{c:?}"
+                );
+                proptest::prop_assert_eq!(body.capacity(), body.len());
+            }
+        }
+    }
+
+    #[test]
+    fn community_encoding_edge_cases_match_the_json_tree() {
+        let labeled = labeled_engine();
+        let identity = CommunityEngine::build(figure1_graph());
+        for engine in [&labeled, &identity] {
+            let empty = assert_matches_oracle(engine, &community(0, 0, &[], &[]));
+            assert_eq!(
+                empty,
+                br#"{"k":0,"num_vertices":0,"num_edges":0,"query_distance":0,"vertices":[],"edges":[]}"#
+            );
+            assert_matches_oracle(engine, &community(2, 1, &[0, 1], &[(0, 1)]));
+            assert_matches_oracle(engine, &community(u32::MAX, u32::MAX, &[0], &[]));
+        }
+        // Labels 0 and u64::MAX end to end.
+        let one_edge = assert_matches_oracle(&labeled, &community(2, 1, &[0, 1], &[(1, 0)]));
+        assert_eq!(
+            one_edge,
+            br#"{"k":2,"num_vertices":2,"num_edges":1,"query_distance":1,"vertices":[18446744073709551615,0],"edges":[[0,18446744073709551615]]}"#
+        );
+        // Real answers, every algorithm, both label modes.
+        let f = Figure1Ids::default();
+        for engine in [&labeled, &identity] {
+            for algo in [
+                SearchAlgo::Basic,
+                SearchAlgo::BulkDelete,
+                SearchAlgo::Local,
+                SearchAlgo::TrussOnly,
+            ] {
+                let c = engine.search(&[f.q1, f.q2, f.q3], algo).unwrap();
+                assert_matches_oracle(engine, &c);
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use ctc_graph::io::{
 use ctc_graph::storage::{write_durable, RealEnv, StorageEnv};
 use ctc_graph::{CsrGraph, Parallelism, VertexId};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Magic bytes opening a `.ctci` snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CTCI";
@@ -168,10 +169,76 @@ pub fn label_of(labels: &[u64], v: VertexId) -> u64 {
 /// vertices, if any (linear scan; empty table ⇒ identity).
 pub fn vertex_of_label(labels: &[u64], n: usize, label: u64) -> Option<VertexId> {
     if labels.is_empty() {
-        let v = label as usize;
-        return (v < n).then_some(VertexId::from(v));
+        return usize::try_from(label)
+            .ok()
+            .filter(|&v| v < n)
+            .map(VertexId::from);
     }
     labels.iter().position(|&l| l == label).map(VertexId::from)
+}
+
+/// A label table that resolves labels by binary search: the reverse
+/// `(label, id)` index is sorted on the first lookup and kept, so a
+/// long-lived holder (a serving engine, shared by its clones behind an
+/// `Arc`) pays one sort rather than a scan per label. An empty
+/// (identity) table resolves arithmetically and never builds the index.
+#[derive(Debug)]
+pub struct LabelTable {
+    labels: Vec<u64>,
+    by_label: OnceLock<Box<[(u64, VertexId)]>>,
+}
+
+impl LabelTable {
+    /// Wraps a dense id → original label table (empty ⇒ identity).
+    pub fn new(labels: Vec<u64>) -> Self {
+        LabelTable {
+            labels,
+            by_label: OnceLock::new(),
+        }
+    }
+
+    /// The dense id → original label table.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.labels
+    }
+
+    /// The original label of dense vertex `v`.
+    pub fn label_of(&self, v: VertexId) -> u64 {
+        label_of(&self.labels, v)
+    }
+
+    /// The dense id carrying `label` among `n` vertices, if any — the
+    /// same answer as [`vertex_of_label`], the lowest such id when a
+    /// label repeats.
+    pub fn vertex_of(&self, label: u64, n: usize) -> Option<VertexId> {
+        if self.labels.is_empty() {
+            return vertex_of_label(&self.labels, n, label);
+        }
+        let sorted = self.by_label.get_or_init(|| {
+            let mut pairs: Vec<(u64, VertexId)> = self
+                .labels
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| (l, VertexId::from(i)))
+                .collect();
+            pairs.sort_unstable();
+            pairs.into_boxed_slice()
+        });
+        let at = sorted.partition_point(|&(l, _)| l < label);
+        sorted
+            .get(at)
+            .filter(|&&(l, _)| l == label)
+            .map(|&(_, v)| v)
+    }
+
+    /// Heap bytes held: the table, plus the reverse index once built.
+    pub fn memory_bytes(&self) -> usize {
+        self.labels.len() * std::mem::size_of::<u64>()
+            + self
+                .by_label
+                .get()
+                .map_or(0, |t| std::mem::size_of_val::<[(u64, VertexId)]>(t))
+    }
 }
 
 /// Serializes graph + index + labels without requiring ownership (the
