@@ -3,12 +3,16 @@
 //!
 //! The paper's Remark 1 prices the offline build at `O(ρ·m)`; a snapshot
 //! load replaces that with an `O(n + m)` validated array read plus the
-//! deterministic truss-order row rebuild. The warm-batch group then prices
-//! what a serving process actually pays per request once the engine is up.
+//! deterministic truss-order row rebuild. The checksum group splits out
+//! the load's integrity check: the version-1 trailer's byte-serial FNV-1a
+//! against the version-2 word-parallel `lanes64` over the same image. The
+//! warm-batch group then prices what a serving process actually pays per
+//! request once the engine is up.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctc_core::{CommunityEngine, EngineQuery, SearchAlgo};
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
+use ctc_graph::io::{fnv1a64, lanes64};
 use ctc_truss::{Snapshot, TrussIndex};
 use std::time::Duration;
 
@@ -35,6 +39,23 @@ fn bench_snapshot(c: &mut Criterion) {
         BenchmarkId::from_parameter(format!("{}B", raw.len())),
         &raw,
         |b, raw| b.iter(|| Snapshot::from_bytes(raw).expect("valid snapshot")),
+    );
+    group.finish();
+
+    // The integrity check alone: both trailer checksums over one image.
+    let mut group = c.benchmark_group("checksum");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_with_input(
+        BenchmarkId::new("fnv1a64", format!("{}B", raw.len())),
+        &raw,
+        |b, raw| b.iter(|| fnv1a64(raw)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("lanes64", format!("{}B", raw.len())),
+        &raw,
+        |b, raw| b.iter(|| lanes64(raw)),
     );
     group.finish();
 

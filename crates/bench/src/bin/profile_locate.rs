@@ -123,7 +123,7 @@ fn main() {
             let dec = ctc_truss::truss_decomposition(gg);
             t_dec = t_dec.min(t.elapsed().as_micros());
             let t = Instant::now();
-            let ix = TrussIndex::from_decomposition(gg, &dec);
+            let ix = TrussIndex::from_decomposition(gg, dec);
             std::hint::black_box(&ix);
             t_idx2 = t_idx2.min(t.elapsed().as_micros());
         }

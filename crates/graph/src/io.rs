@@ -10,9 +10,10 @@
 //! byte-for-byte in `docs/INDEX_FORMAT.md`) builds on three primitives
 //! defined here: length-prefixed little-endian word sections
 //! ([`put_u32_section`] / [`get_u32_section`] and the `u64` variants), the
-//! [`fnv1a64`] checksum that seals a snapshot against corruption, and the
-//! graph section ([`put_graph_section`] / [`get_graph_section`]) that dumps
-//! the CSR arrays verbatim so loading skips the `O(m log m)` rebuild.
+//! checksums that seal a snapshot against corruption ([`lanes64`] since
+//! format version 2, [`fnv1a64`] before), and the graph section
+//! ([`put_graph_section`] / [`get_graph_section`]) that dumps the CSR
+//! arrays verbatim so loading skips the `O(m log m)` rebuild.
 
 /// The storage seam persistence code writes through (re-exported here
 /// because file IO is this module's concern; defined in
@@ -148,12 +149,15 @@ pub fn from_bytes(mut data: &[u8]) -> Result<CsrGraph> {
 // Snapshot primitives (`.ctci` building blocks; see docs/INDEX_FORMAT.md).
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash, the `.ctci` snapshot checksum.
+/// FNV-1a 64-bit hash: the trailer of version-1 `.ctci` snapshots and the
+/// `.ctcd` delta log's checksum.
 ///
 /// Chosen over a table-driven CRC for being 6 lines of dependency-free code
 /// while still detecting every single-byte corruption: each step
 /// `h ← (h ⊕ b) × p` is a bijection of the running state, so two byte
-/// streams differing in one position can never re-converge.
+/// streams differing in one position can never re-converge. The chain is
+/// byte-serial, one multiply per byte; [`lanes64`] keeps the guarantee at
+/// word width across four independent lanes.
 ///
 /// ```
 /// use ctc_graph::io::fnv1a64;
@@ -170,6 +174,70 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     hash
 }
 
+/// Multiplier of the [`lanes64`] step: `2⁶⁴/φ`, odd.
+const LANE_PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Rotation of the [`lanes64`] step.
+const LANE_ROTATE: u32 = 31;
+/// Start states of the four [`lanes64`] lanes, then of the fold: the
+/// first five SHA-512 initial hash words.
+const LANE_SEEDS: [u64; 5] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+    0x510e_527f_ade6_82d1,
+];
+
+/// One [`lanes64`] step, `rotl((h ⊕ w) · P, r)`: a bijection of `h` for a
+/// fixed `w` and of `w` for a fixed `h` (xor, multiplication by an odd
+/// constant mod 2⁶⁴ and rotation are each invertible).
+#[inline(always)]
+fn lane_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(LANE_PRIME).rotate_left(LANE_ROTATE)
+}
+
+/// The word-parallel checksum sealing `.ctci` snapshots from format
+/// version 2 on.
+///
+/// The input is read as little-endian `u64` words in 32-byte blocks; word
+/// `i` of every block feeds lane `i` through the step
+/// `h ← rotl((h ⊕ w) · P, r)`. A fold seeded with the fifth seed then
+/// steps in the byte length, the four lane states in lane order, and the
+/// tail of fewer than 32 bytes as 8-byte words, the last one zero-padded.
+/// Every step is a bijection in both arguments, so inputs of one length
+/// that differ in a single byte differ in exactly one word and can never
+/// re-converge — the guarantee [`fnv1a64`] gives, but four independent
+/// multiply chains run at once. `docs/INDEX_FORMAT.md` specifies the
+/// function for independent readers.
+///
+/// ```
+/// use ctc_graph::io::lanes64;
+///
+/// assert_eq!(lanes64(b""), 0x062a_b1e9_a544_b174);
+/// assert_ne!(lanes64(b"ctci"), lanes64(b"ctcj"));
+/// ```
+pub fn lanes64(data: &[u8]) -> u64 {
+    let (blocks, tail) = data.as_chunks::<32>();
+    let [mut a, mut b, mut c, mut d, seed] = LANE_SEEDS;
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        a = lane_step(a, u64::from_le_bytes(words[0]));
+        b = lane_step(b, u64::from_le_bytes(words[1]));
+        c = lane_step(c, u64::from_le_bytes(words[2]));
+        d = lane_step(d, u64::from_le_bytes(words[3]));
+    }
+    let mut h = lane_step(seed, data.len() as u64);
+    for lane in [a, b, c, d] {
+        h = lane_step(h, lane);
+    }
+    for chunk in tail.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = lane_step(h, u64::from_le_bytes(word));
+    }
+    h
+}
+
 /// Appends a length-prefixed little-endian `u32` section: the word count as
 /// a `u32`, then the words.
 pub fn put_u32_section(buf: &mut BytesMut, words: &[u32]) {
@@ -179,24 +247,34 @@ pub fn put_u32_section(buf: &mut BytesMut, words: &[u32]) {
     }
 }
 
-/// Reads a section written by [`put_u32_section`], advancing `data` past
-/// it. `what` names the section in the [`GraphError::Corrupt`] message.
-pub fn get_u32_section(data: &mut &[u8], what: &str) -> Result<Vec<u32>> {
-    if data.remaining() < 4 {
+/// Splits a length-prefixed section of `W`-byte words off the front of
+/// `data` and returns the words' raw bytes. `what` names the section in
+/// the [`GraphError::Corrupt`] message.
+fn take_section<'a, const W: usize>(data: &mut &'a [u8], what: &str) -> Result<&'a [[u8; W]]> {
+    let Some((len, rest)) = data.split_first_chunk::<4>() else {
         return Err(GraphError::Corrupt(format!(
             "truncated before {what} section length"
         )));
-    }
-    let len = data.get_u32_le() as usize;
+    };
+    let len = u32::from_le_bytes(*len) as usize;
     // Divide instead of multiplying so a crafted length can't overflow
-    // usize (32-bit targets) and sneak past the bound into a Buf panic.
-    if data.remaining() / 4 < len {
+    // usize (32-bit targets) and sneak past the bound.
+    if rest.len() / W < len {
         return Err(GraphError::Corrupt(format!(
             "truncated {what} section: want {len} words, have {} bytes",
-            data.remaining()
+            rest.len()
         )));
     }
-    Ok((0..len).map(|_| data.get_u32_le()).collect())
+    let (words, rest) = rest.split_at(len * W);
+    *data = rest;
+    Ok(words.as_chunks::<W>().0)
+}
+
+/// Reads a section written by [`put_u32_section`], advancing `data` past
+/// it. `what` names the section in the [`GraphError::Corrupt`] message.
+pub fn get_u32_section(data: &mut &[u8], what: &str) -> Result<Vec<u32>> {
+    let words = take_section::<4>(data, what)?;
+    Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
 }
 
 /// Appends a length-prefixed little-endian `u64` section (count as `u32`,
@@ -210,19 +288,8 @@ pub fn put_u64_section(buf: &mut BytesMut, words: &[u64]) {
 
 /// Reads a section written by [`put_u64_section`].
 pub fn get_u64_section(data: &mut &[u8], what: &str) -> Result<Vec<u64>> {
-    if data.remaining() < 4 {
-        return Err(GraphError::Corrupt(format!(
-            "truncated before {what} section length"
-        )));
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() / 8 < len {
-        return Err(GraphError::Corrupt(format!(
-            "truncated {what} section: want {len} words, have {} bytes",
-            data.remaining()
-        )));
-    }
-    Ok((0..len).map(|_| data.get_u64_le()).collect())
+    let words = take_section::<8>(data, what)?;
+    Ok(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
 }
 
 /// Appends the snapshot graph section: `n`, `m`, then the four raw CSR
@@ -255,7 +322,7 @@ pub fn get_graph_section(data: &mut &[u8]) -> Result<CsrGraph> {
     let offsets = get_u32_section(data, "offsets")?;
     let neighbors = get_u32_section(data, "neighbors")?;
     let arc_edge = get_u32_section(data, "arc edge ids")?;
-    let flat = get_u32_section(data, "edge endpoints")?;
+    let flat = take_section::<4>(data, "edge endpoints")?;
     if offsets.len() != n + 1 {
         return Err(GraphError::Corrupt(format!(
             "offsets section has {} entries, want n+1 = {}",
@@ -270,7 +337,12 @@ pub fn get_graph_section(data: &mut &[u8]) -> Result<CsrGraph> {
             2 * m
         )));
     }
-    let edges: Vec<(u32, u32)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+    let edges: Vec<(u32, u32)> = flat
+        .as_chunks::<2>()
+        .0
+        .iter()
+        .map(|[u, v]| (u32::from_le_bytes(*u), u32::from_le_bytes(*v)))
+        .collect();
     CsrGraph::from_raw_parts(offsets, neighbors, arc_edge, edges)
 }
 
@@ -440,6 +512,66 @@ mod tests {
             let mut flipped = b"closest truss community".to_vec();
             flipped[i] ^= 0x10;
             assert_ne!(a, fnv1a64(&flipped), "flip at byte {i} undetected");
+        }
+    }
+
+    /// `len` bytes, byte `i` = `i mod 251` (the golden-vector input of
+    /// docs/INDEX_FORMAT.md).
+    fn mod251(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn lanes64_golden_values() {
+        // Pinned: lanes64 seals every snapshot on disk, so any change to
+        // its constants, lane order, fold order or tail handling must
+        // fail here rather than orphan existing files.
+        for (len, want) in [
+            (0, 0x062a_b1e9_a544_b174),
+            (1, 0x30fc_fe89_7fea_32ed),
+            (31, 0x5906_822c_d61e_8a63),
+            (32, 0x894c_a038_7b24_a010),
+            (33, 0xa841_f3b0_23b5_35e9),
+            (1 << 20, 0x8bef_0a3c_2906_cd2f),
+        ] {
+            assert_eq!(lanes64(&mod251(len)), want, "{len}-byte input");
+        }
+    }
+
+    #[test]
+    fn lanes64_detects_every_single_byte_change() {
+        // Every length covers a different split into lanes, fold and tail:
+        // 0..=100 spans zero to three full blocks and every tail size.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in 0..=100usize {
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let want = lanes64(&data);
+            for pos in 0..len {
+                for mask in [0x01, 0x80, 0xff] {
+                    let mut changed = data.clone();
+                    changed[pos] ^= mask;
+                    assert_ne!(
+                        lanes64(&changed),
+                        want,
+                        "{len} bytes: xor {mask:#04x} at {pos} undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes64_covers_the_length() {
+        // Zero padding of the tail word never aliases a shorter input.
+        for len in 0..40 {
+            assert_ne!(lanes64(&vec![0; len]), lanes64(&vec![0; len + 1]));
         }
     }
 

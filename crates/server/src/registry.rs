@@ -267,6 +267,10 @@ pub struct TenantCounters {
     /// Requests currently inside this tenant's search/update handlers
     /// (a gauge, not a monotonic counter).
     pub in_flight: AtomicU64,
+    /// Wall time in microseconds of the tenant's last successful snapshot
+    /// load ([`CommunityEngine::load`], run under the registry lock); 0
+    /// for an in-memory tenant or one not loaded yet.
+    pub load_us: AtomicU64,
 }
 
 /// One tenant's loaded serving state. The engine split mirrors the
@@ -549,13 +553,16 @@ impl Registry {
             .source
             .clone()
             .expect("unloaded tenant has a source path");
+        let started = Instant::now();
         let engine = CommunityEngine::load(&path).map_err(|e| {
             let msg = format!("loading {}: {e}", path.display());
             health.record_failure(&msg);
             TenantError::Load(msg)
         })?;
+        let load_us = started.elapsed().as_micros() as u64;
         health.record_success();
         let counters = Arc::clone(&inner.entries[idx].counters);
+        counters.load_us.store(load_us, Ordering::Relaxed);
         let state = Arc::new(TenantState::new(
             name,
             engine,
@@ -753,11 +760,14 @@ mod tests {
         assert!(s[1].loaded, "b resident");
         assert!(r.resident_bytes() <= r.budget_bytes());
         // Unpin b, then reload a (evicts b): counters survived eviction.
+        let b_counters = Arc::clone(&b.counters);
         drop(b);
         let a = r.get("a").unwrap();
         assert_eq!(r.evictions(), 2);
         assert_eq!(r.loads(), 3);
         assert_eq!(a.counters.search_ok.load(Ordering::Relaxed), 7);
+        // The evicted b keeps the time of its last load.
+        assert!(b_counters.load_us.load(Ordering::Relaxed) > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1140,6 +1140,7 @@ impl AppState {
             ("tenant".into(), Json::Str(tenant.name().into())),
             ("dirty".into(), Json::Bool(tenant.is_dirty())),
             ("cost_bytes".into(), Json::Uint(tenant.cost_bytes() as u64)),
+            ("load_us".into(), load(&c.load_us)),
             (
                 "health".into(),
                 Json::Object(vec![
@@ -2574,6 +2575,29 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         let (head, _) = split(&s.respond(&req("DELETE", "/t/fig/search", "")).unwrap());
         assert!(head.starts_with("HTTP/1.1 405"), "{head}");
+    }
+
+    #[test]
+    fn tenant_stats_report_the_snapshot_load_time() {
+        let dir = std::env::temp_dir().join(format!("ctc-server-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fig.ctci");
+        CommunityEngine::build(figure1_graph()).save(&path).unwrap();
+        let s = state(8);
+        s.add_tenant_path("fig", path).unwrap();
+        s.add_tenant_engine("mem", CommunityEngine::build(figure1_graph()))
+            .unwrap();
+        let load_us = |tenant: &str| {
+            let target = format!("/t/{tenant}/stats");
+            let (_, stats) = split(&s.respond(&req("GET", &target, "")).unwrap());
+            let stats = Json::parse(std::str::from_utf8(&stats).unwrap()).unwrap();
+            stats.get("load_us").and_then(Json::as_u64).unwrap()
+        };
+        // The stats request is fig's first: it loads the snapshot.
+        assert!(load_us("fig") > 0);
+        assert_eq!(load_us("mem"), 0, "an in-memory tenant never loads");
+        assert_eq!(load_us("default"), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -53,8 +53,7 @@ impl TrussIndex {
     /// Identical output to [`TrussIndex::build`]; a warmed scratch makes
     /// the decomposition phase allocation-free.
     pub fn build_with(g: &CsrGraph, scratch: &mut DecomposeScratch) -> Self {
-        let decomp = truss_decomposition_with(g, scratch);
-        Self::from_parts(g, decomp.edge_truss, decomp.max_truss)
+        Self::from_decomposition(g, truss_decomposition_with(g, scratch))
     }
 
     /// Builds the index for `g`, running the truss decomposition across
@@ -62,13 +61,13 @@ impl TrussIndex {
     /// for every thread count (only the decomposition is parallel; row
     /// sorting is cheap by comparison and stays serial).
     pub fn build_par(g: &CsrGraph, par: ctc_graph::Parallelism) -> Self {
-        let decomp = crate::decompose::truss_decomposition_par(g, par);
-        Self::from_parts(g, decomp.edge_truss, decomp.max_truss)
+        Self::from_decomposition(g, crate::decompose::truss_decomposition_par(g, par))
     }
 
-    /// Builds the index from a precomputed decomposition.
-    pub fn from_decomposition(g: &CsrGraph, decomp: &TrussDecomposition) -> Self {
-        Self::from_parts(g, decomp.edge_truss.clone(), decomp.max_truss)
+    /// Builds the index from a precomputed decomposition, taking over its
+    /// trussness array.
+    pub fn from_decomposition(g: &CsrGraph, decomp: TrussDecomposition) -> Self {
+        Self::from_parts(g, decomp.edge_truss, decomp.max_truss)
     }
 
     pub(crate) fn from_parts(g: &CsrGraph, edge_truss: Vec<u32>, max_truss: u32) -> Self {

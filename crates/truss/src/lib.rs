@@ -72,7 +72,9 @@ pub use index::TrussIndex;
 pub use ktruss::{connected_ktruss_components, edge_list_vertices, ktruss_edges};
 pub use maintain::{CascadeReport, TrussMaintainer};
 pub use recover::{recover, recover_in, LogRecovery, RecoveryReport};
-pub use snapshot::{snapshot_from_bytes, snapshot_to_bytes, LabelTable, Snapshot};
+pub use snapshot::{
+    snapshot_from_bytes, snapshot_to_bytes, snapshot_version, LabelTable, Snapshot,
+};
 pub use tcp::{tcp_communities, tcp_feasible, TcpCommunity};
 pub use wal::{
     delta_log_from_bytes, delta_log_to_bytes, DeltaLog, DeltaLogFile, DeltaOp, DeltaRecord,

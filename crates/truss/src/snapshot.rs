@@ -13,13 +13,17 @@
 //!
 //! ```text
 //! magic   "CTCI"                          4 bytes
-//! version u32 LE                          (currently 1)
+//! version u32 LE                          (currently 2)
 //! graph   n, m, offsets, neighbors,       u32-LE sections
 //!         arc edge ids, edge endpoints
 //! labels  dense id → original label       u64-LE section (may be empty)
 //! truss   per-edge trussness, max truss   u32-LE section + u32
-//! trailer FNV-1a 64 over all prior bytes  8 bytes LE
+//! trailer checksum of all prior bytes     8 bytes LE
 //! ```
+//!
+//! The trailer is [`lanes64`] in version 2 and FNV-1a 64 ([`fnv1a64`]) in
+//! version 1; the layout is otherwise the same, so version-1 files still
+//! load, and every save writes version 2.
 //!
 //! Corruption (truncation, bit flips, inconsistent arrays) surfaces as
 //! [`GraphError::Corrupt`]; a file written by a newer format surfaces as
@@ -40,7 +44,7 @@ use crate::index::TrussIndex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ctc_graph::error::{GraphError, Result};
 use ctc_graph::io::{
-    fnv1a64, get_graph_section, get_u32_section, get_u64_section, put_graph_section,
+    fnv1a64, get_graph_section, get_u32_section, get_u64_section, lanes64, put_graph_section,
     put_u32_section, put_u64_section,
 };
 use ctc_graph::storage::{write_durable, RealEnv, StorageEnv};
@@ -50,9 +54,10 @@ use std::sync::OnceLock;
 
 /// Magic bytes opening a `.ctci` snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CTCI";
-/// Newest snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
-/// Bytes of the FNV-1a 64 checksum trailer.
+/// Snapshot format version this build writes; it reads every version
+/// from 1 up to this one.
+pub const SNAPSHOT_VERSION: u32 = 2;
+/// Bytes of the checksum trailer.
 const TRAILER_LEN: usize = 8;
 /// Bytes of magic + version header.
 const HEADER_LEN: usize = 8;
@@ -150,7 +155,12 @@ impl Snapshot {
     /// [`load`](Self::load) against an explicit storage environment.
     pub fn load_in(env: &dyn StorageEnv, path: &Path) -> Result<Self> {
         let data = env.read(path)?;
-        Self::from_bytes(&data)
+        let parts = decode(&data)?;
+        // The image is dead once decoded: freeing it before the index
+        // rebuild allocates lets the rebuild reuse its memory instead of
+        // faulting in fresh pages, and the load peaks one image lower.
+        drop(data);
+        Ok(rebuild(parts))
     }
 }
 
@@ -251,37 +261,64 @@ pub fn snapshot_to_bytes(g: &CsrGraph, idx: &TrussIndex, labels: &[u64]) -> Byte
     put_u64_section(&mut buf, labels);
     put_u32_section(&mut buf, idx.edge_truss_slice());
     buf.put_u32_le(idx.max_truss());
-    let checksum = fnv1a64(&buf);
+    let checksum = trailer_checksum(SNAPSHOT_VERSION, &buf);
     buf.put_u64_le(checksum);
     buf.freeze()
 }
 
-/// Deserializes a `.ctci` image into its three parts.
-///
-/// Validation order: magic, version, checksum over everything before the
-/// trailer, then section-by-section structural checks. The truss index is
-/// rebuilt from the stored per-edge trussness via the same deterministic
-/// row sort as a cold [`TrussIndex::build`], so every query answer is
-/// byte-identical to a cold build's.
-pub fn snapshot_from_bytes(data: &[u8]) -> Result<Snapshot> {
+/// The format version of a `.ctci` image, once its length, magic and
+/// version field pass the header checks: an image too short for header
+/// and trailer or with the wrong magic is [`GraphError::Corrupt`], a
+/// version this build does not read is [`GraphError::UnsupportedVersion`].
+/// Nothing past the header is verified.
+pub fn snapshot_version(data: &[u8]) -> Result<u32> {
     if data.len() < HEADER_LEN + TRAILER_LEN {
         return Err(GraphError::Corrupt("snapshot shorter than header".into()));
     }
     if &data[..4] != SNAPSHOT_MAGIC {
         return Err(GraphError::Corrupt("bad snapshot magic".into()));
     }
-    let mut cursor = &data[4..];
-    let version = cursor.get_u32_le();
-    if version != SNAPSHOT_VERSION {
+    let version = (&data[4..HEADER_LEN]).get_u32_le();
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(GraphError::UnsupportedVersion {
             found: version,
             supported: SNAPSHOT_VERSION,
         });
     }
+    Ok(version)
+}
+
+/// The trailer checksum of format `version` over `body`, the bytes before
+/// the trailer.
+fn trailer_checksum(version: u32, body: &[u8]) -> u64 {
+    match version {
+        1 => fnv1a64(body),
+        _ => lanes64(body),
+    }
+}
+
+/// Deserializes a `.ctci` image into its three parts.
+///
+/// Validation order: magic, version, the version's checksum over
+/// everything before the trailer, then section-by-section structural
+/// checks. The truss index is rebuilt from the stored per-edge trussness
+/// via the same deterministic row sort as a cold [`TrussIndex::build`], so
+/// every query answer is byte-identical to a cold build's.
+pub fn snapshot_from_bytes(data: &[u8]) -> Result<Snapshot> {
+    decode(data).map(rebuild)
+}
+
+/// A verified, decoded image whose truss index is not rebuilt yet.
+type Decoded = (CsrGraph, Vec<u64>, TrussDecomposition);
+
+/// Every check of [`snapshot_from_bytes`], stopping short of the index
+/// rebuild, which needs only the returned parts.
+fn decode(data: &[u8]) -> Result<Decoded> {
+    let version = snapshot_version(data)?;
     let body = &data[..data.len() - TRAILER_LEN];
     let mut trailer = &data[data.len() - TRAILER_LEN..];
     let want = trailer.get_u64_le();
-    let got = fnv1a64(body);
+    let got = trailer_checksum(version, body);
     if got != want {
         return Err(GraphError::Corrupt(format!(
             "checksum mismatch: file says {want:#018x}, content hashes to {got:#018x}"
@@ -324,12 +361,17 @@ pub fn snapshot_from_bytes(data: &[u8]) -> Result<Snapshot> {
         edge_truss,
         max_truss,
     };
-    let index = TrussIndex::from_decomposition(&graph, &decomp);
-    Ok(Snapshot {
+    Ok((graph, labels, decomp))
+}
+
+/// Rebuilds the truss index of decoded parts into a [`Snapshot`].
+fn rebuild((graph, labels, decomp): Decoded) -> Snapshot {
+    let index = TrussIndex::from_decomposition(&graph, decomp);
+    Snapshot {
         graph,
         index,
         labels,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -403,14 +445,27 @@ mod tests {
     #[test]
     fn newer_version_is_typed_not_corrupt() {
         let mut raw = fig1_snapshot().to_bytes().to_vec();
-        raw[4] = 2; // version field
+        raw[4] = 3; // version field
         assert_eq!(
             Snapshot::from_bytes(&raw).unwrap_err(),
             GraphError::UnsupportedVersion {
-                found: 2,
+                found: 3,
                 supported: SNAPSHOT_VERSION
             }
         );
+        raw[4] = 0;
+        assert!(matches!(
+            snapshot_version(&raw).unwrap_err(),
+            GraphError::UnsupportedVersion { found: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn saves_seal_version_2_with_lanes64() {
+        let raw = fig1_snapshot().to_bytes().to_vec();
+        assert_eq!(snapshot_version(&raw).unwrap(), 2);
+        let (body, trailer) = raw.split_at(raw.len() - TRAILER_LEN);
+        assert_eq!(trailer, lanes64(body).to_le_bytes());
     }
 
     #[test]

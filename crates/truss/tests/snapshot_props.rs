@@ -6,7 +6,7 @@ use ctc_gen::planted::planted_equal;
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
 use ctc_graph::error::GraphError;
 use ctc_graph::{CsrGraph, VertexId};
-use ctc_truss::{find_g0, Snapshot, TrussIndex};
+use ctc_truss::{find_g0, fixtures, snapshot_version, Snapshot, TrussIndex};
 use proptest::prelude::*;
 
 /// Round-trips `g` through snapshot bytes and checks the loaded state is
@@ -137,4 +137,84 @@ fn corruption_error_taxonomy() {
         Snapshot::from_bytes(&newer).unwrap_err(),
         GraphError::UnsupportedVersion { found: 200, .. }
     ));
+}
+
+/// The labeled Figure-1 snapshot as format version 1 wrote it (FNV-1a 64
+/// trailer), with labels `5_000_000_000 + 7·i` so the `u64` label section
+/// carries high words.
+const FIGURE1_V1: &[u8] = include_bytes!("data/figure1_v1.ctci");
+
+fn figure1_labeled() -> Snapshot {
+    let labels = (0..12).map(|i| 5_000_000_000 + 7 * i).collect();
+    Snapshot::build(fixtures::figure1_graph())
+        .with_labels(labels)
+        .unwrap()
+}
+
+fn assert_same_snapshot(got: &Snapshot, want: &Snapshot, what: &str) {
+    assert_eq!(got.graph, want.graph, "{what}: graph");
+    assert_eq!(got.labels, want.labels, "{what}: labels");
+    assert_eq!(
+        got.index.edge_truss_slice(),
+        want.index.edge_truss_slice(),
+        "{what}: trussness"
+    );
+    assert_eq!(got.index.max_truss(), want.index.max_truss(), "{what}");
+    for v in want.graph.vertices() {
+        assert_eq!(
+            got.index.sorted_row(v),
+            want.index.sorted_row(v),
+            "{what}: truss-sorted row of {v}"
+        );
+        assert_eq!(got.index.vertex_truss(v), want.index.vertex_truss(v));
+    }
+}
+
+/// Every single-byte change (three masks at every position) and every
+/// truncation of `raw` is a typed error, never a panic or a load.
+fn assert_every_corruption_rejected(raw: &[u8], what: &str) {
+    for pos in 0..raw.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut bad = raw.to_vec();
+            bad[pos] ^= mask;
+            assert!(
+                Snapshot::from_bytes(&bad).is_err(),
+                "{what}: xor {mask:#04x} at byte {pos} accepted"
+            );
+        }
+    }
+    for cut in 0..raw.len() {
+        assert!(
+            Snapshot::from_bytes(&raw[..cut]).is_err(),
+            "{what}: truncation to {cut} bytes accepted"
+        );
+    }
+}
+
+#[test]
+fn version1_file_loads_to_a_fresh_build() {
+    assert_eq!(snapshot_version(FIGURE1_V1).unwrap(), 1);
+    let loaded = Snapshot::from_bytes(FIGURE1_V1).unwrap();
+    assert_same_snapshot(&loaded, &figure1_labeled(), "v1 file");
+    assert_every_corruption_rejected(FIGURE1_V1, "v1 file");
+    // A v1 body does not pass under the v2 checksum.
+    let mut relabeled = FIGURE1_V1.to_vec();
+    relabeled[4] = 2;
+    assert!(matches!(
+        Snapshot::from_bytes(&relabeled).unwrap_err(),
+        GraphError::Corrupt(_)
+    ));
+}
+
+#[test]
+fn resaving_a_version1_file_writes_version2() {
+    let resaved = Snapshot::from_bytes(FIGURE1_V1).unwrap().to_bytes();
+    assert_eq!(snapshot_version(&resaved).unwrap(), 2);
+    // Only the version field and the trailer differ.
+    let body = 8..FIGURE1_V1.len() - 8;
+    assert_eq!(resaved.len(), FIGURE1_V1.len());
+    assert_eq!(resaved[body.clone()], FIGURE1_V1[body]);
+    let reloaded = Snapshot::from_bytes(&resaved).unwrap();
+    assert_same_snapshot(&reloaded, &figure1_labeled(), "re-saved v2");
+    assert_every_corruption_rejected(&resaved, "re-saved v2");
 }

@@ -46,6 +46,7 @@
 
 use ctc::prelude::*;
 use ctc_graph::io::{load_edge_list_path, save_edge_list_path};
+use ctc_truss::snapshot_version;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -240,9 +241,18 @@ fn cmd_index_build(args: &[String]) -> Result<(), String> {
 fn cmd_index_info(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing snapshot path")?;
     let t0 = std::time::Instant::now();
-    let snap = Snapshot::load(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("loading {path}: {e}"))?;
+    let version = snapshot_version(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
+    let snap = Snapshot::from_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
     let loaded = t0.elapsed();
     let mut t = Table::new(["field", "value"]);
+    t.row([
+        "format".to_string(),
+        match version {
+            1 => "1 (FNV-1a trailer)".to_string(),
+            v => v.to_string(),
+        },
+    ]);
     t.row([
         "vertices".to_string(),
         snap.graph.num_vertices().to_string(),

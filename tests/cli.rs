@@ -6,6 +6,15 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ctc-cli"))
 }
 
+/// The value column of `field`'s row in an `index info` table.
+fn info_row<'t>(table: &'t str, field: &str) -> &'t str {
+    table
+        .lines()
+        .find_map(|l| l.strip_prefix(field).filter(|v| v.starts_with(' ')))
+        .unwrap_or_else(|| panic!("no {field:?} row in {table}"))
+        .trim()
+}
+
 fn write_figure1(path: &std::path::Path) {
     let g = ctc::truss::fixtures::figure1_graph();
     ctc::graph::io::save_edge_list_path(&g, path).unwrap();
@@ -190,6 +199,22 @@ fn index_build_then_search_matches_direct_search() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("12"), "vertex count missing: {text}");
     assert!(text.contains("25"), "edge count missing: {text}");
+    assert_eq!(
+        info_row(&text, "format"),
+        "2",
+        "fresh builds write v2: {text}"
+    );
+    // A snapshot written by format version 1 still reads, and says so.
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/truss/tests/data/figure1_v1.ctci"
+    );
+    let out = cli().args(["index", "info", v1]).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(info_row(&text, "format"), "1 (FNV-1a trailer)", "{text}");
+    assert_eq!(info_row(&text, "edges"), "25", "{text}");
+    assert_eq!(info_row(&text, "label table"), "12 labels", "{text}");
     // Warm search over the snapshot must answer exactly like direct search,
     // for every algorithm.
     let members = |args: &[&str]| {
