@@ -21,15 +21,19 @@
 //! * [`registry`] — the multi-tenant snapshot registry: many named
 //!   engines behind one listener, loaded lazily from `.ctci` paths and
 //!   evicted cost-aware (bytes-weighted LRU, never pinned or dirty);
-//! * [`server`] — the daemon: readiness loop + fixed worker pool built
-//!   on the [`ctc_graph::Parallelism`] fork-join substrate, bounded
-//!   admission (accept cap, dispatch queue, per-tenant in-flight cap —
-//!   overload sheds well-formed `503`/`429`s instead of queueing
-//!   unboundedly), panic-isolated handlers, and graceful
-//!   drain-then-exit shutdown. Online edge updates (`POST /update`)
-//!   maintain the truss index in place on a writer-serialized primary
-//!   engine and republish frozen clones to readers, with class-keyed
-//!   answer-cache invalidation.
+//! * [`server`] — the request handler, with no socket: routing, the
+//!   tenant handlers behind per-tenant admission (quarantine → `503`,
+//!   in-flight cap → `429`), the stats bodies, and the one panic
+//!   boundary, which answers a panicking request `500`. Online edge
+//!   updates (`POST /update`) maintain the truss index in place on a
+//!   writer-serialized primary engine and republish frozen clones to
+//!   readers, with class-keyed answer-cache invalidation;
+//! * [`transport`] — the daemon around the handler: readiness loop +
+//!   fixed worker pool built on the [`ctc_graph::Parallelism`]
+//!   fork-join substrate, bounded connection admission (accept cap,
+//!   dispatch queue — overload sheds well-formed `503`s instead of
+//!   queueing unboundedly), per-request deadlines, and graceful
+//!   drain-then-exit shutdown.
 //!
 //! Endpoints: `POST /search`, `POST /update`, `GET /healthz`,
 //! `GET /stats`, `POST /shutdown` — plus the tenant-scoped forms
@@ -63,6 +67,7 @@ pub mod http;
 pub mod json;
 pub mod registry;
 pub mod server;
+pub mod transport;
 pub mod wire;
 
 pub use cache::LruCache;
@@ -71,10 +76,8 @@ pub use registry::{
     HealthPolicy, HealthSnapshot, HealthStatus, Registry, TenantCounters, TenantError,
     TenantHealth, TenantState, TenantSummary,
 };
-pub use server::{
-    AppState, CountersSnapshot, CtcServer, ServeConfig, ServeReport, ServerCountersSnapshot,
-    ServerHandle, DEFAULT_TENANT,
-};
+pub use server::{AppState, CountersSnapshot, ServeConfig, ServerCountersSnapshot, DEFAULT_TENANT};
+pub use transport::{CtcServer, ServeReport, ServerHandle};
 pub use wire::{
     decode_search_request, decode_update_request, encode_community, encode_error,
     encode_update_response, QueryKey, SearchRequest, UpdateOutcome, UpdateRequest, WireUpdate,

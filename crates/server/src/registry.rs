@@ -261,8 +261,10 @@ pub struct TenantCounters {
     /// Applied updates journaled to the tenant's write-ahead delta log.
     pub wal_appended: AtomicU64,
     /// Write-ahead append failures. The first one detaches the log (its
-    /// in-memory view may be ahead of the file) and degrades the tenant's
-    /// health; durability is lost but serving continues.
+    /// in-memory view may be ahead of the file), so later batches are not
+    /// journaled. Health is untouched: the update applied in memory and
+    /// readers are consistent, so durability is lost but serving
+    /// continues.
     pub wal_errors: AtomicU64,
     /// Requests currently inside this tenant's search/update handlers
     /// (a gauge, not a monotonic counter).
@@ -644,6 +646,17 @@ impl Registry {
         let inner = self.lock();
         let idx = *inner.by_name.get(name)?;
         Some(Arc::clone(&inner.entries[idx].counters))
+    }
+
+    /// `field` of [`TenantCounters`] summed over every registered tenant:
+    /// the process-wide count. Exact, because every search, update and
+    /// `429` belongs to some tenant and entries are never removed.
+    pub(crate) fn sum(&self, field: fn(&TenantCounters) -> &AtomicU64) -> u64 {
+        self.lock()
+            .entries
+            .iter()
+            .map(|e| field(&e.counters).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// The per-tenant health handle (valid whether or not the tenant is

@@ -1,60 +1,32 @@
-//! The daemon: readiness loop, worker pool, multi-tenant router,
-//! admission control, graceful shutdown.
+//! The request handler: parse → route → tenant handlers → stats bodies,
+//! with no socket and no connection state.
 //!
-//! Architecture (all std, no async runtime):
-//!
-//! ```text
-//!                 ┌─────────────────────────────┐  readable conn   ┌──────────────────┐
-//!  TcpListener ──►│ event loop (poll(2), one    │─────────────────►│ ConnQueue        │
-//!  (nonblocking)  │ thread): accept + admission │  bounded push    │ (bounded; full → │
-//!  wake socket ──►│ cap, idle keep-alive conns, │  (full → 503)    │ shed with 503)   │
-//!  give-backs ───►│ per-request deadlines       │                  └────────┬─────────┘
-//!                 └─────────────▲───────────────┘                           │ pop
-//!                               │ conn handed back      ┌───────────┬───────┼─────────┐
-//!                               │ after one bounded     ▼           ▼       ▼         ▼
-//!                               │ read + responses   worker 0    worker 1  ...   worker N-1
-//!                               └────────────────── (read → parse → route → respond,
-//!                                                    panics caught per connection)
-//! ```
-//!
-//! Idle keep-alive connections cost one `pollfd` slot, not a parked
-//! worker thread: the event loop multiplexes thousands of them over the
-//! fixed pool via [`crate::evented`], dispatching a connection only when
-//! it is readable. A worker performs one bounded read on a socket known
-//! to be readable, answers every complete pipelined request in the
-//! buffer, and hands the connection back to the loop.
-//!
-//! The pool is still the PR-2 [`Parallelism`] substrate:
-//! [`CtcServer::serve`] calls `pool.map_chunks(workers, ..)` with one
-//! index per worker, so worker threads are the same scoped fork-join
-//! primitive every other parallel phase of the workspace uses, and
-//! `serve` returns only once every worker has drained and joined — clean
-//! shutdown is structural, not best-effort. Because `map_chunks`
-//! *propagates* worker panics, each connection is serviced under
-//! [`std::panic::catch_unwind`]: a panicking handler costs that request a
-//! `500` and its connection, never the server (the `panics` counter in
-//! `/stats` makes it visible).
+//! [`AppState::respond`] runs one buffered byte stream through the whole
+//! path and returns the exact bytes the daemon would write; the
+//! transport ([`crate::transport`]) answers its connections through the
+//! same function. Parsing and routing run under the server's one panic
+//! boundary: a panicking handler answers `500` with `connection: close`
+//! and counts in `server.panics`, and its tenant's admission guard
+//! reports the panic to that tenant's health state machine.
 //!
 //! Requests route per tenant — `/t/<name>/search|update|stats` against
 //! the [`Registry`] — while the bare `/search`, `/update`, `/stats`
 //! endpoints alias the `default` tenant, byte-compatible with the
-//! single-tenant wire format. Admission control sheds early and
-//! well-formed: over `max_conns` → `503` at accept; dispatch queue full
-//! → `503`; tenant over its in-flight cap → `429` with `retry-after`.
+//! single-tenant wire format. A tenant admits a request only when it is
+//! not quarantined (`503` + `retry-after`) and is under its in-flight
+//! cap (`429` + `retry-after`).
 //!
-//! Shutdown ("SIGTERM-equivalent"): [`ServerHandle::shutdown`] (or a
-//! `POST /shutdown` request) sets the shared flag and pokes the listener
-//! with a loopback connection so the parked `poll` wakes, the event loop
-//! drops idle connections and closes the queue, workers finish their
-//! in-flight requests, drain what was already queued, and exit.
+//! Each event is counted once. Searches, cache lookups, updates and
+//! `429`s are counted in their tenant's [`crate::TenantCounters`], and the
+//! process-wide values are sums over the registry; everything no tenant
+//! owns (routing, connections, panics, search phases) lives in one
+//! process-wide counter set.
 
 use crate::cache::LruCache;
-#[cfg(unix)]
-use crate::evented::{poll_fds, PollFd, WakePair};
-use crate::http::{parse_request, HttpError, Parse, Request, Response, DEFAULT_MAX_BODY};
+use crate::http::{parse_request, Parse, Request, Response, DEFAULT_MAX_BODY};
 use crate::json::Json;
 use crate::registry::{
-    CachedAnswer, HealthPolicy, Registry, TenantCounters, TenantError, TenantState, TenantSummary,
+    CachedAnswer, HealthPolicy, Registry, TenantError, TenantState, TenantSummary,
 };
 use crate::wire::{
     decode_search_request, decode_update_request, encode_community, encode_error,
@@ -63,16 +35,12 @@ use crate::wire::{
 use ctc_core::{CommunityEngine, EngineUpdate, SearchAlgo};
 use ctc_graph::Parallelism;
 use ctc_truss::{DeltaLogFile, DeltaOp, DeltaRecord};
-use std::collections::VecDeque;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -137,184 +105,108 @@ impl Default for ServeConfig {
     }
 }
 
-/// Serving-layer counters: connection lifecycle, admission sheds, panic
-/// isolation. Distinct from [`Counters`] (request routing) because these
-/// move per *connection event*, not per routed request.
+/// The process-wide counters: the events no tenant owns. The snapshot
+/// types document each field; per-tenant events live in
+/// [`crate::TenantCounters`] only.
 #[derive(Debug, Default)]
-pub struct ServerCounters {
-    /// Connections accepted from the listener (sheds included).
-    pub accepted: AtomicU64,
-    /// Connections admitted past the `max_conns` cap.
-    pub admitted: AtomicU64,
-    /// Currently open admitted connections (gauge).
-    pub open_conns: AtomicU64,
-    /// Connections currently sitting in the dispatch queue (gauge).
-    pub queued: AtomicU64,
-    /// Accepts shed with `503` because `max_conns` was reached.
-    pub sheds_accept: AtomicU64,
-    /// Readable connections shed with `503` because the dispatch queue
-    /// was full.
-    pub sheds_queue: AtomicU64,
-    /// Requests shed with `429` because a tenant was at its in-flight
-    /// cap (sum over tenants).
-    pub sheds_429: AtomicU64,
-    /// Connections dropped (no response) for exceeding the per-request
-    /// deadline — slow-loris clients and idle-past-deadline keep-alives.
-    pub deadline_drops: AtomicU64,
-    /// Request handlers that panicked and were isolated (`500`, counted,
-    /// server kept serving).
-    pub panics: AtomicU64,
+pub(crate) struct Counters {
+    pub(crate) total: AtomicU64,
+    pub(crate) healthz: AtomicU64,
+    pub(crate) stats: AtomicU64,
+    pub(crate) http_rejects: AtomicU64,
+    pub(crate) phase_locate_us: AtomicU64,
+    pub(crate) phase_peel_us: AtomicU64,
+    pub(crate) phase_finish_us: AtomicU64,
+    pub(crate) phase_total_us: AtomicU64,
+    pub(crate) accepted: AtomicU64,
+    pub(crate) admitted: AtomicU64,
+    pub(crate) open_conns: AtomicU64,
+    pub(crate) queued: AtomicU64,
+    pub(crate) sheds_accept: AtomicU64,
+    pub(crate) sheds_queue: AtomicU64,
+    pub(crate) deadline_drops: AtomicU64,
+    pub(crate) panics: AtomicU64,
 }
 
-/// A plain-data copy of [`ServerCounters`] at one instant.
+/// Serving-layer counters at one instant: connection lifecycle,
+/// admission sheds, panic isolation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerCountersSnapshot {
-    /// See [`ServerCounters::accepted`].
+    /// Connections accepted from the listener (sheds included).
     pub accepted: u64,
-    /// See [`ServerCounters::admitted`].
+    /// Connections admitted past the `max_conns` cap.
     pub admitted: u64,
-    /// See [`ServerCounters::open_conns`].
+    /// Currently open admitted connections (gauge).
     pub open_conns: u64,
-    /// See [`ServerCounters::queued`].
+    /// Connections currently sitting in the dispatch queue (gauge).
     pub queued: u64,
-    /// See [`ServerCounters::sheds_accept`].
+    /// Accepts shed with `503` because `max_conns` was reached.
     pub sheds_accept: u64,
-    /// See [`ServerCounters::sheds_queue`].
+    /// Readable connections shed with `503` because the dispatch queue
+    /// was full.
     pub sheds_queue: u64,
-    /// See [`ServerCounters::sheds_429`].
+    /// Requests shed with `429` because a tenant was at its in-flight
+    /// cap (sum over tenants).
     pub sheds_429: u64,
-    /// See [`ServerCounters::deadline_drops`].
+    /// Connections dropped (no response) for exceeding the per-request
+    /// deadline — slow-loris clients and idle-past-deadline keep-alives.
     pub deadline_drops: u64,
-    /// See [`ServerCounters::panics`].
+    /// Requests whose parsing or handler panicked and were isolated
+    /// (`500`, counted, server kept serving).
     pub panics: u64,
 }
 
-impl ServerCounters {
-    fn snapshot(&self) -> ServerCountersSnapshot {
-        ServerCountersSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            open_conns: self.open_conns.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed),
-            sheds_accept: self.sheds_accept.load(Ordering::Relaxed),
-            sheds_queue: self.sheds_queue.load(Ordering::Relaxed),
-            sheds_429: self.sheds_429.load(Ordering::Relaxed),
-            deadline_drops: self.deadline_drops.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Monotonic request counters, readable while the server runs.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// Request counters at one instant. The search, cache and update counts
+/// are sums over the registry's tenants.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CountersSnapshot {
     /// Requests routed (any endpoint, any outcome).
-    pub total: AtomicU64,
+    pub total: u64,
     /// `/search` answers served (cache hits included).
-    pub search_ok: AtomicU64,
+    pub search_ok: u64,
     /// `/search` requests that failed (bad body, unknown label, no
     /// community).
-    pub search_err: AtomicU64,
-    /// `/search` answers served from the LRU cache.
-    pub cache_hits: AtomicU64,
+    pub search_err: u64,
+    /// `/search` answers served from an answer cache.
+    pub cache_hits: u64,
     /// `/search` answers that ran the full search path.
-    pub cache_misses: AtomicU64,
+    pub cache_misses: u64,
     /// `/healthz` hits.
-    pub healthz: AtomicU64,
-    /// `/stats` hits.
-    pub stats: AtomicU64,
+    pub healthz: u64,
+    /// `/stats` and `/t/<name>/stats` hits.
+    pub stats: u64,
     /// Byte streams rejected by the HTTP parser.
-    pub http_rejects: AtomicU64,
+    pub http_rejects: u64,
     /// `/update` batches answered `200` (individual ops inside may still
     /// have been rejected — see `updates_applied` / `updates_rejected`).
-    pub update_ok: AtomicU64,
+    pub update_ok: u64,
     /// `/update` requests whose body failed to decode (`400`) or whose
     /// batch failed internally (`500`).
-    pub update_err: AtomicU64,
+    pub update_err: u64,
     /// Individual edge updates applied across all `200` batches. Together
     /// with `updates_rejected` this sums exactly to the per-op outcomes
     /// reported in `/update` response bodies — the invariant the soak
     /// test pins.
-    pub updates_applied: AtomicU64,
+    pub updates_applied: u64,
     /// Individual edge updates rejected (duplicate edge, missing edge,
     /// unknown label, self-loop) across all `200` batches.
-    pub updates_rejected: AtomicU64,
+    pub updates_rejected: u64,
     /// Cumulative microseconds spent locating `G0`/`Gt` across uncached
     /// `/search` answers. With `phase_peel_us`, `phase_finish_us` and
     /// `phase_total_us` this makes phase regressions visible in production
-    /// without a profiler: `GET /stats` divides them by `cache_misses`.
-    pub phase_locate_us: AtomicU64,
+    /// without a profiler: divide them by `cache_misses` for means.
+    pub phase_locate_us: u64,
     /// Cumulative peel-phase microseconds across uncached `/search`
     /// answers.
-    pub phase_peel_us: AtomicU64,
+    pub phase_peel_us: u64,
     /// Cumulative post-peel (result assembly) microseconds across uncached
     /// `/search` answers. Accumulated as `total − locate − peel` per
     /// request, so `locate + peel + finish == total` holds exactly at the
     /// counter level.
-    pub phase_finish_us: AtomicU64,
+    pub phase_finish_us: u64,
     /// Cumulative end-to-end search microseconds across uncached
     /// `/search` answers.
-    pub phase_total_us: AtomicU64,
-}
-
-/// A plain-data copy of [`Counters`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// See [`Counters::total`].
-    pub total: u64,
-    /// See [`Counters::search_ok`].
-    pub search_ok: u64,
-    /// See [`Counters::search_err`].
-    pub search_err: u64,
-    /// See [`Counters::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`Counters::cache_misses`].
-    pub cache_misses: u64,
-    /// See [`Counters::healthz`].
-    pub healthz: u64,
-    /// See [`Counters::stats`].
-    pub stats: u64,
-    /// See [`Counters::http_rejects`].
-    pub http_rejects: u64,
-    /// See [`Counters::update_ok`].
-    pub update_ok: u64,
-    /// See [`Counters::update_err`].
-    pub update_err: u64,
-    /// See [`Counters::updates_applied`].
-    pub updates_applied: u64,
-    /// See [`Counters::updates_rejected`].
-    pub updates_rejected: u64,
-    /// See [`Counters::phase_locate_us`].
-    pub phase_locate_us: u64,
-    /// See [`Counters::phase_peel_us`].
-    pub phase_peel_us: u64,
-    /// See [`Counters::phase_finish_us`].
-    pub phase_finish_us: u64,
-    /// See [`Counters::phase_total_us`].
     pub phase_total_us: u64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            total: self.total.load(Ordering::Relaxed),
-            search_ok: self.search_ok.load(Ordering::Relaxed),
-            search_err: self.search_err.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            healthz: self.healthz.load(Ordering::Relaxed),
-            stats: self.stats.load(Ordering::Relaxed),
-            http_rejects: self.http_rejects.load(Ordering::Relaxed),
-            update_ok: self.update_ok.load(Ordering::Relaxed),
-            update_err: self.update_err.load(Ordering::Relaxed),
-            updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            updates_rejected: self.updates_rejected.load(Ordering::Relaxed),
-            phase_locate_us: self.phase_locate_us.load(Ordering::Relaxed),
-            phase_peel_us: self.phase_peel_us.load(Ordering::Relaxed),
-            phase_finish_us: self.phase_finish_us.load(Ordering::Relaxed),
-            phase_total_us: self.phase_total_us.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The name the bare `/search|/update|/stats` endpoints alias.
@@ -343,24 +235,35 @@ pub struct AppState {
     /// The `default` tenant, resolved once: the single-tenant fast path
     /// (and a permanent pin — the default tenant is never evicted).
     default_tenant: Arc<TenantState>,
-    counters: Counters,
-    serving: ServerCounters,
+    pub(crate) counters: Counters,
     shutdown: AtomicBool,
     max_body: usize,
     tenant_inflight: u64,
     debug_endpoints: bool,
     /// Set once the listener is bound; the shutdown poke connects here.
-    wake_addr: Mutex<Option<SocketAddr>>,
+    pub(crate) wake_addr: Mutex<Option<SocketAddr>>,
 }
 
+/// A tenant endpoint's handler, run once [`AppState`] has admitted the
+/// request to the tenant.
+type Handler = fn(&AppState, &TenantState, &Request) -> Response;
+
 /// RAII admission token: holding it means the request is counted inside
-/// its tenant's `in_flight` gauge; dropping (normally or via unwind)
-/// releases the slot.
-struct InflightGuard<'a>(&'a TenantCounters);
+/// its tenant's `in_flight` gauge. Dropping it — normally or during an
+/// unwind — releases the slot and reports the handler's outcome to the
+/// tenant's health: a panic records a failure, so repeated panics
+/// quarantine the tenant exactly like repeated load failures; a return
+/// records a success.
+struct InflightGuard<'a>(&'a TenantState);
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.0.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.0.health.record_failure("request handler panicked");
+        } else {
+            self.0.health.record_success();
+        }
     }
 }
 
@@ -414,7 +317,6 @@ impl AppState {
             registry,
             default_tenant,
             counters: Counters::default(),
-            serving: ServerCounters::default(),
             shutdown: AtomicBool::new(false),
             max_body: cfg.max_body,
             tenant_inflight: cfg.tenant_inflight,
@@ -480,12 +382,43 @@ impl AppState {
 
     /// Serving-layer counters (admission, sheds, panics).
     pub fn server_counters(&self) -> ServerCountersSnapshot {
-        self.serving.snapshot()
+        let c = &self.counters;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        ServerCountersSnapshot {
+            accepted: load(&c.accepted),
+            admitted: load(&c.admitted),
+            open_conns: load(&c.open_conns),
+            queued: load(&c.queued),
+            sheds_accept: load(&c.sheds_accept),
+            sheds_queue: load(&c.sheds_queue),
+            sheds_429: self.registry.sum(|t| &t.sheds_429),
+            deadline_drops: load(&c.deadline_drops),
+            panics: load(&c.panics),
+        }
     }
 
     /// Current counter values.
     pub fn counters(&self) -> CountersSnapshot {
-        self.counters.snapshot()
+        let c = &self.counters;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        CountersSnapshot {
+            total: load(&c.total),
+            search_ok: self.registry.sum(|t| &t.search_ok),
+            search_err: self.registry.sum(|t| &t.search_err),
+            cache_hits: self.registry.sum(|t| &t.cache_hits),
+            cache_misses: self.registry.sum(|t| &t.cache_misses),
+            healthz: load(&c.healthz),
+            stats: load(&c.stats),
+            http_rejects: load(&c.http_rejects),
+            update_ok: self.registry.sum(|t| &t.update_ok),
+            update_err: self.registry.sum(|t| &t.update_err),
+            updates_applied: self.registry.sum(|t| &t.updates_applied),
+            updates_rejected: self.registry.sum(|t| &t.updates_rejected),
+            phase_locate_us: load(&c.phase_locate_us),
+            phase_peel_us: load(&c.phase_peel_us),
+            phase_finish_us: load(&c.phase_finish_us),
+            phase_total_us: load(&c.phase_total_us),
+        }
     }
 
     /// `true` once shutdown has been requested.
@@ -530,69 +463,46 @@ impl AppState {
     /// bytes the server would write. Never panics on any input — the
     /// property the fuzz battery pins.
     pub fn respond(&self, raw: &[u8]) -> Option<Vec<u8>> {
-        match parse_request(raw, self.max_body) {
-            Ok(Parse::Incomplete) => None,
-            Ok(Parse::Complete(req, _)) => {
-                // Route first: a /shutdown request must see its own effect
-                // (its response, and every later one, carries
-                // `connection: close`).
-                let (response, panicked) = self.route_caught(&req);
-                let close = panicked || req.wants_close() || self.is_shutting_down();
-                Some(response.encode(close))
+        self.answer(raw)
+            .map(|(response, _, close)| response.encode(close))
+    }
+
+    /// Answers the first request in `raw`: `None` while the bytes are
+    /// only a prefix of one, otherwise the response, the bytes the
+    /// request took, and whether the connection must close after it.
+    /// This is the server's one panic boundary. A panic anywhere in
+    /// parsing or routing answers `500` and closes the connection (what
+    /// a handler left behind mid-panic is unknowable); by then the
+    /// tenant's admission guard has reported it to the tenant's health.
+    pub(crate) fn answer(&self, raw: &[u8]) -> Option<(Response, usize, bool)> {
+        catch_unwind(AssertUnwindSafe(|| {
+            match parse_request(raw, self.max_body) {
+                Ok(Parse::Incomplete) => None,
+                Ok(Parse::Complete(req, consumed)) => {
+                    // Route first: a /shutdown request must see its own effect
+                    // (its response, and every later one, carries
+                    // `connection: close`).
+                    let response = self.route(&req);
+                    let close = req.wants_close() || self.is_shutting_down();
+                    Some((response, consumed, close))
+                }
+                Err(e) => {
+                    self.counters.http_rejects.fetch_add(1, Ordering::Relaxed);
+                    let (status, reason) = e.status();
+                    let response = Response::error(status, reason, encode_error(e.detail()));
+                    Some((response, raw.len(), true))
+                }
             }
-            Err(e) => Some(self.reject(e).encode(true)),
-        }
-    }
-
-    /// The error response for a stream the parser rejected.
-    fn reject(&self, e: HttpError) -> Response {
-        self.counters.http_rejects.fetch_add(1, Ordering::Relaxed);
-        let (status, reason) = e.status();
-        Response::error(status, reason, encode_error(e.detail()))
-    }
-
-    /// Routes one parsed request with panic isolation: a panicking
-    /// handler yields a `500` and `panicked = true` (the caller must
-    /// close the connection — handler state mid-panic is unknowable),
-    /// never an unwind into the worker pool's scoped join.
-    fn route_caught(&self, req: &Request) -> (Response, bool) {
-        match catch_unwind(AssertUnwindSafe(|| self.route(req))) {
-            Ok(response) => (response, false),
-            Err(_) => {
-                self.serving.panics.fetch_add(1, Ordering::Relaxed);
-                (
-                    Response::error(
-                        500,
-                        "Internal Server Error",
-                        encode_error("request handler panicked; connection closed"),
-                    ),
-                    true,
-                )
-            }
-        }
-    }
-
-    /// Admission check: counts the request into the tenant's in-flight
-    /// gauge, or sheds with a well-formed `429` when the tenant is at
-    /// its cap.
-    fn admit<'a>(&self, t: &'a TenantState) -> Result<InflightGuard<'a>, Response> {
-        let prev = t.counters.in_flight.fetch_add(1, Ordering::SeqCst);
-        if self.tenant_inflight > 0 && prev >= self.tenant_inflight {
-            t.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
-            t.counters.sheds_429.fetch_add(1, Ordering::Relaxed);
-            self.serving.sheds_429.fetch_add(1, Ordering::Relaxed);
-            return Err(Response::error(
-                429,
-                "Too Many Requests",
-                encode_error(&format!(
-                    "tenant {} is at its in-flight cap ({})",
-                    t.name(),
-                    self.tenant_inflight
-                )),
-            )
-            .with_header("retry-after", "1"));
-        }
-        Ok(InflightGuard(&t.counters))
+        }))
+        .unwrap_or_else(|_| {
+            self.counters.panics.fetch_add(1, Ordering::Relaxed);
+            let body = encode_error("request handler panicked; connection closed");
+            Some((
+                Response::error(500, "Internal Server Error", body),
+                raw.len(),
+                true,
+            ))
+        })
     }
 
     /// Routes one parsed request to its endpoint handler.
@@ -610,9 +520,10 @@ impl AppState {
                 ),
             };
         }
+        let default = &self.default_tenant;
         match (method, target) {
-            ("POST", "/search") => self.tenant_request(&self.default_tenant, req, true),
-            ("POST", "/update") => self.tenant_request(&self.default_tenant, req, false),
+            ("POST", "/search") => self.tenant_request(default, req, Self::handle_search),
+            ("POST", "/update") => self.tenant_request(default, req, Self::handle_update),
             ("GET", "/healthz") => {
                 self.counters.healthz.fetch_add(1, Ordering::Relaxed);
                 // Non-200 while any tenant is quarantined, so orchestrator
@@ -654,10 +565,10 @@ impl AppState {
                 )
             }
             ("POST", "/debug/panic") if self.debug_endpoints => {
-                self.with_panic_attribution(&self.default_tenant, Self::debug_panic)
+                self.tenant_request(default, req, Self::debug_panic)
             }
             ("POST", "/debug/sleep") if self.debug_endpoints => {
-                self.debug_sleep(&self.default_tenant, req)
+                self.tenant_request(default, req, Self::debug_sleep)
             }
             (_, "/search" | "/update" | "/healthz" | "/stats" | "/shutdown") => Response::error(
                 405,
@@ -670,15 +581,19 @@ impl AppState {
 
     /// Routes a `/t/<name>/<tail>` request. Endpoint and method are
     /// validated *before* the registry lookup, so a 404/405 never loads
-    /// a snapshot.
+    /// a snapshot. `stats` is the one endpoint without a handler behind
+    /// admission.
     fn route_tenant(&self, method: &str, name: &str, tail: &str, req: &Request) -> Response {
-        let known = matches!(tail, "search" | "update" | "stats")
-            || (self.debug_endpoints && matches!(tail, "debug/panic" | "debug/sleep"));
-        if !known {
-            return Response::error(404, "Not Found", encode_error("no such tenant endpoint"));
-        }
-        let want_post = tail != "stats";
-        if (want_post && method != "POST") || (!want_post && method != "GET") {
+        let handler: Option<Handler> = match tail {
+            "search" => Some(Self::handle_search),
+            "update" => Some(Self::handle_update),
+            "debug/panic" if self.debug_endpoints => Some(Self::debug_panic),
+            "debug/sleep" if self.debug_endpoints => Some(Self::debug_sleep),
+            "stats" => None,
+            _ => return Response::error(404, "Not Found", encode_error("no such tenant endpoint")),
+        };
+        let want = if handler.is_some() { "POST" } else { "GET" };
+        if method != want {
             return Response::error(
                 405,
                 "Method Not Allowed",
@@ -702,16 +617,12 @@ impl AppState {
                 reason,
             }) => return Self::quarantined_response(name, retry_after_secs, &reason),
         };
-        match tail {
-            "search" => self.tenant_request(&tenant, req, true),
-            "update" => self.tenant_request(&tenant, req, false),
-            "stats" => {
+        match handler {
+            Some(handler) => self.tenant_request(&tenant, req, handler),
+            None => {
                 self.counters.stats.fetch_add(1, Ordering::Relaxed);
                 Response::ok(self.encode_tenant_stats(&tenant))
             }
-            "debug/panic" => self.with_panic_attribution(&tenant, Self::debug_panic),
-            "debug/sleep" => self.debug_sleep(&tenant, req),
-            _ => unreachable!("tail validated above"),
         }
     }
 
@@ -726,63 +637,42 @@ impl AppState {
         .with_header("retry-after", retry_after_secs.to_string())
     }
 
-    /// Runs `f` with its outcome attributed to the tenant's health state
-    /// machine: a normal return records a success, a panic records a
-    /// failure and resumes unwinding (so the outer [`Self::route_caught`]
-    /// still answers `500` and closes the connection). Repeated panics
-    /// quarantine the tenant exactly like repeated load failures.
-    fn with_panic_attribution(
-        &self,
-        tenant: &TenantState,
-        f: impl FnOnce() -> Response,
-    ) -> Response {
-        match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(response) => {
-                tenant.health.record_success();
-                response
-            }
-            Err(payload) => {
-                tenant.health.record_failure("request handler panicked");
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    /// Admission-gated dispatch to a tenant's search or update handler:
-    /// quarantine first (503 + `retry-after`), then the in-flight cap
-    /// (429), then the handler under panic attribution.
-    fn tenant_request(&self, tenant: &TenantState, req: &Request, search: bool) -> Response {
+    /// Admission-gated dispatch to one of a tenant's handlers: quarantine
+    /// first (`503` + `retry-after`), then the in-flight cap (`429` +
+    /// `retry-after`), then the handler, whose outcome the admission
+    /// guard reports to the tenant's health.
+    fn tenant_request(&self, tenant: &TenantState, req: &Request, handler: Handler) -> Response {
         if let Err((retry_after_secs, reason)) = tenant.health.check_admit() {
             return Self::quarantined_response(tenant.name(), retry_after_secs, &reason);
         }
-        let guard = match self.admit(tenant) {
-            Ok(g) => g,
-            Err(shed) => return shed,
-        };
-        let response = self.with_panic_attribution(tenant, || {
-            if search {
-                self.handle_search(tenant, req)
-            } else {
-                self.handle_update(tenant, req)
-            }
-        });
-        drop(guard);
-        response
+        let prev = tenant.counters.in_flight.fetch_add(1, Ordering::SeqCst);
+        if self.tenant_inflight > 0 && prev >= self.tenant_inflight {
+            tenant.counters.in_flight.fetch_sub(1, Ordering::SeqCst);
+            tenant.counters.sheds_429.fetch_add(1, Ordering::Relaxed);
+            return Response::error(
+                429,
+                "Too Many Requests",
+                encode_error(&format!(
+                    "tenant {} is at its in-flight cap ({})",
+                    tenant.name(),
+                    self.tenant_inflight
+                )),
+            )
+            .with_header("retry-after", "1");
+        }
+        let _admitted = InflightGuard(tenant);
+        handler(self, tenant, req)
     }
 
     /// `POST /debug/panic`: panics inside the handler — the trap the
-    /// poisoned-handler test springs to prove isolation.
-    fn debug_panic() -> Response {
+    /// panic-isolation tests spring.
+    fn debug_panic(&self, _: &TenantState, _: &Request) -> Response {
         panic!("debug panic endpoint");
     }
 
     /// `POST /debug/sleep {"ms":N}`: holds an admission slot for `ms`
     /// (clamped to 10s), making queue-flood and 429 tests deterministic.
-    fn debug_sleep(&self, tenant: &TenantState, req: &Request) -> Response {
-        let guard = match self.admit(tenant) {
-            Ok(g) => g,
-            Err(shed) => return shed,
-        };
+    fn debug_sleep(&self, _: &TenantState, req: &Request) -> Response {
         let ms = std::str::from_utf8(&req.body)
             .ok()
             .and_then(|text| Json::parse(text).ok())
@@ -796,7 +686,6 @@ impl AppState {
             .unwrap_or(50)
             .min(10_000);
         std::thread::sleep(Duration::from_millis(ms));
-        drop(guard);
         Response::ok(
             Json::Object(vec![("slept_ms".into(), Json::Uint(ms))])
                 .encode()
@@ -805,8 +694,7 @@ impl AppState {
     }
 
     /// `POST /search` (any tenant): decode → resolve labels → cache →
-    /// engine → encode. Search counters move on both the global set and
-    /// the tenant's own.
+    /// engine → encode. Search counters move on the tenant's own set.
     fn handle_search(&self, tenant: &TenantState, req: &Request) -> Response {
         // Capture the serving engine and the publication epoch under one
         // read lock: the pair is what makes "which graph answered this"
@@ -816,7 +704,6 @@ impl AppState {
             (guard.clone(), tenant.epoch.load(Ordering::SeqCst))
         };
         let search_err = || {
-            self.counters.search_err.fetch_add(1, Ordering::Relaxed);
             tenant.counters.search_err.fetch_add(1, Ordering::Relaxed);
         };
         let parsed = match decode_search_request(&req.body, snapshot.config()) {
@@ -844,8 +731,6 @@ impl AppState {
         // on its way to the socket.
         let hit = lock_cache(tenant).get(&key);
         if let Some(ans) = hit {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.counters.search_ok.fetch_add(1, Ordering::Relaxed);
             tenant.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             tenant.counters.search_ok.fetch_add(1, Ordering::Relaxed);
             return Response::shared(ans.body).with_header("x-cache", "hit");
@@ -857,8 +742,6 @@ impl AppState {
         let engine = snapshot.clone().with_config(parsed.cfg);
         match engine.search(&q, parsed.algo) {
             Ok(c) => {
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                self.counters.search_ok.fetch_add(1, Ordering::Relaxed);
                 tenant.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
                 tenant.counters.search_ok.fetch_add(1, Ordering::Relaxed);
                 // The finish counter absorbs the integer-truncation residue
@@ -914,7 +797,6 @@ impl AppState {
     /// decodes; individual ops reject independently.
     fn handle_update(&self, tenant: &TenantState, req: &Request) -> Response {
         let update_err = || {
-            self.counters.update_err.fetch_add(1, Ordering::Relaxed);
             tenant.counters.update_err.fetch_add(1, Ordering::Relaxed);
         };
         let parsed = match decode_update_request(&req.body) {
@@ -1033,13 +915,6 @@ impl AppState {
         drop(primary);
         let applied = report.applied as u64;
         let rejected = (outcomes.len() - report.applied) as u64;
-        self.counters.update_ok.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .updates_applied
-            .fetch_add(applied, Ordering::Relaxed);
-        self.counters
-            .updates_rejected
-            .fetch_add(rejected, Ordering::Relaxed);
         tenant.counters.update_ok.fetch_add(1, Ordering::Relaxed);
         tenant
             .counters
@@ -1057,10 +932,10 @@ impl AppState {
         ))
     }
 
-    /// The `server` stats object: serving-layer counters + registry
-    /// summary, appended to both the global and per-tenant stats bodies.
+    /// The `/stats` body's `server` object: serving-layer counters,
+    /// tenant health and the registry summary.
     fn encode_server_object(&self) -> Json {
-        let v = self.serving.snapshot();
+        let v = self.server_counters();
         let summaries: Vec<TenantSummary> = self.registry.summaries();
         Json::Object(vec![
             ("accepted".into(), Json::Uint(v.accepted)),
@@ -1194,13 +1069,14 @@ impl AppState {
     }
 
     /// The `/stats` body: graph/index summary + request counters. The
-    /// graph and cache objects describe the `default` tenant (wire
-    /// compatibility with the single-tenant format); request/update
-    /// counters are global aggregates, and the `server` object carries
-    /// serving-layer and registry state.
+    /// graph object and the cache's capacity, entries and bytes describe
+    /// the `default` tenant (wire compatibility with the single-tenant
+    /// format); the request, cache hit/miss, update and phase counters
+    /// are process-wide, and the `server` object carries serving-layer
+    /// and registry state.
     fn encode_stats(&self) -> Vec<u8> {
         let s = self.engine().stats();
-        let c = self.counters.snapshot();
+        let c = self.counters();
         let cache = cache_stats(
             &lock_cache(&self.default_tenant),
             c.cache_hits,
@@ -1261,650 +1137,14 @@ impl AppState {
     }
 }
 
-/// One admitted connection's state: the socket (kept *blocking* — the
-/// event loop only uses readiness to decide when to dispatch; workers
-/// bound every read/write with timeouts), bytes of a not-yet-complete
-/// request, and the running per-request deadline.
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    deadline: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, io_timeout: Duration, deadline: Instant) -> Conn {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(io_timeout));
-        Conn {
-            stream,
-            buf: Vec::new(),
-            deadline,
-        }
-    }
-}
-
-/// The *bounded* dispatch queue between the event loop and the workers.
-/// `push` refuses past `cap` (or once closed) and returns the item, so
-/// the caller sheds it with a well-formed `503` — a connection flood
-/// costs rejected requests, never unbounded queue memory (the prior
-/// unbounded `VecDeque` turned floods into OOM).
-struct ConnQueue<T> {
-    cap: usize,
-    inner: Mutex<QueueInner<T>>,
-    ready: Condvar,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> ConnQueue<T> {
-    fn new(cap: usize) -> Self {
-        ConnQueue {
-            cap: cap.max(1),
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item`, or returns it when the queue is full or closed.
-    fn push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if inner.closed || inner.items.len() >= self.cap {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next item; `None` once closed *and* drained, so
-    /// queued requests are still answered during shutdown.
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).expect("queue poisoned");
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().expect("queue poisoned").closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// Writes a well-formed `503` and lets the drop close the socket. The
-/// socket may not have a write timeout yet (accept-time shed), so one is
-/// set first — the body is small enough that the write never blocks on a
-/// healthy kernel buffer anyway.
-fn shed_503(stream: &mut TcpStream, io_timeout: Duration, detail: &str) {
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let _ =
-        Response::error(503, "Service Unavailable", encode_error(detail)).write_to(stream, true);
-}
-
-/// What [`CtcServer::serve`] reports after a graceful shutdown.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeReport {
-    /// Final counter values.
-    pub counters: CountersSnapshot,
-    /// Final serving-layer counters (admission, sheds, panics).
-    pub server: ServerCountersSnapshot,
-    /// Connections admitted across the server's lifetime.
-    pub connections: u64,
-}
-
-/// A bound-but-not-yet-serving server.
-pub struct CtcServer {
-    listener: TcpListener,
-    state: Arc<AppState>,
-    pool: Parallelism,
-    io_timeout: Duration,
-    request_deadline: Duration,
-    max_conns: usize,
-    queue_cap: usize,
-}
-
-/// A cheap handle for stopping and observing a running server from
-/// another thread.
-#[derive(Clone)]
-pub struct ServerHandle {
-    state: Arc<AppState>,
-}
-
-impl ServerHandle {
-    /// Triggers graceful shutdown: in-flight and already-queued requests
-    /// are answered, then `serve` returns. Idempotent.
-    pub fn shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// Current counter values.
-    pub fn counters(&self) -> CountersSnapshot {
-        self.state.counters()
-    }
-
-    /// Current serving-layer counter values.
-    pub fn server_counters(&self) -> ServerCountersSnapshot {
-        self.state.server_counters()
-    }
-}
-
-impl CtcServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// prepares to serve `engine`.
-    pub fn bind(
-        engine: CommunityEngine,
-        addr: impl ToSocketAddrs,
-        cfg: ServeConfig,
-    ) -> std::io::Result<CtcServer> {
-        let state = Arc::new(AppState::new(engine, &cfg));
-        Self::bind_state(state, addr, &cfg)
-    }
-
-    /// Binds `addr` over pre-built state — the multi-tenant entry point:
-    /// build an [`AppState`], register tenants, then bind.
-    pub fn bind_state(
-        state: Arc<AppState>,
-        addr: impl ToSocketAddrs,
-        cfg: &ServeConfig,
-    ) -> std::io::Result<CtcServer> {
-        let listener = TcpListener::bind(addr)?;
-        *state.wake_addr.lock().expect("wake_addr poisoned") = Some(listener.local_addr()?);
-        Ok(CtcServer {
-            listener,
-            state,
-            pool: cfg.pool,
-            io_timeout: cfg.io_timeout,
-            request_deadline: cfg.request_deadline,
-            max_conns: cfg.max_conns,
-            queue_cap: cfg.queue_cap,
-        })
-    }
-
-    /// The bound address (the actual port when bound to `:0`).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("listener has a local addr")
-    }
-
-    /// A handle for shutting the server down from another thread.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Shared application state (for in-process drivers and tests).
-    pub fn state(&self) -> Arc<AppState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Serves until shutdown is requested, then drains and returns.
-    /// Blocks the calling thread; run it in a dedicated thread when the
-    /// caller needs to keep working (see `tests/serve.rs`).
-    ///
-    /// On unix this runs the poll(2) readiness loop (idle keep-alive
-    /// connections cost a `pollfd` slot, not a worker); elsewhere it
-    /// falls back to the blocking acceptor with the same bounded-queue
-    /// admission control.
-    pub fn serve(self) -> ServeReport {
-        let CtcServer {
-            listener,
-            state,
-            pool,
-            io_timeout,
-            request_deadline,
-            max_conns,
-            queue_cap,
-        } = self;
-        let queue: ConnQueue<Conn> = ConnQueue::new(queue_cap);
-        let workers = pool.get();
-        #[cfg(unix)]
-        {
-            listener
-                .set_nonblocking(true)
-                .expect("listener supports nonblocking accept");
-            let wake = WakePair::new().expect("loopback wake pair");
-            let waker = wake.waker();
-            let injector: Mutex<Vec<Conn>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                let ev = scope.spawn(|| {
-                    event_loop(EventLoopEnv {
-                        listener: &listener,
-                        state: &state,
-                        queue: &queue,
-                        injector: &injector,
-                        wake: &wake,
-                        io_timeout,
-                        request_deadline,
-                        max_conns,
-                    })
-                });
-                // The worker pool: one queue-draining loop per
-                // Parallelism worker, scheduled through the same
-                // fork-join substrate as every other parallel phase.
-                // map_chunks returns only when every worker has exited,
-                // i.e. the queue is closed and drained.
-                pool.map_chunks(workers, |_range| {
-                    worker_loop(&state, &queue, io_timeout, request_deadline, |conn| {
-                        // Hand the keep-alive connection back to the
-                        // event loop's idle set and wake its poll.
-                        injector
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(conn);
-                        waker.wake();
-                        None
-                    });
-                });
-                // No user code runs on the event-loop thread, so a panic
-                // there is a server bug worth propagating — unlike
-                // handler panics, which are isolated per connection.
-                ev.join().expect("event loop panicked");
-            });
-            // Connections handed back after the loop exited: close them
-            // now so the open-connection gauge ends exact.
-            for conn in injector.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                drop(conn);
-                state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            std::thread::scope(|scope| {
-                let acceptor = scope.spawn(|| {
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if state.is_shutting_down() {
-                                    // The wake poke (or a straggler):
-                                    // drop it and stop accepting.
-                                    drop(stream);
-                                    break;
-                                }
-                                accept_one(
-                                    &state,
-                                    &queue,
-                                    stream,
-                                    io_timeout,
-                                    request_deadline,
-                                    max_conns,
-                                );
-                            }
-                            Err(_) => {
-                                if state.is_shutting_down() {
-                                    break;
-                                }
-                                // Transient accept failure (EMFILE,
-                                // aborted handshake): keep serving, but
-                                // back off so a persistent error cannot
-                                // pin a core in a hot accept loop.
-                                std::thread::sleep(Duration::from_millis(50));
-                            }
-                        }
-                    }
-                    queue.close();
-                });
-                pool.map_chunks(workers, |_range| {
-                    // No event loop to hand connections back to: the
-                    // worker keeps servicing its keep-alive connection
-                    // inline (blocking reads, as before the readiness
-                    // loop).
-                    worker_loop(&state, &queue, io_timeout, request_deadline, Some);
-                });
-                acceptor.join().expect("acceptor panicked");
-            });
-        }
-        ServeReport {
-            counters: state.counters(),
-            server: state.server_counters(),
-            connections: state.serving.admitted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Admission at accept time: over `max_conns` sheds with `503`,
-/// otherwise the connection is admitted and queued (non-unix fallback
-/// path; the evented loop admits into its idle set instead).
-#[cfg(not(unix))]
-fn accept_one(
-    state: &AppState,
-    queue: &ConnQueue<Conn>,
-    mut stream: TcpStream,
-    io_timeout: Duration,
-    request_deadline: Duration,
-    max_conns: usize,
-) {
-    state.serving.accepted.fetch_add(1, Ordering::Relaxed);
-    if state.serving.open_conns.load(Ordering::SeqCst) as usize >= max_conns {
-        state.serving.sheds_accept.fetch_add(1, Ordering::Relaxed);
-        shed_503(
-            &mut stream,
-            io_timeout,
-            "server at connection capacity; retry later",
-        );
-        return;
-    }
-    state.serving.admitted.fetch_add(1, Ordering::Relaxed);
-    state.serving.open_conns.fetch_add(1, Ordering::SeqCst);
-    let conn = Conn::new(stream, io_timeout, Instant::now() + request_deadline);
-    match queue.push(conn) {
-        Ok(()) => {
-            state.serving.queued.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(mut conn) => {
-            state.serving.sheds_queue.fetch_add(1, Ordering::Relaxed);
-            shed_503(
-                &mut conn.stream,
-                io_timeout,
-                "dispatch queue full; retry later",
-            );
-            state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Everything the readiness loop borrows from `serve`'s stack.
-#[cfg(unix)]
-struct EventLoopEnv<'a> {
-    listener: &'a TcpListener,
-    state: &'a AppState,
-    queue: &'a ConnQueue<Conn>,
-    injector: &'a Mutex<Vec<Conn>>,
-    wake: &'a WakePair,
-    io_timeout: Duration,
-    request_deadline: Duration,
-    max_conns: usize,
-}
-
-/// The readiness loop: multiplexes the listener, the wake channel, and
-/// every idle admitted connection through one `poll(2)` set. Readable
-/// connections dispatch to the bounded worker queue (full → shed 503);
-/// idle connections past their request deadline are dropped; accepts
-/// beyond `max_conns` shed with 503.
-#[cfg(unix)]
-fn event_loop(env: EventLoopEnv<'_>) {
-    let EventLoopEnv {
-        listener,
-        state,
-        queue,
-        injector,
-        wake,
-        io_timeout,
-        request_deadline,
-        max_conns,
-    } = env;
-    // The idle set: admitted connections currently owned by the loop
-    // (not queued, not inside a worker).
-    let mut conns: Vec<Conn> = Vec::new();
-    loop {
-        if state.is_shutting_down() {
-            break;
-        }
-        let mut fds = Vec::with_capacity(2 + conns.len());
-        fds.push(PollFd::readable(wake.poll_fd()));
-        fds.push(PollFd::readable(listener.as_raw_fd()));
-        for conn in &conns {
-            fds.push(PollFd::readable(conn.stream.as_raw_fd()));
-        }
-        // Park until traffic, a wake byte, or the nearest deadline.
-        let now = Instant::now();
-        let timeout = conns
-            .iter()
-            .map(|c| c.deadline.saturating_duration_since(now))
-            .min();
-        if poll_fds(&mut fds, timeout).is_err() {
-            // poll(2) failing outright (ENOMEM) has no per-iteration
-            // remedy; back off instead of spinning hot.
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        if state.is_shutting_down() {
-            break;
-        }
-        wake.drain();
-        // Re-admit connections workers handed back. They were not in
-        // this round's poll set; the next iteration covers them.
-        conns.append(&mut injector.lock().unwrap_or_else(|e| e.into_inner()));
-        // Dispatch readable connections (fds[i + 2] watches conns[i]).
-        // Reverse order keeps pending swap_remove indices valid, and the
-        // appended give-backs live past the polled prefix so swaps never
-        // disturb an index still to be visited.
-        for i in (0..fds.len().saturating_sub(2)).rev() {
-            if !fds[i + 2].is_actionable() {
-                continue;
-            }
-            let conn = conns.swap_remove(i);
-            match queue.push(conn) {
-                Ok(()) => {
-                    state.serving.queued.fetch_add(1, Ordering::SeqCst);
-                }
-                Err(mut conn) => {
-                    state.serving.sheds_queue.fetch_add(1, Ordering::Relaxed);
-                    shed_503(
-                        &mut conn.stream,
-                        io_timeout,
-                        "dispatch queue full; retry later",
-                    );
-                    state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-        }
-        // Expire connections past their request deadline: dropped with
-        // no response — the slow-loris shed.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < conns.len() {
-            if now >= conns[i].deadline {
-                drop(conns.swap_remove(i));
-                state.serving.deadline_drops.fetch_add(1, Ordering::Relaxed);
-                state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-            } else {
-                i += 1;
-            }
-        }
-        // Drain the accept backlog (nonblocking, level-triggered).
-        if fds[1].is_actionable() {
-            loop {
-                match listener.accept() {
-                    Ok((mut stream, _peer)) => {
-                        if state.is_shutting_down() {
-                            drop(stream);
-                            break;
-                        }
-                        state.serving.accepted.fetch_add(1, Ordering::Relaxed);
-                        if state.serving.open_conns.load(Ordering::SeqCst) as usize >= max_conns {
-                            state.serving.sheds_accept.fetch_add(1, Ordering::Relaxed);
-                            shed_503(
-                                &mut stream,
-                                io_timeout,
-                                "server at connection capacity; retry later",
-                            );
-                            continue;
-                        }
-                        state.serving.admitted.fetch_add(1, Ordering::Relaxed);
-                        state.serving.open_conns.fetch_add(1, Ordering::SeqCst);
-                        conns.push(Conn::new(
-                            stream,
-                            io_timeout,
-                            Instant::now() + request_deadline,
-                        ));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    // Transient accept failure (EMFILE, aborted
-                    // handshake): stop draining; the next poll round
-                    // paces the retry, so no hot loop.
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-    // Shutdown: idle connections are dropped; queued ones drain through
-    // the workers, each answered with `connection: close`.
-    for conn in conns.drain(..) {
-        drop(conn);
-        state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-    }
-    queue.close();
-}
-
-/// What one `service_conn` round decided about the connection.
-enum Fate {
-    /// A request may still arrive: back to the idle set (or, without an
-    /// event loop, another blocking read).
-    KeepAlive,
-    /// Done: client EOF, error, `connection: close`, or shutdown.
-    Close,
-    /// No complete request within the deadline: drop with no response.
-    DeadlineDrop,
-}
-
-/// One dispatch round for a connection a worker received: one bounded
-/// read, then every complete pipelined request in the buffer is routed
-/// and answered. Never blocks longer than `min(io_timeout, remaining
-/// deadline)` on the read and `io_timeout` per response write.
-fn service_conn(
-    state: &AppState,
-    conn: &mut Conn,
-    io_timeout: Duration,
-    request_deadline: Duration,
-) -> Fate {
-    // The deadline is checked *after* the read-and-answer pass, never
-    // before it: a connection that queued behind a dispatch burst may be
-    // past its deadline by the time a worker pops it, but if a complete
-    // request is sitting in its socket the client did everything right —
-    // answering it resets the deadline. Only silence is dropped.
-    let budget = conn
-        .deadline
-        .saturating_duration_since(Instant::now())
-        .min(io_timeout);
-    let _ = conn
-        .stream
-        .set_read_timeout(Some(budget.max(Duration::from_millis(1))));
-    let mut chunk = [0u8; 16384];
-    match conn.stream.read(&mut chunk) {
-        // EOF with nothing (or only a partial request) buffered: clean
-        // close, nothing to answer.
-        Ok(0) => return Fate::Close,
-        Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock
-                    | std::io::ErrorKind::TimedOut
-                    | std::io::ErrorKind::Interrupted
-            ) =>
-        {
-            // Spurious readiness or a timed-out blocking read: nothing
-            // new buffered; the deadline check below decides.
-        }
-        Err(_) => return Fate::Close,
-    }
-    // Answer every complete request already buffered (pipelining).
-    loop {
-        match parse_request(&conn.buf, state.max_body) {
-            Ok(Parse::Incomplete) => break,
-            Ok(Parse::Complete(req, consumed)) => {
-                conn.buf.drain(..consumed);
-                // Route before deciding keep-alive, so a /shutdown
-                // request closes its own connection instead of pinning
-                // a worker until the client hangs up. A panicking
-                // handler forces the close: its in-flight state is
-                // unknowable.
-                let (routed, panicked) = state.route_caught(&req);
-                let close = panicked || req.wants_close() || state.is_shutting_down();
-                if routed.write_to(&mut conn.stream, close).is_err() {
-                    return Fate::Close;
-                }
-                if close {
-                    return Fate::Close;
-                }
-                conn.deadline = Instant::now() + request_deadline;
-            }
-            Err(e) => {
-                let _ = state.reject(e).write_to(&mut conn.stream, true);
-                return Fate::Close;
-            }
-        }
-    }
-    if Instant::now() >= conn.deadline {
-        return Fate::DeadlineDrop;
-    }
-    Fate::KeepAlive
-}
-
-/// A worker: drains the dispatch queue, servicing one connection round
-/// at a time under `catch_unwind` (the pool's scoped join propagates
-/// panics, so an unwind here would kill the whole server — the prior
-/// panic-kills-server bug). `give_back` returns `None` when it took the
-/// keep-alive connection (evented mode) or hands it back for inline
-/// servicing (fallback mode).
-fn worker_loop(
-    state: &AppState,
-    queue: &ConnQueue<Conn>,
-    io_timeout: Duration,
-    request_deadline: Duration,
-    give_back: impl Fn(Conn) -> Option<Conn>,
-) {
-    while let Some(conn) = queue.pop() {
-        state.serving.queued.fetch_sub(1, Ordering::SeqCst);
-        let mut slot = Some(conn);
-        loop {
-            let mut conn = slot.take().expect("connection present");
-            let outcome = catch_unwind(AssertUnwindSafe(move || {
-                let fate = service_conn(state, &mut conn, io_timeout, request_deadline);
-                (fate, conn)
-            }));
-            match outcome {
-                Ok((Fate::KeepAlive, conn)) => match give_back(conn) {
-                    None => break,
-                    Some(conn) => {
-                        slot = Some(conn);
-                    }
-                },
-                Ok((Fate::Close, conn)) => {
-                    drop(conn);
-                    state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-                Ok((Fate::DeadlineDrop, conn)) => {
-                    drop(conn);
-                    state.serving.deadline_drops.fetch_add(1, Ordering::Relaxed);
-                    state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-                Err(_) => {
-                    // route_caught already isolates handler panics; this
-                    // is the outer belt for the read/parse/encode path.
-                    // The connection unwound with the closure — count
-                    // and keep serving.
-                    state.serving.panics.fetch_add(1, Ordering::Relaxed);
-                    state.serving.open_conns.fetch_sub(1, Ordering::SeqCst);
-                    break;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::CtcServer;
     use ctc_core::SearchAlgo;
     use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
-    use std::io::Write;
+    use std::io::{Read, Write};
+    use std::time::Instant;
 
     fn state(cache_cap: usize) -> AppState {
         AppState::new(
@@ -2441,35 +1681,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_close_unblocks_poppers_and_drains() {
-        let q: ConnQueue<u32> = ConnQueue::new(4);
-        std::thread::scope(|scope| {
-            let popper = scope.spawn(|| q.pop());
-            std::thread::sleep(Duration::from_millis(20));
-            q.close();
-            assert!(popper.join().unwrap().is_none());
-        });
-    }
-
-    #[test]
-    fn queue_is_bounded_and_rejects_overflow() {
-        let q: ConnQueue<u32> = ConnQueue::new(2);
-        assert_eq!(q.push(1), Ok(()));
-        assert_eq!(q.push(2), Ok(()));
-        // Full: the element comes back to the caller (who sheds it with
-        // a 503) instead of growing the queue without bound.
-        assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.push(3), Ok(()));
-        q.close();
-        // Closed: pushes bounce, queued elements still drain.
-        assert_eq!(q.push(4), Err(4));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn panicking_handler_gets_500_and_server_keeps_serving() {
         let s = AppState::new(
             CommunityEngine::build(figure1_graph()),
@@ -2497,6 +1708,49 @@ mod tests {
         let (_, stats) = split(&s.respond(&req("GET", "/stats", "")).unwrap());
         let text = String::from_utf8(stats).unwrap();
         assert!(text.contains(r#""panics":1"#), "{text}");
+    }
+
+    #[test]
+    fn handler_panic_over_tcp_answers_500_and_keeps_serving() {
+        let server = CtcServer::bind(
+            CommunityEngine::build(figure1_graph()),
+            "127.0.0.1:0",
+            ServeConfig {
+                pool: Parallelism::threads(2),
+                debug_endpoints: true,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let state = server.state();
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.serve());
+        // One request per connection, read until the server closes it.
+        let exchange = |raw: &[u8]| {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            conn.write_all(raw).unwrap();
+            let mut got = Vec::new();
+            conn.read_to_end(&mut got).unwrap();
+            split(&got)
+        };
+        // The request asks for keep-alive; the panic closes it anyway.
+        let (head, payload) = exchange(&req("POST", "/debug/panic", ""));
+        assert!(head.starts_with("HTTP/1.1 500"), "{head}");
+        assert!(head.contains("connection: close"), "{head}");
+        let error = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+        assert!(error.get("error").is_some(), "{error:?}");
+        let (head, payload) = exchange(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert_eq!(payload, br#"{"status":"ok"}"#);
+        let health = state.default_tenant().health().snapshot();
+        assert_eq!(health.consecutive_failures, 1, "{health:?}");
+        handle.shutdown();
+        let report = join.join().expect("serve thread panicked");
+        assert_eq!(report.server.panics, 1, "{:?}", report.server);
+        assert_eq!(report.server.open_conns, 0, "{:?}", report.server);
     }
 
     #[test]
@@ -2621,6 +1875,69 @@ mod tests {
         assert_eq!(s.epoch(), 0);
     }
 
+    /// Every per-tenant event is counted once, in its tenant; `/stats`
+    /// reports the sums over the tenants.
+    #[test]
+    fn stats_are_sums_over_tenants() {
+        let s = AppState::new(
+            CommunityEngine::build(figure1_graph()),
+            &ServeConfig {
+                tenant_inflight: 1,
+                ..ServeConfig::default()
+            },
+        );
+        s.add_tenant_engine("fig", CommunityEngine::build(figure1_graph()))
+            .unwrap();
+        let status = |target: &str, body: &str| {
+            let (head, _) = split(&s.respond(&req("POST", target, body)).unwrap());
+            head[9..12].to_string()
+        };
+        // A miss and a hit on each tenant.
+        for target in ["/search", "/t/fig/search"] {
+            assert_eq!(status(target, &search_body("bd")), "200");
+            assert_eq!(status(target, &search_body("bd")), "200");
+        }
+        assert_eq!(status("/search", "{nope"), "400");
+        assert_eq!(status("/t/fig/search", r#"{"query":[9999]}"#), "404");
+        // Hold the default tenant's single admission slot: one 429.
+        let in_flight = &s.default_tenant().counters.in_flight;
+        in_flight.fetch_add(1, Ordering::SeqCst);
+        assert_eq!(status("/search", &search_body("bd")), "429");
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        // A two-op batch on fig (one applied, one rejected) and a
+        // malformed batch on the default tenant.
+        let f = Figure1Ids::default();
+        let delete = format!(r#"{{"op":"delete","u":{},"v":{}}}"#, f.q1.0, f.t.0);
+        let batch = format!(r#"{{"updates":[{delete},{delete}]}}"#);
+        assert_eq!(status("/t/fig/update", &batch), "200");
+        assert_eq!(status("/update", "{nope"), "400");
+        let stats = |target: &str| {
+            let (_, body) = split(&s.respond(&req("GET", target, "")).unwrap());
+            Json::parse(std::str::from_utf8(&body).unwrap()).unwrap()
+        };
+        let global = stats("/stats");
+        let tenants = [stats("/t/default/stats"), stats("/t/fig/stats")];
+        for (object, field, tenant_object, want) in [
+            ("requests", "search_ok", "requests", 4),
+            ("requests", "search_err", "requests", 2),
+            ("cache", "hits", "cache", 2),
+            ("cache", "misses", "cache", 2),
+            ("updates", "batches_ok", "updates", 1),
+            ("updates", "batches_err", "updates", 1),
+            ("updates", "applied", "updates", 1),
+            ("updates", "rejected", "updates", 1),
+            ("server", "sheds_429", "requests", 1),
+        ] {
+            let value = |json: &Json, object: &str| {
+                let v = json.get(object).and_then(|o| o.get(field));
+                v.and_then(Json::as_u64).expect("counter present")
+            };
+            let sum: u64 = tenants.iter().map(|t| value(t, tenant_object)).sum();
+            assert_eq!(value(&global, object), sum, "{object}.{field}");
+            assert_eq!(sum, want, "{object}.{field}");
+        }
+    }
+
     #[test]
     fn repeated_panics_quarantine_then_heal_after_backoff() {
         let s = AppState::new(
@@ -2710,5 +2027,57 @@ mod tests {
         assert!(report.log.is_clean(), "{:?}", report.log);
         assert_eq!(rec.graph.num_edges(), served_edges);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_wal_append_detaches_the_log_and_keeps_serving() {
+        use ctc_graph::{Fault, FaultEnv};
+        let env = Arc::new(FaultEnv::new(7));
+        let log = DeltaLogFile::create_in(env.clone(), std::path::Path::new("g.ctcd"), 0).unwrap();
+        // One recorded failure would quarantine this tenant, so its
+        // `quarantines` count shows whether the failed append touched
+        // health at all.
+        let s = AppState::new(
+            CommunityEngine::build(figure1_graph()),
+            &ServeConfig {
+                health: HealthPolicy {
+                    quarantine_after: 1,
+                    ..HealthPolicy::default()
+                },
+                ..ServeConfig::default()
+            },
+        );
+        s.attach_default_wal(log);
+        // The disk is full from the next storage operation on: the first
+        // append's write.
+        env.fault_at(env.ops(), Fault::Enospc);
+        let f = Figure1Ids::default();
+        let batch = |op: &str| {
+            let body = format!(
+                r#"{{"updates":[{{"op":"{op}","u":{},"v":{}}}]}}"#,
+                f.q1.0, f.t.0
+            );
+            let (head, payload) = split(&s.respond(&req("POST", "/update", &body)).unwrap());
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+            assert!(payload.starts_with(br#"{"applied":1,"#), "{head}");
+            let (_, stats) = split(&s.respond(&req("GET", "/t/default/stats", "")).unwrap());
+            Json::parse(std::str::from_utf8(&stats).unwrap()).unwrap()
+        };
+        let wal = |stats: &Json| {
+            let updates = stats.get("updates").unwrap();
+            let count = |k: &str| updates.get(k).and_then(Json::as_u64).unwrap();
+            (count("wal_appended"), count("wal_errors"))
+        };
+        // The op applies and answers 200; durability is what was lost.
+        let stats = batch("delete");
+        assert_eq!(wal(&stats), (0, 1));
+        let health = stats.get("health").unwrap();
+        assert_eq!(health.get("status"), Some(&Json::Str("healthy".into())));
+        assert_eq!(health.get("quarantines").and_then(Json::as_u64), Some(0));
+        // The log stays detached: the next applied batch touches no
+        // storage and counts no second failure.
+        let ops = env.ops();
+        assert_eq!(wal(&batch("insert")), (0, 1));
+        assert_eq!(env.ops(), ops);
     }
 }

@@ -2,8 +2,10 @@
 # End-to-end smoke test of the serving path, std-only on the client side
 # too (bash /dev/tcp): build release, index the mini facebook preset,
 # start `ctc-cli serve` on an ephemeral port, issue one /search, assert
-# 200 + the same k a direct `ctc-cli search --index` reports, then shut
-# down gracefully via POST /shutdown and require exit code 0.
+# 200 + the same k a direct `ctc-cli search --index` reports, repeat it
+# for a cache hit, send one malformed body (400), check the counters in
+# /stats, then shut down gracefully via POST /shutdown, require exit
+# code 0 and the same counters in the daemon's drain line.
 #
 # Run from the repo root: bash scripts/smoke_serve.sh
 set -euo pipefail
@@ -60,9 +62,23 @@ printf '%s\n' "$RESPONSE" | head -1 | grep -q '^HTTP/1.1 200 OK' \
 printf '%s' "$RESPONSE" | grep -q "{\"k\":$EXPECTED_K," \
     || { echo "FAIL: served k does not match direct k=$EXPECTED_K:"; printf '%s\n' "$RESPONSE" | tail -1; exit 1; }
 
+AGAIN=$(request POST /search '{"query":[0,1],"algo":"lctc"}')
+printf '%s' "$AGAIN" | grep -qi '^x-cache: hit' \
+    || { echo "FAIL: repeated search not a cache hit:"; printf '%s\n' "$AGAIN" | head -5; exit 1; }
+BAD=$(request POST /search '{"query":')
+printf '%s\n' "$BAD" | head -1 | grep -q '^HTTP/1.1 400' \
+    || { echo "FAIL: malformed body not a 400:"; printf '%s\n' "$BAD" | head -5; exit 1; }
+
 HEALTH=$(request GET /healthz '')
 printf '%s' "$HEALTH" | grep -q '{"status":"ok"}' \
     || { echo "FAIL: bad healthz:"; printf '%s\n' "$HEALTH"; exit 1; }
+
+# The books: one miss, one hit, one failed search, no panics.
+STATS=$(request GET /stats '')
+for want in '"search_ok":2,' '"search_err":1,' '"hits":1,' '"misses":1}' '"panics":0,'; do
+    printf '%s' "$STATS" | grep -qF "$want" \
+        || { echo "FAIL: /stats lacks $want:"; printf '%s\n' "$STATS" | tail -1; exit 1; }
+done
 
 # Graceful shutdown: the daemon must drain and exit 0 on its own.
 request POST /shutdown '' > /dev/null
@@ -75,6 +91,7 @@ if kill -0 "$SERVER_PID" 2>/dev/null; then
 fi
 wait "$SERVER_PID" || { echo "FAIL: server exited non-zero"; cat "$TMP/serve.log"; exit 1; }
 SERVER_PID=""
-grep -q 'drained' "$TMP/serve.log" || { echo "FAIL: no drain report:"; cat "$TMP/serve.log"; exit 1; }
+grep -qF '(2 search ok, 1 search err, 1 cache hits, 0 rejects)' "$TMP/serve.log" \
+    || { echo "FAIL: drain report does not match the requests sent:"; cat "$TMP/serve.log"; exit 1; }
 
-echo "smoke: OK (k = $EXPECTED_K, graceful shutdown confirmed)"
+echo "smoke: OK (k = $EXPECTED_K, counters reconciled, graceful shutdown confirmed)"
