@@ -343,15 +343,10 @@ impl CommunityEngine {
     /// Peel working memory comes from the engine's shared scratch pool, so
     /// a warm engine answers without allocating in the peeling loop.
     pub fn search(&self, q: &[VertexId], algo: SearchAlgo) -> Result<Community> {
-        let searcher = self.searcher();
         let mut scratch = self.scratch.checkout();
-        let out = match algo {
-            SearchAlgo::Basic => searcher.basic_with_scratch(q, &self.cfg, &mut scratch),
-            SearchAlgo::BulkDelete => searcher.bulk_delete_with_scratch(q, &self.cfg, &mut scratch),
-            SearchAlgo::Local => searcher.local_with_scratch(q, &self.cfg, &mut scratch),
-            // No peeling, but the pooled locate-phase scratch still pays.
-            SearchAlgo::TrussOnly => searcher.truss_only_with_scratch(q, &self.cfg, &mut scratch),
-        };
+        let out = self
+            .searcher()
+            .search_with(q, algo, &self.cfg, &mut scratch);
         self.scratch.restore(scratch);
         out
     }

@@ -5,13 +5,14 @@
 //! graph `G` and query vertices `Q`, find a connected k-truss containing `Q`
 //! with the largest `k` and (approximately) minimum diameter.
 //!
-//! Three algorithms, one API:
+//! Four algorithms, one pipeline ([`CtcSearcher::search_with`]):
 //!
 //! | method | paper | guarantee |
 //! |---|---|---|
 //! | [`CtcSearcher::basic`] | Alg. 1 | 2-approximation (Thm. 3) |
 //! | [`CtcSearcher::bulk_delete`] | Alg. 4 | (2+ε)-approximation (Thm. 6) |
 //! | [`CtcSearcher::local`] | Alg. 5 | heuristic, locally explored |
+//! | [`CtcSearcher::truss_only`] | "Truss" baseline (§6) | `G0` of Alg. 2, no diameter minimization |
 //!
 //! ```
 //! use ctc_core::{CtcSearcher, CtcConfig};

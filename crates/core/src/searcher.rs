@@ -1,43 +1,33 @@
-//! The high-level search API: one struct, four algorithms.
+//! The high-level search API: one struct, one pipeline, four algorithms.
 //!
-//! [`CtcSearcher`] owns the truss index of a graph and exposes the paper's
-//! algorithm suite: `basic` (Alg. 1, 2-approximation), `bulk_delete`
-//! (Alg. 4, (2+ε)-approximation), `local` (Alg. 5, the LCTC heuristic) and
-//! `truss_only` (the "Truss" baseline = bare `FindG0`).
+//! [`CtcSearcher`] holds the truss index of a graph and runs the paper's
+//! algorithm suite through one pipeline, [`CtcSearcher::search_with`]:
+//! `basic` (Alg. 1, 2-approximation), `bulk_delete` (Alg. 4,
+//! (2+ε)-approximation), `local` (Alg. 5, the LCTC heuristic) and
+//! `truss_only` (the "Truss" baseline = bare `FindG0`) each pick an
+//! [`SearchAlgo`] and call it.
 
 use crate::config::CtcConfig;
+use crate::engine::SearchAlgo;
 use crate::local::expand_tree;
 use crate::peel::{peel_with, DeletePolicy, PeelOutcome, PeelScratch};
 use crate::result::{Community, PhaseTimings};
 use crate::steiner::steiner_tree;
 use ctc_graph::error::{GraphError, Result};
 use ctc_graph::{BfsScratch, CsrGraph, Parallelism, Subgraph, VertexId};
-use ctc_truss::{find_g0_with, find_ktruss_containing_with, FindScratch, Snapshot, TrussIndex, G0};
-use std::time::Instant;
-
-/// How a searcher holds its truss index: built fresh (owned) or borrowed
-/// from a longer-lived holder such as a [`Snapshot`] or the warm-start
-/// [`CommunityEngine`](crate::CommunityEngine). Borrowing is what makes
-/// per-query searcher construction free on the warm path.
-enum IndexHandle<'g> {
-    Owned(TrussIndex),
-    Borrowed(&'g TrussIndex),
-}
-
-impl IndexHandle<'_> {
-    #[inline(always)]
-    fn get(&self) -> &TrussIndex {
-        match self {
-            IndexHandle::Owned(idx) => idx,
-            IndexHandle::Borrowed(idx) => idx,
-        }
-    }
-}
+use ctc_truss::{find_g0_with, Snapshot, TrussIndex, G0};
+use std::borrow::Cow;
+use std::time::{Duration, Instant};
 
 /// Closest-truss-community searcher over a fixed graph.
+///
+/// The truss index is built fresh (owned) or borrowed from a longer-lived
+/// holder such as a [`Snapshot`] or the warm-start
+/// [`CommunityEngine`](crate::CommunityEngine). Borrowing is what makes
+/// per-query searcher construction free on the warm path.
 pub struct CtcSearcher<'g> {
     g: &'g CsrGraph,
-    idx: IndexHandle<'g>,
+    idx: Cow<'g, TrussIndex>,
 }
 
 impl<'g> CtcSearcher<'g> {
@@ -54,16 +44,7 @@ impl<'g> CtcSearcher<'g> {
     pub fn with_parallelism(g: &'g CsrGraph, par: Parallelism) -> Self {
         CtcSearcher {
             g,
-            idx: IndexHandle::Owned(TrussIndex::build_par(g, par)),
-        }
-    }
-
-    /// Adopts a prebuilt index (must belong to `g`).
-    pub fn with_index(g: &'g CsrGraph, idx: TrussIndex) -> Self {
-        assert_eq!(idx.num_edges(), g.num_edges(), "index does not match graph");
-        CtcSearcher {
-            g,
-            idx: IndexHandle::Owned(idx),
+            idx: Cow::Owned(TrussIndex::build_par(g, par)),
         }
     }
 
@@ -74,7 +55,7 @@ impl<'g> CtcSearcher<'g> {
         assert_eq!(idx.num_edges(), g.num_edges(), "index does not match graph");
         CtcSearcher {
             g,
-            idx: IndexHandle::Borrowed(idx),
+            idx: Cow::Borrowed(idx),
         }
     }
 
@@ -97,12 +78,87 @@ impl<'g> CtcSearcher<'g> {
 
     /// The underlying truss index.
     pub fn index(&self) -> &TrussIndex {
-        self.idx.get()
+        &self.idx
     }
 
     /// The graph being searched.
     pub fn graph(&self) -> &'g CsrGraph {
         self.g
+    }
+
+    /// Algorithm 1 (**Basic**): greedy single-vertex peeling.
+    /// 2-approximation on the optimal diameter (Theorem 3).
+    pub fn basic(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
+        self.search_with(q, SearchAlgo::Basic, cfg, &mut PeelScratch::new())
+    }
+
+    /// Algorithm 4 (**BulkDelete / BD**): batch peeling, `O(n'/k)` rounds,
+    /// `(2+ε)`-approximation (Theorem 6).
+    pub fn bulk_delete(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
+        self.search_with(q, SearchAlgo::BulkDelete, cfg, &mut PeelScratch::new())
+    }
+
+    /// The **Truss** baseline: `FindG0` with no diameter minimization.
+    pub fn truss_only(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
+        self.search_with(q, SearchAlgo::TrussOnly, cfg, &mut PeelScratch::new())
+    }
+
+    /// Algorithm 5 (**LCTC**): Steiner-seeded local exploration + local
+    /// truss extraction + bulk peeling. Heuristic; the fast default.
+    pub fn local(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
+        self.search_with(q, SearchAlgo::Local, cfg, &mut PeelScratch::new())
+    }
+
+    /// Answers `q` with `algo` over caller-pooled `scratch` — the one
+    /// pipeline behind every algorithm, and the warm path: once the
+    /// scratch has grown to the workload, the peel loop allocates nothing.
+    ///
+    /// 1. **Normalize** the query: dedup, range checks.
+    /// 2. **Locate** the starting community: `G0` from `FindG0`
+    ///    (Algorithm 2) for Basic, BulkDelete and Truss; for LCTC, `Ht`
+    ///    from a Steiner tree, its expansion and a local decomposition. A
+    ///    fixed `k` (§7.1) caps `FindG0`'s starting level.
+    /// 3. **Peel** under the algorithm's [`DeletePolicy`]. The Truss
+    ///    baseline skips this step and reports `G0` as located.
+    /// 4. **Assemble** the answer in parent-graph ids.
+    pub fn search_with(
+        &self,
+        q: &[VertexId],
+        algo: SearchAlgo,
+        cfg: &CtcConfig,
+        scratch: &mut PeelScratch,
+    ) -> Result<Community> {
+        let t0 = Instant::now();
+        let q = self.normalize_query(q)?;
+        let (g0, sub) = self.locate(&q, algo, cfg, scratch)?;
+        let q_local = sub.locals(&q).ok_or(GraphError::Disconnected)?;
+        let t_locate = t0.elapsed();
+        let policy = match algo {
+            SearchAlgo::Basic => Some(DeletePolicy::SingleFurthest),
+            SearchAlgo::BulkDelete => Some(DeletePolicy::BulkAtLeast),
+            SearchAlgo::Local => Some(DeletePolicy::LocalGreedy),
+            SearchAlgo::TrussOnly => None,
+        };
+        let (out, t_peel) = match policy {
+            // Unpeeled, the query-distance BFS counts as finish work.
+            None => (unpeeled(&sub.graph, &q_local), Duration::ZERO),
+            Some(policy) => {
+                let t1 = Instant::now();
+                let par = peel_parallelism(cfg, sub.graph.num_vertices(), q_local.len());
+                let out = peel_with(
+                    &sub.graph,
+                    &q_local,
+                    g0.k,
+                    policy,
+                    cfg.max_iterations,
+                    par,
+                    scratch,
+                );
+                (out, t1.elapsed())
+            }
+        };
+        let timings = PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed());
+        Ok(assemble(&sub, &g0, out, timings))
     }
 
     /// Normalizes a query: dedup, validity checks.
@@ -122,157 +178,36 @@ impl<'g> CtcSearcher<'g> {
         Ok(q)
     }
 
-    /// Locates the starting community `G0` (max-k or fixed-k) over pooled
-    /// locate scratch.
-    fn locate_g0(&self, q: &[VertexId], cfg: &CtcConfig, find: &mut FindScratch) -> Result<G0> {
-        match cfg.fixed_k {
-            None => find_g0_with(self.g, self.idx.get(), q, find),
-            Some(kf) => {
-                // Largest feasible level not exceeding the requested k.
-                for k in (2..=kf).rev() {
-                    if let Some(g0) =
-                        find_ktruss_containing_with(self.g, self.idx.get(), q, k, find)
-                    {
-                        if !g0.edges.is_empty() {
-                            return Ok(g0);
-                        }
-                    }
-                }
-                Err(GraphError::Disconnected)
-            }
+    /// The pipeline's locate step: the community the peel starts from, as
+    /// a [`G0`] (for LCTC, `Ht` in `Gt`'s ids; only its `k` and size are
+    /// read) and as a subgraph whose parent ids are the graph's own.
+    fn locate(
+        &self,
+        q: &[VertexId],
+        algo: SearchAlgo,
+        cfg: &CtcConfig,
+        scratch: &mut PeelScratch,
+    ) -> Result<(G0, Subgraph)> {
+        let cap = cfg.fixed_k.unwrap_or(u32::MAX);
+        if algo != SearchAlgo::Local {
+            let g0 = find_g0_with(self.g, &self.idx, q, cap, &mut scratch.find)?;
+            // The peel breaks ties by local id, so the peeled algorithms
+            // keep the discovery numbering; the Truss answer lists G0's
+            // edges in parent order, which canonical numbering preserves.
+            let sub = if algo == SearchAlgo::TrussOnly {
+                let pairs: Vec<_> = g0.edges.iter().map(|&e| self.g.edge_endpoints(e)).collect();
+                ctc_graph::subgraph_from_pairs(&pairs)
+            } else {
+                ctc_graph::edge_subgraph(self.g, &g0.edges)
+            };
+            return Ok((g0, sub));
         }
-    }
-
-    /// Shared Basic/BulkDelete driver.
-    fn global_search(
-        &self,
-        q: &[VertexId],
-        cfg: &CtcConfig,
-        policy: DeletePolicy,
-        scratch: &mut PeelScratch,
-    ) -> Result<Community> {
-        let t0 = Instant::now();
-        let q = self.normalize_query(q)?;
-        let g0 = self.locate_g0(&q, cfg, &mut scratch.find)?;
-        let sub = ctc_graph::edge_subgraph(self.g, &g0.edges);
-        let q_local = sub.locals(&q).ok_or(GraphError::Disconnected)?;
-        let t_locate = t0.elapsed();
-        let t1 = Instant::now();
-        let out = peel_with(
-            &sub.graph,
-            &q_local,
-            g0.k,
-            policy,
-            cfg.max_iterations,
-            peel_parallelism(cfg, sub.graph.num_vertices(), q_local.len()),
-            scratch,
-        );
-        let t_peel = t1.elapsed();
-        Ok(assemble(
-            &sub,
-            g0.k,
-            out,
-            (g0.vertices.len(), g0.edges.len()),
-            PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed()),
-        ))
-    }
-
-    /// Algorithm 1 (**Basic**): greedy single-vertex peeling.
-    /// 2-approximation on the optimal diameter (Theorem 3).
-    pub fn basic(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
-        self.basic_with_scratch(q, cfg, &mut PeelScratch::new())
-    }
-
-    /// [`basic`](Self::basic) over caller-pooled scratch — the warm path:
-    /// once the scratch has grown to the workload, the peel loop allocates
-    /// nothing.
-    pub fn basic_with_scratch(
-        &self,
-        q: &[VertexId],
-        cfg: &CtcConfig,
-        scratch: &mut PeelScratch,
-    ) -> Result<Community> {
-        self.global_search(q, cfg, DeletePolicy::SingleFurthest, scratch)
-    }
-
-    /// Algorithm 4 (**BulkDelete / BD**): batch peeling, `O(n'/k)` rounds,
-    /// `(2+ε)`-approximation (Theorem 6).
-    pub fn bulk_delete(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
-        self.bulk_delete_with_scratch(q, cfg, &mut PeelScratch::new())
-    }
-
-    /// [`bulk_delete`](Self::bulk_delete) over caller-pooled scratch.
-    pub fn bulk_delete_with_scratch(
-        &self,
-        q: &[VertexId],
-        cfg: &CtcConfig,
-        scratch: &mut PeelScratch,
-    ) -> Result<Community> {
-        self.global_search(q, cfg, DeletePolicy::BulkAtLeast, scratch)
-    }
-
-    /// The **Truss** baseline: `FindG0` with no diameter minimization.
-    pub fn truss_only(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
-        self.truss_only_with_scratch(q, cfg, &mut PeelScratch::new())
-    }
-
-    /// [`truss_only`](Self::truss_only) over caller-pooled scratch (only
-    /// the locate-phase buffers are used; no peeling happens).
-    pub fn truss_only_with_scratch(
-        &self,
-        q: &[VertexId],
-        cfg: &CtcConfig,
-        scratch: &mut PeelScratch,
-    ) -> Result<Community> {
-        let t0 = Instant::now();
-        let q = self.normalize_query(q)?;
-        let g0 = self.locate_g0(&q, cfg, &mut scratch.find)?;
-        let sub = ctc_graph::edge_subgraph(self.g, &g0.edges);
-        let q_local = sub.locals(&q).ok_or(GraphError::Disconnected)?;
-        let t_locate = t0.elapsed();
-        let mut bfs = BfsScratch::new(sub.num_vertices());
-        let qd = ctc_graph::graph_query_distance(&sub.graph, &q_local, &mut bfs);
-        let vertices = g0.vertices.clone();
-        let edges = g0
-            .edges
-            .iter()
-            .map(|&e| {
-                let (u, v) = self.g.edge_endpoints(e);
-                (u, v)
-            })
-            .collect();
-        Ok(Community {
-            k: g0.k,
-            vertices,
-            edges,
-            query_distance: qd,
-            iterations: 0,
-            g0_size: (g0.vertices.len(), g0.edges.len()),
-            timings: PhaseTimings::with_residual(t_locate, Default::default(), t0.elapsed()),
-        })
-    }
-
-    /// Algorithm 5 (**LCTC**): Steiner-seeded local exploration + local
-    /// truss extraction + bulk peeling. Heuristic; the fast default.
-    pub fn local(&self, q: &[VertexId], cfg: &CtcConfig) -> Result<Community> {
-        self.local_with_scratch(q, cfg, &mut PeelScratch::new())
-    }
-
-    /// [`local`](Self::local) over caller-pooled scratch.
-    pub fn local_with_scratch(
-        &self,
-        q: &[VertexId],
-        cfg: &CtcConfig,
-        scratch: &mut PeelScratch,
-    ) -> Result<Community> {
-        let t0 = Instant::now();
-        let q = self.normalize_query(q)?;
-        // Step 1: truss-distance Steiner tree.
-        let tree = steiner_tree(self.g, self.idx.get(), &q, cfg.gamma, cfg.steiner_mode)
+        // LCTC step 1: truss-distance Steiner tree.
+        let tree = steiner_tree(self.g, &self.idx, q, cfg.gamma, cfg.steiner_mode)
             .ok_or(GraphError::Disconnected)?;
         // Step 2: expand to Gt (≤ η vertices).
-        let gt = expand_tree(self.g, self.idx.get(), &tree, cfg.eta);
-        let q_gt = gt.locals(&q).ok_or(GraphError::Disconnected)?;
+        let gt = expand_tree(self.g, &self.idx, &tree, cfg.eta);
+        let q_gt = gt.locals(q).ok_or(GraphError::Disconnected)?;
         // Step 3: local truss decomposition + maximal connected k-truss
         // (the online decomposition LCTC pays per query — honors the
         // configured thread count; the serial build runs over the pooled
@@ -282,64 +217,20 @@ impl<'g> CtcSearcher<'g> {
         } else {
             TrussIndex::build_par(&gt.graph, cfg.parallelism)
         };
-        let ht = match cfg.fixed_k {
-            None => find_g0_with(&gt.graph, &idx_t, &q_gt, &mut scratch.find)?,
-            Some(kf) => {
-                let mut found = None;
-                for k in (2..=kf).rev() {
-                    if let Some(h) =
-                        find_ktruss_containing_with(&gt.graph, &idx_t, &q_gt, k, &mut scratch.find)
-                    {
-                        if !h.edges.is_empty() {
-                            found = Some(h);
-                            break;
-                        }
-                    }
-                }
-                found.ok_or(GraphError::Disconnected)?
-            }
-        };
+        let ht = find_g0_with(&gt.graph, &idx_t, &q_gt, cap, &mut scratch.find)?;
         // Materialize Ht in *original-graph* ids with canonical local
         // numbering: queries that reach the same community through
         // different Steiner trees peel a byte-identical subgraph, so the
         // pooled scratch's support cache keeps hitting across them.
-        let mut ht_pairs: Vec<(VertexId, VertexId)> = ht
+        let pairs: Vec<_> = ht
             .edges
             .iter()
             .map(|&e| {
                 let (u, v) = gt.graph.edge_endpoints(e);
-                let (pu, pv) = (gt.parent(u), gt.parent(v));
-                if pu < pv {
-                    (pu, pv)
-                } else {
-                    (pv, pu)
-                }
+                (gt.parent(u), gt.parent(v))
             })
             .collect();
-        ht_pairs.sort_unstable();
-        let ht_sub = ctc_graph::subgraph_from_pairs(&ht_pairs);
-        let q_ht = ht_sub.locals(&q).ok_or(GraphError::Disconnected)?;
-        let t_locate = t0.elapsed();
-        // Step 4: the L' bulk-deletion variant.
-        let t1 = Instant::now();
-        let out = peel_with(
-            &ht_sub.graph,
-            &q_ht,
-            ht.k,
-            DeletePolicy::LocalGreedy,
-            cfg.max_iterations,
-            peel_parallelism(cfg, ht_sub.graph.num_vertices(), q_ht.len()),
-            scratch,
-        );
-        let t_peel = t1.elapsed();
-        // ht_sub's parents are already original-graph ids.
-        Ok(assemble(
-            &ht_sub,
-            ht.k,
-            out,
-            (ht.vertices.len(), ht.edges.len()),
-            PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed()),
-        ))
+        Ok((ht, ctc_graph::subgraph_from_pairs(&pairs)))
     }
 }
 
@@ -359,14 +250,20 @@ fn peel_parallelism(cfg: &CtcConfig, n: usize, q_len: usize) -> Parallelism {
     }
 }
 
+/// The Truss baseline's outcome: the located subgraph whole, with its
+/// query distance.
+fn unpeeled(sub: &CsrGraph, q: &[VertexId]) -> PeelOutcome {
+    let mut bfs = BfsScratch::new(sub.num_vertices());
+    PeelOutcome {
+        vertices: sub.vertices().collect(),
+        edges: sub.edges().map(|(_, u, v)| (u, v)).collect(),
+        query_distance: ctc_graph::graph_query_distance(sub, q, &mut bfs),
+        iterations: 0,
+    }
+}
+
 /// Maps a [`PeelOutcome`] in `sub`-local ids back to parent ids.
-fn assemble(
-    sub: &Subgraph,
-    k: u32,
-    out: PeelOutcome,
-    g0_size: (usize, usize),
-    timings: PhaseTimings,
-) -> Community {
+fn assemble(sub: &Subgraph, g0: &G0, out: PeelOutcome, timings: PhaseTimings) -> Community {
     let mut vertices: Vec<VertexId> = out.vertices.iter().map(|&v| sub.parent(v)).collect();
     vertices.sort_unstable();
     let edges = out
@@ -382,12 +279,12 @@ fn assemble(
         })
         .collect();
     Community {
-        k,
+        k: g0.k,
         vertices,
         edges,
         query_distance: out.query_distance,
         iterations: out.iterations,
-        g0_size,
+        g0_size: (g0.vertices.len(), g0.edges.len()),
         timings,
     }
 }

@@ -5,7 +5,8 @@
 //! the query vertices. A per-vertex cursor over the truss-sorted rows of the
 //! [`TrussIndex`] makes every edge O(1) to visit (Remark 2: `O(m')` total),
 //! and a union-find answers the per-level "is Q connected yet?" check in
-//! near-constant amortized time.
+//! near-constant amortized time. A level cap starts the descent below the
+//! top level, which is §7.1's fixed trussness.
 
 use crate::index::TrussIndex;
 use ctc_graph::error::{GraphError, Result};
@@ -25,7 +26,7 @@ pub struct G0 {
 
 const NO_LEVEL: u32 = u32::MAX;
 
-/// Pooled working state for [`find_g0_with`] / [`find_ktruss_containing_with`].
+/// Pooled working state for [`find_g0_with`].
 ///
 /// Every per-vertex / per-edge array is epoch-stamped, so arming a query
 /// costs O(|touched last time|) amortized rather than O(n + m) — the
@@ -48,7 +49,6 @@ pub struct FindScratch {
     levels: Vec<Vec<u32>>,
     q_raw: Vec<u32>,
     comp: EpochMarks,
-    bfs: BfsScratch,
 }
 
 impl FindScratch {
@@ -83,15 +83,21 @@ impl FindScratch {
 /// [`GraphError::Disconnected`] when the query vertices do not share a
 /// connected component (they can never be covered by one connected k-truss).
 pub fn find_g0(g: &CsrGraph, idx: &TrussIndex, q: &[VertexId]) -> Result<G0> {
-    find_g0_with(g, idx, q, &mut FindScratch::new())
+    find_g0_with(g, idx, q, u32::MAX, &mut FindScratch::new())
 }
 
-/// [`find_g0`] with pooled `scratch` buffers: identical output, but the
-/// warm path performs no allocation and touches no O(n)/O(m) state.
+/// [`find_g0`] with a level cap and pooled `scratch` buffers.
+///
+/// The answer is the maximal connected k-truss containing `q` with the
+/// largest `k ≤ cap` (§7.1 "trading trussness for diameter"); `u32::MAX`
+/// leaves the search uncapped, and a cap below 2 answers
+/// [`GraphError::Disconnected`]. The warm path performs no allocation and
+/// touches no O(n)/O(m) state.
 pub fn find_g0_with(
     g: &CsrGraph,
     idx: &TrussIndex,
     q: &[VertexId],
+    cap: u32,
     scratch: &mut FindScratch,
 ) -> Result<G0> {
     if q.is_empty() {
@@ -107,13 +113,16 @@ pub fn find_g0_with(
             return Err(GraphError::Disconnected);
         }
     }
-    // Lemma 1: k ≤ min_q τ(q).
+    // Lemma 1: k ≤ min_q τ(q); the cap lowers the starting level further.
     let k_start = q
         .iter()
         .map(|&v| idx.vertex_truss(v))
         .min()
-        .expect("q nonempty");
-    debug_assert!(k_start >= 2);
+        .expect("q nonempty")
+        .min(cap);
+    if k_start < 2 {
+        return Err(GraphError::Disconnected);
+    }
 
     scratch.cursor.resize(n.max(scratch.cursor.len()), 0);
     scratch.cursor_set.ensure(n);
@@ -251,34 +260,23 @@ pub fn g0_subgraph(g: &CsrGraph, g0: &G0) -> Subgraph {
     ctc_graph::edge_subgraph(g, &g0.edges)
 }
 
-/// Fixed-k variant (§7.1 "trading trussness for diameter"): the maximal
-/// connected k-truss containing `q` for a *given* `k`, or `None` if the
-/// query is not covered / not connected at that level.
+/// The maximal connected k-truss containing `q` for a *given* `k`, or
+/// `None` if the query is not covered / not connected at that level.
+///
+/// A filtered BFS over the `τ ≥ k` edges: the independent construction the
+/// cross-checks hold [`find_g0_with`] (capped or not) against.
 pub fn find_ktruss_containing(
     g: &CsrGraph,
     idx: &TrussIndex,
     q: &[VertexId],
     k: u32,
 ) -> Option<G0> {
-    find_ktruss_containing_with(g, idx, q, k, &mut FindScratch::new())
-}
-
-/// [`find_ktruss_containing`] with pooled `scratch` buffers (the BFS
-/// frontier state is the only per-query memory). Identical output.
-pub fn find_ktruss_containing_with(
-    g: &CsrGraph,
-    idx: &TrussIndex,
-    q: &[VertexId],
-    k: u32,
-    scratch: &mut FindScratch,
-) -> Option<G0> {
     if q.is_empty() || q.iter().any(|&v| idx.vertex_truss(v) < k) {
         return None;
     }
     // BFS from q[0] over edges with trussness ≥ k.
     let view = ctc_graph::FilteredGraph::new(g, |e| idx.edge_truss(e) >= k);
-    let bfs = &mut scratch.bfs;
-    bfs.ensure(g.num_vertices());
+    let mut bfs = BfsScratch::new(g.num_vertices());
     bfs.run(&view, q[0]);
     if q.iter().any(|&v| bfs.dist(v) == ctc_graph::INF) {
         return None;
@@ -450,7 +448,7 @@ mod tests {
         ];
         let mut scratch = FindScratch::new();
         for q in &queries {
-            let pooled = find_g0_with(&g, &idx, q, &mut scratch);
+            let pooled = find_g0_with(&g, &idx, q, u32::MAX, &mut scratch);
             let fresh = find_g0(&g, &idx, q);
             match (pooled, fresh) {
                 (Ok(a), Ok(b)) => {
@@ -461,16 +459,17 @@ mod tests {
                 (Err(a), Err(b)) => assert_eq!(a, b, "query {q:?}"),
                 (a, b) => panic!("divergence on {q:?}: {a:?} vs {b:?}"),
             }
-            // Interleave the fixed-k variant on the same scratch.
-            let with = find_ktruss_containing_with(&g, &idx, q, 4, &mut scratch);
-            let plain = find_ktruss_containing(&g, &idx, q, 4);
+            // Interleave a capped locate on the same scratch.
+            let with = find_g0_with(&g, &idx, q, 3, &mut scratch);
+            let plain = find_g0_with(&g, &idx, q, 3, &mut FindScratch::new());
             match (with, plain) {
-                (Some(a), Some(b)) => {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.k, b.k);
                     assert_eq!(a.edges, b.edges);
                     assert_eq!(a.vertices, b.vertices);
                 }
-                (None, None) => {}
-                (a, b) => panic!("fixed-k divergence on {q:?}: {a:?} vs {b:?}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "query {q:?}"),
+                (a, b) => panic!("capped divergence on {q:?}: {a:?} vs {b:?}"),
             }
         }
     }

@@ -82,7 +82,7 @@ fn check_truss_kernels(
         let b = VertexId(((seed.wrapping_mul(17).wrapping_add(i * 13)) % n as u64) as u32);
         let q = if i % 2 == 0 { vec![a] } else { vec![a, b] };
         let fresh = find_g0(g, &idx, &q);
-        let pooled = find_g0_with(g, &idx, &q, find);
+        let pooled = find_g0_with(g, &idx, &q, u32::MAX, find);
         match (&fresh, &pooled) {
             (Ok(x), Ok(y)) => {
                 prop_assert_eq!(x.k, y.k, "G0 trussness diverged for {:?}", &q);

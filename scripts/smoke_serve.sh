@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving path, std-only on the client side
 # too (bash /dev/tcp): build release, index the mini facebook preset,
-# start `ctc-cli serve` on an ephemeral port, issue one /search, assert
-# 200 + the same k a direct `ctc-cli search --index` reports, repeat it
-# for a cache hit, send one malformed body (400), check the counters in
-# /stats, then shut down gracefully via POST /shutdown, require exit
-# code 0 and the same counters in the daemon's drain line.
+# start `ctc-cli serve` on an ephemeral port, send three /search
+# requests (LCTC, fixed-k Basic, the Truss baseline) and assert 200 plus
+# the same k and the same member list a direct `ctc-cli search --index`
+# reports, repeat the first for a cache hit, send one malformed body
+# (400), check the counters in /stats, then shut down gracefully via
+# POST /shutdown, require exit code 0 and the same counters in the
+# daemon's drain line.
 #
 # Run from the repo root: bash scripts/smoke_serve.sh
 set -euo pipefail
@@ -24,11 +26,6 @@ trap cleanup EXIT
 "$BIN" generate mini-facebook "$TMP/fb.txt"
 "$BIN" index build "$TMP/fb.txt" -o "$TMP/fb.ctci" --threads 0
 
-# The expected answer, straight from the engine (no server involved).
-DIRECT=$("$BIN" search --index "$TMP/fb.ctci" --query 0,1 --algo lctc)
-EXPECTED_K=$(printf '%s\n' "$DIRECT" | sed -n 's/^community: k = \([0-9]*\),.*/\1/p')
-[ -n "$EXPECTED_K" ] || { echo "FAIL: could not extract k from: $DIRECT"; exit 1; }
-
 "$BIN" serve "$TMP/fb.ctci" --addr 127.0.0.1:0 --threads 2 --cache-cap 64 \
     > "$TMP/serve.log" 2>&1 &
 SERVER_PID=$!
@@ -44,7 +41,7 @@ done
 [ -n "$ADDR" ] || { echo "FAIL: no listening line:"; cat "$TMP/serve.log"; exit 1; }
 HOST=${ADDR%:*}
 PORT=${ADDR##*:}
-echo "smoke: server on $ADDR, expecting k = $EXPECTED_K"
+echo "smoke: server on $ADDR"
 
 # One request over /dev/tcp. Connection: close makes EOF the framing.
 request() {
@@ -56,11 +53,30 @@ request() {
     exec 3<&- 3>&-
 }
 
-RESPONSE=$(request POST /search '{"query":[0,1],"algo":"lctc"}')
-printf '%s\n' "$RESPONSE" | head -1 | grep -q '^HTTP/1.1 200 OK' \
-    || { echo "FAIL: non-200 response:"; printf '%s\n' "$RESPONSE" | head -5; exit 1; }
-printf '%s' "$RESPONSE" | grep -q "{\"k\":$EXPECTED_K," \
-    || { echo "FAIL: served k does not match direct k=$EXPECTED_K:"; printf '%s\n' "$RESPONSE" | tail -1; exit 1; }
+# One /search with `body` against the direct answer for the CLI flags
+# that follow (no server involved): 200, the same k and the same members.
+# Both list the community's vertices as labels in dense order.
+check_search() {
+    local body=$1 direct k members response served
+    shift
+    direct=$("$BIN" search --index "$TMP/fb.ctci" --query 0,1 "$@")
+    k=$(printf '%s\n' "$direct" | sed -n 's/^community: k = \([0-9]*\),.*/\1/p')
+    members=$(printf '%s\n' "$direct" | sed -n 's/^members: //p')
+    [ -n "$k" ] && [ -n "$members" ] || { echo "FAIL: could not parse: $direct"; exit 1; }
+    response=$(request POST /search "$body")
+    printf '%s\n' "$response" | head -1 | grep -q '^HTTP/1.1 200 OK' \
+        || { echo "FAIL: $body: non-200 response:"; printf '%s\n' "$response" | head -5; exit 1; }
+    printf '%s' "$response" | grep -q "{\"k\":$k," \
+        || { echo "FAIL: $body: served k does not match direct k=$k:"; printf '%s\n' "$response" | tail -1; exit 1; }
+    served=$(printf '%s' "$response" | sed -n 's/.*"vertices":\[\([0-9,]*\)\].*/\1/p' | tr ',' ' ')
+    [ "$served" = "$members" ] \
+        || { echo "FAIL: $body: served members [$served] differ from direct [$members]"; exit 1; }
+    echo "smoke: $body: k = $k, $(printf '%s' "$members" | wc -w) members match"
+}
+
+check_search '{"query":[0,1],"algo":"lctc"}' --algo lctc
+check_search '{"query":[0,1],"k":3,"algo":"basic"}' --k 3 --algo basic
+check_search '{"query":[0,1],"algo":"truss"}' --algo truss
 
 AGAIN=$(request POST /search '{"query":[0,1],"algo":"lctc"}')
 printf '%s' "$AGAIN" | grep -qi '^x-cache: hit' \
@@ -73,9 +89,9 @@ HEALTH=$(request GET /healthz '')
 printf '%s' "$HEALTH" | grep -q '{"status":"ok"}' \
     || { echo "FAIL: bad healthz:"; printf '%s\n' "$HEALTH"; exit 1; }
 
-# The books: one miss, one hit, one failed search, no panics.
+# The books: three misses, one hit, one failed search, no panics.
 STATS=$(request GET /stats '')
-for want in '"search_ok":2,' '"search_err":1,' '"hits":1,' '"misses":1}' '"panics":0,'; do
+for want in '"search_ok":4,' '"search_err":1,' '"hits":1,' '"misses":3}' '"panics":0,'; do
     printf '%s' "$STATS" | grep -qF "$want" \
         || { echo "FAIL: /stats lacks $want:"; printf '%s\n' "$STATS" | tail -1; exit 1; }
 done
@@ -91,7 +107,7 @@ if kill -0 "$SERVER_PID" 2>/dev/null; then
 fi
 wait "$SERVER_PID" || { echo "FAIL: server exited non-zero"; cat "$TMP/serve.log"; exit 1; }
 SERVER_PID=""
-grep -qF '(2 search ok, 1 search err, 1 cache hits, 0 rejects)' "$TMP/serve.log" \
+grep -qF '(4 search ok, 1 search err, 1 cache hits, 0 rejects)' "$TMP/serve.log" \
     || { echo "FAIL: drain report does not match the requests sent:"; cat "$TMP/serve.log"; exit 1; }
 
-echo "smoke: OK (k = $EXPECTED_K, counters reconciled, graceful shutdown confirmed)"
+echo "smoke: OK (three communities matched, counters reconciled, graceful shutdown confirmed)"

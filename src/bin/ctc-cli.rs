@@ -116,6 +116,23 @@ fn load(args: &[String]) -> Result<(ctc_graph::CsrGraph, Vec<u64>), String> {
     load_edge_list_path(path).map_err(|e| format!("loading {path}: {e}"))
 }
 
+/// Parses flag `name` as a `T` that satisfies `ok`, failing with "`name`
+/// must be `rule`" otherwise; `None` when the flag is absent.
+fn flag_checked<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    ok: fn(&T) -> bool,
+    rule: &str,
+) -> Result<Option<T>, String> {
+    match flag_value(args, name) {
+        None => Ok(None),
+        Some(raw) => match raw.parse() {
+            Ok(v) if ok(&v) => Ok(Some(v)),
+            _ => Err(format!("{name} must be {rule}")),
+        },
+    }
+}
+
 /// Parses `--threads N` (0 = all cores; absent = serial).
 fn flag_parallelism(args: &[String]) -> Result<Parallelism, String> {
     match flag_value(args, "--threads") {
@@ -493,15 +510,17 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad query label {tok:?}"))?;
         query_labels.push(label);
     }
+    // The rules `/search` applies to the same knobs.
     let mut cfg = CtcConfig::default();
-    if let Some(gm) = flag_value(args, "--gamma") {
-        cfg.gamma = gm.parse().map_err(|_| "bad --gamma")?;
+    let finite = |g: &f64| g.is_finite() && *g >= 0.0;
+    if let Some(gamma) = flag_checked(args, "--gamma", finite, "finite and >= 0")? {
+        cfg = cfg.gamma(gamma);
     }
-    if let Some(eta) = flag_value(args, "--eta") {
-        cfg.eta = eta.parse().map_err(|_| "bad --eta")?;
+    if let Some(eta) = flag_checked(args, "--eta", |&e: &usize| e >= 1, "an integer >= 1")? {
+        cfg = cfg.eta(eta);
     }
-    if let Some(k) = flag_value(args, "--k") {
-        cfg.fixed_k = Some(k.parse().map_err(|_| "bad --k")?);
+    if let Some(k) = flag_checked(args, "--k", |&k: &u32| k >= 2, "an integer >= 2")? {
+        cfg = cfg.fixed_k(k);
     }
     let par = flag_parallelism(args)?;
     cfg.parallelism = par;

@@ -358,6 +358,32 @@ fn search_rejects_unknown_label_and_algo() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // Knob values `/search` rejects with 400 fail here too, naming the flag.
+    for (flag, value) in [
+        ("--k", "0"),
+        ("--k", "1"),
+        ("--gamma", "nan"),
+        ("--gamma", "-5"),
+        ("--eta", "0"),
+    ] {
+        let out = cli()
+            .args([
+                "search",
+                file.to_str().unwrap(),
+                "--query",
+                "0",
+                flag,
+                value,
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(flag),
+            "{flag} {value}: unexpected stderr: {err}"
+        );
+    }
 }
 
 #[test]

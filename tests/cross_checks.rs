@@ -4,8 +4,8 @@
 
 use ctc_graph::{graph_from_edges, DynGraph, EdgeId, VertexId};
 use ctc_truss::{
-    find_g0, find_ktruss_containing, naive_truss_decomposition, truss_decomposition, TrussIndex,
-    TrussMaintainer,
+    find_g0, find_g0_with, find_ktruss_containing, naive_truss_decomposition, truss_decomposition,
+    FindScratch, TrussIndex, TrussMaintainer,
 };
 use proptest::prelude::*;
 
@@ -87,6 +87,7 @@ proptest! {
     fn find_g0_agrees_with_filtered_search(
         edges in arb_graph(),
         q_raw in proptest::collection::vec(0u32..14, 1..4),
+        cap in 0u32..8,
     ) {
         let g = graph_from_edges(&edges);
         if g.num_vertices() == 0 {
@@ -113,6 +114,19 @@ proptest! {
                 // No higher level is feasible.
                 prop_assert!(find_ktruss_containing(&g, &idx, &q, g0.k + 1).is_none());
             }
+        }
+        // Capped: the highest feasible level at or below the cap, and
+        // failure together when there is none (caps 0 and 1 included).
+        let capped = find_g0_with(&g, &idx, &q, cap, &mut FindScratch::new());
+        let filtered = (2..=cap).rev().find_map(|k| find_ktruss_containing(&g, &idx, &q, k));
+        match (capped, filtered) {
+            (Ok(a), Some(b)) => {
+                prop_assert_eq!(a.k, b.k);
+                prop_assert_eq!(a.vertices, b.vertices);
+                prop_assert_eq!(a.edges, b.edges);
+            }
+            (Err(_), None) => {}
+            (a, b) => prop_assert!(false, "cap {}: {:?} vs {:?}", cap, a, b),
         }
     }
 }
