@@ -1,56 +1,59 @@
-//! Machine-readable phase benchmark recorder (`BENCH_6.json`,
-//! `BENCH_7.json`).
+//! The committed benchmark record, `BENCH_RECORD.json`: its one writer and
+//! its one checker.
 //!
-//! Measures median per-phase wall times (locate / peel / finish / total, in
-//! microseconds) of the four search algorithms on the mini presets, using
-//! the [`PhaseTimings`](ctc_core::PhaseTimings) every search already
-//! reports — and, for the `ctc-bench-7` document, the online-update
-//! trajectory: median wall time of single-edge delete+insert restore
-//! cycles through the maintained [`DynamicIndex`] versus the full
-//! `TrussIndex::build` a rebuild-per-update design would pay. Unlike the
-//! criterion benches (relative, human-read), this binary emits stable
-//! JSON documents that `scripts/bench_record.sh` commits to the repo, so
-//! the hot-path trajectory is pinned in version control and checkable in
-//! CI.
+//! The record (schema `"ctc-bench"`) holds one section per measurement
+//! kind, each with its unit and its runs keyed by the change that recorded
+//! them: `search` (per mini preset and algorithm, median phase times from
+//! the [`PhaseTimings`](ctc_core::PhaseTimings) every search reports),
+//! `updates` ([`DynamicIndex`] updates against a full rebuild) and `serve`
+//! (client p50/p99 per concurrency level, from [`ctc_bench::serveload`]).
 //!
 //! ```text
-//! bench_record [--samples N] [--quick] [--out BENCH_6.json]
-//!              [--out7 BENCH_7.json] [--out8 BENCH_8.json] [--check FILE]
+//! bench_record --check FILE
+//! bench_record --record SECTION.RUN FILE [--samples N] [--quick]
 //! ```
 //!
-//! * default: measure and print the JSON measurement object to stdout;
-//! * `--out FILE`: measure and merge into `FILE` — an existing `before`
-//!   section is preserved (the pre-refactor baseline), the measurement
-//!   becomes `after`; with no existing file both sections get the
-//!   measurement;
-//! * `--out7 FILE`: measure searches *and* updates, writing the
-//!   `ctc-bench-7` document;
-//! * `--out8 FILE`: drive the evented serving stack with the zipfian
-//!   two-tenant load harness ([`ctc_bench::serveload`]), writing the
-//!   `ctc-bench-8` p50/p99 concurrency trajectory;
-//! * `--check FILE`: no full measurement — parse the committed file,
-//!   dispatch on its `schema` field, and validate its recorded bars. For
-//!   `ctc-bench-6`: the ≥ 2× locate bar (mini-facebook lctc) and the
-//!   no-regression bars (locate on mini-facebook basic/truss, peel on
-//!   mini-facebook bd/lctc). For `ctc-bench-7`: maintained updates ≥ 10×
-//!   cheaper per op than a rebuild on mini-facebook, and the search
-//!   medians within 10% (+50µs jitter floor) of the committed
-//!   `BENCH_6.json` `after` section. Both run one quick measurement pass
-//!   so the harness itself cannot rot.
+//! `--record` measures one section and replaces that one run (say
+//! `search.pr7`), keeping every other run, so frozen baselines such as
+//! `search.pr6-before` survive. `--samples` defaults to 15; `--quick` takes
+//! 3 samples of one query set, or the smoke load. `--check` runs four
+//! steps: every run carries its fields; every bar holds; every serve run
+//! accounts for each request at rising concurrency with `0 < p50 ≤ p99`;
+//! and one quick pass of each harness is held to the field and serve rules.
+//! The bars live in this file, so re-recording a run cannot rewrite the bar
+//! that checks it.
 //!
-//! Accounting: per sample, `total_us` is the sum of the per-query
-//! `timings.total` (not an outer wall clock, which also billed harness
-//! overhead), and `finish_us` is accumulated as `total − locate − peel`
-//! in integer microseconds — so within every sample the four phases sum
-//! exactly. Medians are taken per phase independently, so the *recorded*
-//! medians may be off-by-a-few from summing; the invariant lives at the
-//! sample level and in the server's `/stats` counters.
+//! Accounting: per sample, `total_us` sums the per-query `timings.total`
+//! (no outer wall clock, which would bill harness overhead) and `finish_us`
+//! sums `total − locate − peel`, so within a sample the four phases add up
+//! exactly; medians are taken per phase, so recorded medians may miss the
+//! sum by a few µs.
 
 use ctc_bench::serveload;
 use ctc_core::{CommunityEngine, SearchAlgo};
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
 use ctc_server::Json;
 use ctc_truss::{DynamicIndex, TrussIndex};
+
+const SCHEMA: &str = "ctc-bench";
+/// The record's sections, each with its unit.
+const SECTIONS: [(&str, &str); 3] = [
+    ("search", "microseconds_median"),
+    ("updates", "microseconds_median"),
+    ("serve", "microseconds_percentile"),
+];
+/// The fields of each run entry, by section; all but `zipf_s` are whole.
+const SEARCH_FIELDS: [&str; 5] = ["locate_us", "peel_us", "finish_us", "total_us", "samples"];
+const UPDATE_FIELDS: [&str; 5] = [
+    "ops",
+    "maintain_total_us",
+    "maintain_per_op_us",
+    "rebuild_us",
+    "samples",
+];
+const SERVE_FIELDS: [&str; 4] = ["zipf_s", "pool_size", "requests_per_level", "tenants"];
+const USAGE: &str =
+    "usage: bench_record --check FILE | --record SECTION.RUN FILE [--samples N] [--quick]";
 
 const PRESETS: [&str; 2] = ["mini-facebook", "mini-dblp"];
 const ALGOS: [(&str, SearchAlgo); 4] = [
@@ -76,38 +79,35 @@ fn measure_algo(
     algo: SearchAlgo,
     samples: usize,
 ) -> Json {
-    let mut locate = Vec::with_capacity(samples);
-    let mut peel = Vec::with_capacity(samples);
-    let mut finish = Vec::with_capacity(samples);
-    let mut total = Vec::with_capacity(samples);
+    // Per sample, the summed locate / peel / finish / total microseconds.
+    let mut sums: Vec<[u64; 4]> = Vec::with_capacity(samples);
     // One warmup pass: scratch pools fill, page cache settles.
     for q in queries {
         let _ = engine.search(q, algo);
     }
     for _ in 0..samples {
-        let (mut l, mut p, mut f, mut t) = (0u64, 0u64, 0u64, 0u64);
+        let mut sum = [0u64; 4];
         for q in queries {
             let c = engine.search(q, algo).expect("mini preset query answers");
-            let lu = c.timings.locate.as_micros() as u64;
-            let pu = c.timings.peel.as_micros() as u64;
-            let tu = c.timings.total.as_micros() as u64;
-            l += lu;
-            p += pu;
-            f += tu.saturating_sub(lu).saturating_sub(pu);
-            t += tu;
+            let us = |d: std::time::Duration| d.as_micros() as u64;
+            let (l, p, t) = (
+                us(c.timings.locate),
+                us(c.timings.peel),
+                us(c.timings.total),
+            );
+            let f = t.saturating_sub(l).saturating_sub(p);
+            sum = [sum[0] + l, sum[1] + p, sum[2] + f, sum[3] + t];
         }
-        locate.push(l);
-        peel.push(p);
-        finish.push(f);
-        total.push(t);
+        sums.push(sum);
     }
-    Json::Object(vec![
-        ("locate_us".into(), Json::Uint(median_us(locate))),
-        ("peel_us".into(), Json::Uint(median_us(peel))),
-        ("finish_us".into(), Json::Uint(median_us(finish))),
-        ("total_us".into(), Json::Uint(median_us(total))),
-        ("samples".into(), Json::Uint(samples as u64)),
-    ])
+    let medians = (0..4).map(|i| median_us(sums.iter().map(|s| s[i]).collect()));
+    entry(&SEARCH_FIELDS, medians.chain([samples as u64]))
+}
+
+/// One record entry: `fields` paired with `values`, in order.
+fn entry(fields: &[&str], values: impl IntoIterator<Item = u64>) -> Json {
+    let pairs = fields.iter().zip(values);
+    Json::Object(pairs.map(|(f, v)| (f.to_string(), Json::Uint(v))).collect())
 }
 
 fn measure(samples: usize, query_sets: usize) -> Json {
@@ -206,362 +206,282 @@ fn measure_updates(samples: usize) -> Json {
 
         let ops = (victims.len() * 2) as u64;
         let total = total_ns.div_ceil(1000);
-        presets.push((
-            preset.to_string(),
-            Json::Object(vec![
-                ("ops".into(), Json::Uint(ops)),
-                ("maintain_total_us".into(), Json::Uint(total)),
-                // Round up: the per-op figure only ever overstates the
-                // maintained cost, so the ≥10× bar cannot lean on it.
-                (
-                    "maintain_per_op_us".into(),
-                    Json::Uint(total.div_ceil(ops).max(1)),
-                ),
-                ("rebuild_us".into(), Json::Uint(median_us(rebuild))),
-                ("samples".into(), Json::Uint(samples as u64)),
-            ]),
-        ));
+        // Round the per-op figure up: it only ever overstates the
+        // maintained cost, so the ≥10× bar cannot lean on it.
+        let per_op = total.div_ceil(ops).max(1);
+        let values = [ops, total, per_op, median_us(rebuild), samples as u64];
+        presets.push((preset.to_string(), entry(&UPDATE_FIELDS, values)));
     }
     Json::Object(presets)
 }
 
-fn document(before: Json, after: Json, samples: usize) -> Json {
-    Json::Object(vec![
-        ("schema".into(), Json::Str("ctc-bench-6".into())),
-        ("unit".into(), Json::Str("microseconds_median".into())),
-        ("samples".into(), Json::Uint(samples as u64)),
-        ("before".into(), before),
-        ("after".into(), after),
-    ])
+/// The value at a dotted path into the record; a numeric segment indexes
+/// an array (`serve.runs.pr8.levels.0.p50_us`).
+fn at<'a>(doc: &'a Json, path: &str) -> Result<&'a Json, String> {
+    path.split('.')
+        .try_fold(doc, |v, key| match v {
+            Json::Array(items) => key.parse().ok().and_then(|i: usize| items.get(i)),
+            _ => v.get(key),
+        })
+        .ok_or_else(|| format!("{path} missing"))
 }
 
-fn document7(search: Json, updates: Json, samples: usize) -> Json {
-    Json::Object(vec![
-        ("schema".into(), Json::Str("ctc-bench-7".into())),
-        ("unit".into(), Json::Str("microseconds_median".into())),
-        ("samples".into(), Json::Uint(samples as u64)),
-        ("updates".into(), updates),
-        ("search".into(), search),
-    ])
+fn uint_at(doc: &Json, path: &str) -> Result<u64, String> {
+    let value = at(doc, path)?.as_u64();
+    value.ok_or_else(|| format!("{path} is not a whole number"))
 }
 
-/// The `ctc-bench-8` document: the serving-stack p50/p99 trajectory
-/// under a zipfian two-tenant query mix at rising concurrency.
-fn document8(spec: &serveload::LoadSpec, results: &[serveload::LevelResult]) -> Json {
-    Json::Object(vec![
-        ("schema".into(), Json::Str("ctc-bench-8".into())),
-        ("unit".into(), Json::Str("microseconds_percentile".into())),
-        ("zipf_s".into(), Json::Float(spec.zipf_s)),
-        ("pool_size".into(), Json::Uint(spec.pool_size as u64)),
-        (
-            "requests_per_level".into(),
-            Json::Uint(spec.requests_per_level as u64),
-        ),
-        (
-            "tenants".into(),
-            Json::Uint(serveload::TENANTS.len() as u64),
-        ),
-        ("levels".into(), serveload::encode_levels(results)),
-    ])
+/// Puts `value` at a dotted path, adding missing object keys on the way.
+fn set(doc: &mut Json, path: &str, value: Json) -> Result<(), String> {
+    let mut slot = doc;
+    for key in path.split('.') {
+        slot = match slot {
+            Json::Object(pairs) => match pairs.iter().position(|(k, _)| k == key) {
+                Some(i) => &mut pairs[i].1,
+                None => {
+                    pairs.push((key.into(), Json::Object(Vec::new())));
+                    &mut pairs.last_mut().expect("just pushed").1
+                }
+            },
+            Json::Array(items) => match key.parse().ok().and_then(|i: usize| items.get_mut(i)) {
+                Some(item) => item,
+                None => return Err(format!("{path}: no element {key}")),
+            },
+            _ => return Err(format!("{path}: {key} is below a plain value")),
+        };
+    }
+    *slot = value;
+    Ok(())
 }
 
-fn phase_of<'a>(
-    doc: &'a Json,
-    section: &str,
-    preset: &str,
-    algo: &str,
-) -> Result<&'a Json, String> {
-    doc.get(section)
-        .and_then(|s| s.get(preset))
-        .and_then(|p| p.get(algo))
-        .ok_or_else(|| format!("missing {section}.{preset}.{algo}"))
+/// Replaces one run of `section`, keeping every other run.
+fn put_run(doc: &mut Json, section: &str, run: &str, value: Json) -> Result<(), String> {
+    let Some((_, unit)) = SECTIONS.into_iter().find(|&(name, _)| name == section) else {
+        return Err(format!("unknown section {section:?}"));
+    };
+    set(doc, &format!("{section}.unit"), Json::Str(unit.into()))?;
+    set(doc, &format!("{section}.runs.{run}"), value)
 }
 
-fn us_of(doc: &Json, section: &str, preset: &str, algo: &str, field: &str) -> Result<u64, String> {
-    phase_of(doc, section, preset, algo)?
-        .get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{section}.{preset}.{algo}.{field} missing"))
+fn empty_record() -> Json {
+    Json::Object(vec![("schema".into(), Json::Str(SCHEMA.into()))])
 }
 
-/// Validates a committed document, dispatching on its `schema` field.
-fn check(path: &str) -> Result<(), String> {
+fn read_record(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("ctc-bench-6") => check6(path, &doc),
-        Some("ctc-bench-7") => check7(path, &doc),
-        Some("ctc-bench-8") => check8(path, &doc),
-        other => Err(format!(
-            "unknown schema {other:?} (want \"ctc-bench-6/7/8\")"
-        )),
+        Some(SCHEMA) => Ok(doc),
+        other => Err(format!("{path}: schema {other:?}, want {SCHEMA:?}")),
     }
 }
 
-/// The `ctc-bench-6` bars: the PR-6 locate rebuild.
-fn check6(path: &str, doc: &Json) -> Result<(), String> {
-    for section in ["before", "after"] {
-        for preset in PRESETS {
-            for (algo, _) in ALGOS {
-                for field in ["locate_us", "peel_us", "finish_us", "total_us"] {
-                    us_of(doc, section, preset, algo, field)?;
+/// A bar over two dotted paths, `(lhs, times, rhs, pct, slack_us)`:
+/// `lhs × times ≤ rhs + rhs·pct/100 + slack_us`.
+type Bar = (String, u64, String, u64, u64);
+
+/// The search bars, each comparing one mini-facebook `algo.field` entry
+/// across two runs: `(run, entry, times, base run, pct, slack_us)`.
+const SEARCH_BARS: [(&str, &str, u64, &str, u64, u64); 19] = [
+    // The incremental query-distance engine at least halved the peel.
+    ("pr5-after", "bd.peel_us", 2, "pr5-before", 0, 0),
+    ("pr5-after", "lctc.peel_us", 2, "pr5-before", 0, 0),
+    // The bitset-kernel locate at least halved LCTC's locate, and gave
+    // back neither the other locates nor the incremental engine's peel.
+    ("pr6-after", "lctc.locate_us", 2, "pr6-before", 0, 0),
+    ("pr6-after", "basic.locate_us", 1, "pr6-before", 0, 0),
+    ("pr6-after", "truss.locate_us", 1, "pr6-before", 0, 0),
+    ("pr6-after", "bd.peel_us", 1, "pr6-before", 0, 0),
+    ("pr6-after", "lctc.peel_us", 1, "pr6-before", 0, 0),
+    // The dynamic index left every search phase within 10% of `pr6-after`,
+    // plus a 50 µs jitter floor for near-zero phases.
+    ("pr7", "basic.locate_us", 1, "pr6-after", 10, 50),
+    ("pr7", "basic.peel_us", 1, "pr6-after", 10, 50),
+    ("pr7", "basic.total_us", 1, "pr6-after", 10, 50),
+    ("pr7", "bd.locate_us", 1, "pr6-after", 10, 50),
+    ("pr7", "bd.peel_us", 1, "pr6-after", 10, 50),
+    ("pr7", "bd.total_us", 1, "pr6-after", 10, 50),
+    ("pr7", "lctc.locate_us", 1, "pr6-after", 10, 50),
+    ("pr7", "lctc.peel_us", 1, "pr6-after", 10, 50),
+    ("pr7", "lctc.total_us", 1, "pr6-after", 10, 50),
+    ("pr7", "truss.locate_us", 1, "pr6-after", 10, 50),
+    ("pr7", "truss.peel_us", 1, "pr6-after", 10, 50),
+    ("pr7", "truss.total_us", 1, "pr6-after", 10, 50),
+];
+
+/// Every bar: the search bars, and the maintained update of `updates.pr7`
+/// costing at most a tenth of a full rebuild.
+fn bars() -> Vec<Bar> {
+    let fb = |run: &str, entry: &str| format!("search.runs.{run}.mini-facebook.{entry}");
+    let upd = "updates.runs.pr7.mini-facebook";
+    let per_op = format!("{upd}.maintain_per_op_us");
+    let mut bars = vec![(per_op, 10, format!("{upd}.rebuild_us"), 0, 0)];
+    for (run, entry, times, base, pct, slack_us) in SEARCH_BARS {
+        bars.push((fb(run, entry), times, fb(base, entry), pct, slack_us));
+    }
+    bars
+}
+
+fn check_bar(doc: &Json, (lhs_path, times, rhs_path, pct, slack_us): &Bar) -> Result<(), String> {
+    let (lhs, rhs) = (uint_at(doc, lhs_path)?, uint_at(doc, rhs_path)?);
+    let bound = rhs
+        .saturating_add(rhs.saturating_mul(*pct) / 100)
+        .saturating_add(*slack_us);
+    if lhs.saturating_mul(*times) > bound {
+        return Err(format!(
+            "{lhs_path} = {lhs} breaks its bar: × {times} exceeds \
+             {rhs_path} = {rhs} + {pct}% + {slack_us} µs"
+        ));
+    }
+    Ok(())
+}
+
+/// Step 1: each section's unit, and every field of every run.
+fn check_fields(doc: &Json) -> Result<(), String> {
+    for (section, unit) in SECTIONS {
+        if at(doc, &format!("{section}.unit"))?.as_str() != Some(unit) {
+            return Err(format!("{section}.unit must be {unit:?}"));
+        }
+        let Json::Object(runs) = at(doc, &format!("{section}.runs"))? else {
+            return Err(format!("{section}.runs must be an object"));
+        };
+        for (run, _) in runs {
+            // The `pr5-*` runs predate the finish phase.
+            let no_finish = matches!(run.as_str(), "pr5-before" | "pr5-after");
+            let (entries, fields): (Vec<String>, &[&str]) = match section {
+                "search" => {
+                    let entries = PRESETS.map(|p| ALGOS.map(|(a, _)| format!("{p}.{a}.")));
+                    (entries.concat(), &SEARCH_FIELDS)
+                }
+                "updates" => (PRESETS.map(|p| format!("{p}.")).into(), &UPDATE_FIELDS),
+                _ => (vec![String::new()], &SERVE_FIELDS),
+            };
+            for entry in entries {
+                for &field in fields.iter().filter(|&&f| !(no_finish && f == "finish_us")) {
+                    let path = format!("{section}.runs.{run}.{entry}{field}");
+                    let value = at(doc, &path)?;
+                    if value.as_u64().is_none() && (field != "zipf_s" || value.as_f64().is_none()) {
+                        return Err(format!("{path} is not a whole number"));
+                    }
                 }
             }
         }
     }
-    // Guard carried over from the PR-5 peel refactor: the rebuilt locate
-    // path must not give the peel-phase wins back. (The 2× peel bar itself
-    // was measured against the *pre-incremental* baseline and lives in
-    // BENCH_5.json; this document's `before` is already post-PR-5.)
-    for algo in ["bd", "lctc"] {
-        let before_peel = us_of(doc, "before", "mini-facebook", algo, "peel_us")?;
-        let after_peel = us_of(doc, "after", "mini-facebook", algo, "peel_us")?;
-        if after_peel > before_peel {
-            return Err(format!(
-                "mini-facebook/{algo}: recorded peel median regressed \
-                 ({before_peel}µs → {after_peel}µs)"
-            ));
-        }
-    }
-    // The bars this PR records: the bitset-kernel rebuild must halve the
-    // LCTC locate median, and the PR-5 locate regression on the
-    // non-decomposing algorithms must stay erased (no regression vs the
-    // pre-rebuild baseline).
-    let lctc_before = us_of(doc, "before", "mini-facebook", "lctc", "locate_us")?;
-    let lctc_after = us_of(doc, "after", "mini-facebook", "lctc", "locate_us")?;
-    if lctc_after.saturating_mul(2) > lctc_before {
-        return Err(format!(
-            "mini-facebook/lctc: recorded locate median {lctc_after}µs is not ≥2× \
-             better than the {lctc_before}µs baseline"
-        ));
-    }
-    for algo in ["basic", "truss"] {
-        let before = us_of(doc, "before", "mini-facebook", algo, "locate_us")?;
-        let after = us_of(doc, "after", "mini-facebook", algo, "locate_us")?;
-        if after > before {
-            return Err(format!(
-                "mini-facebook/{algo}: recorded locate median regressed \
-                 ({before}µs → {after}µs)"
-            ));
-        }
-    }
-    // Smoke the recorder itself so the harness cannot silently rot.
-    let quick = measure(1, 1);
-    for preset in PRESETS {
-        for (algo, _) in ALGOS {
-            quick
-                .get(preset)
-                .and_then(|p| p.get(algo))
-                .ok_or_else(|| format!("quick measurement lost {preset}/{algo}"))?;
-        }
-    }
-    println!(
-        "bench_record --check: {path} ok (schema, ≥2× lctc locate bar, \
-         no locate/peel regressions, harness smoke)"
-    );
     Ok(())
 }
 
-/// The `ctc-bench-7` bars: the online-update path.
-fn check7(path: &str, doc: &Json) -> Result<(), String> {
-    for preset in PRESETS {
-        let upd = doc
-            .get("updates")
-            .and_then(|u| u.get(preset))
-            .ok_or_else(|| format!("missing updates.{preset}"))?;
-        for field in [
-            "ops",
-            "maintain_total_us",
-            "maintain_per_op_us",
-            "rebuild_us",
-        ] {
-            upd.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("updates.{preset}.{field} missing"))?;
-        }
-        for (algo, _) in ALGOS {
-            for field in ["locate_us", "peel_us", "finish_us", "total_us"] {
-                us_of(doc, "search", preset, algo, field)?;
+/// Step 3: every serve run has levels at strictly rising concurrency, each
+/// accounting for every request, with `0 < p50 ≤ p99`.
+fn check_serve(doc: &Json) -> Result<(), String> {
+    let Json::Object(runs) = at(doc, "serve.runs")? else {
+        return Err("serve.runs must be an object".into());
+    };
+    for (run, entry) in runs {
+        let base = format!("serve.runs.{run}");
+        let requests = uint_at(doc, &format!("{base}.requests_per_level"))?;
+        let Some(levels @ [_, ..]) = entry.get("levels").and_then(Json::as_array) else {
+            return Err(format!("{base}.levels must be a non-empty array"));
+        };
+        let mut prev = 0;
+        for i in 0..levels.len() {
+            let level = format!("{base}.levels.{i}");
+            let field = |name: &str| uint_at(doc, &format!("{level}.{name}"));
+            let concurrency = field("concurrency")?;
+            if concurrency <= prev {
+                return Err(format!("{level}: concurrency {concurrency} ≤ {prev}"));
             }
-        }
-    }
-    // The tentpole bar: a maintained single-edge update must be ≥10×
-    // cheaper than the full rebuild a naive design would pay per op.
-    let fb = doc
-        .get("updates")
-        .and_then(|u| u.get("mini-facebook"))
-        .expect("checked above");
-    let per_op = fb
-        .get("maintain_per_op_us")
-        .and_then(Json::as_u64)
-        .expect("checked above");
-    let rebuild = fb
-        .get("rebuild_us")
-        .and_then(Json::as_u64)
-        .expect("checked above");
-    if per_op.saturating_mul(10) > rebuild {
-        return Err(format!(
-            "mini-facebook: maintained update {per_op}µs/op is not ≥10× cheaper \
-             than the {rebuild}µs full rebuild"
-        ));
-    }
-    // The search path must not have paid for the dynamic machinery: every
-    // recorded median stays within 10% (plus a 50µs jitter floor for
-    // near-zero phases) of the committed BENCH_6 `after` section.
-    let six_path = std::path::Path::new(path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map(|p| p.join("BENCH_6.json"))
-        .unwrap_or_else(|| "BENCH_6.json".into());
-    let six_text = std::fs::read_to_string(&six_path)
-        .map_err(|e| format!("reading {}: {e}", six_path.display()))?;
-    let six = Json::parse(&six_text).map_err(|e| format!("parsing BENCH_6.json: {e:?}"))?;
-    for (algo, _) in ALGOS {
-        for field in ["locate_us", "peel_us", "total_us"] {
-            let base = us_of(&six, "after", "mini-facebook", algo, field)?;
-            let now = us_of(doc, "search", "mini-facebook", algo, field)?;
-            if now > base + base / 10 + 50 {
+            prev = concurrency;
+            let (ok, s429, s503) = (field("ok")?, field("shed_429")?, field("shed_503")?);
+            if ok.saturating_add(s429).saturating_add(s503) != requests {
                 return Err(format!(
-                    "mini-facebook/{algo}: recorded {field} regressed past the \
-                     BENCH_6 bar ({base}µs → {now}µs)"
+                    "{level}: ok {ok} + shed_429 {s429} + shed_503 {s503} ≠ \
+                     requests_per_level {requests}"
                 ));
             }
+            let (p50, p99) = (field("p50_us")?, field("p99_us")?);
+            if p50 == 0 || p50 > p99 {
+                return Err(format!("{level}: want 0 < p50_us {p50} ≤ p99_us {p99}"));
+            }
         }
     }
-    // Smoke the update harness so it cannot silently rot.
-    let quick = measure_updates(1);
-    for preset in PRESETS {
-        quick
-            .get(preset)
-            .and_then(|p| p.get("maintain_per_op_us"))
-            .ok_or_else(|| format!("quick update measurement lost {preset}"))?;
-    }
-    println!(
-        "bench_record --check: {path} ok (schema, ≥10× maintain-vs-rebuild bar, \
-         search within the BENCH_6 bars, harness smoke)"
-    );
     Ok(())
 }
 
-/// The `ctc-bench-8` bars: structural, not absolute — latency medians are
-/// machine-bound, so the committed document is validated for shape
-/// (schema, every level accounted, p50 ≤ p99, concurrency strictly
-/// rising) and the load harness is smoked end-to-end against a live
-/// server so it cannot silently rot.
-fn check8(path: &str, doc: &Json) -> Result<(), String> {
-    let levels = match doc.get("levels") {
-        Some(Json::Array(levels)) if !levels.is_empty() => levels,
-        _ => return Err("levels must be a non-empty array".into()),
+/// Steps 1–3 over a parsed record.
+fn check_record(doc: &Json) -> Result<(), String> {
+    check_fields(doc)?;
+    for bar in bars() {
+        check_bar(doc, &bar)?;
+    }
+    check_serve(doc)
+}
+
+/// Measures one section: `quick` takes one query set or the smoke load.
+fn measure_section(section: &str, samples: usize, quick: bool) -> Result<Json, String> {
+    Ok(match section {
+        "search" => measure(samples, if quick { 1 } else { QUERY_SETS }),
+        "updates" => measure_updates(samples),
+        _ => {
+            let spec = match quick {
+                true => serveload::LoadSpec::smoke(),
+                false => serveload::LoadSpec::default(),
+            };
+            serveload::encode_run(&spec, &serveload::run(&spec)?)
+        }
+    })
+}
+
+/// Step 4: one quick pass of each harness, held to steps 1 and 3.
+fn smoke() -> Result<(), String> {
+    let mut doc = empty_record();
+    for (section, _) in SECTIONS {
+        let run = measure_section(section, 1, true)?;
+        put_run(&mut doc, section, "smoke", run)?;
+    }
+    check_fields(&doc)?;
+    check_serve(&doc)
+}
+
+/// `--record SECTION.RUN FILE`: measures one section and replaces that run
+/// of the record in `FILE`.
+fn record(target: &str, path: &str, samples: usize, quick: bool) -> Result<(), String> {
+    let Some((section, run)) = target.split_once('.').filter(|(s, r)| {
+        SECTIONS.iter().any(|(name, _)| name == s) && !r.is_empty() && !r.contains('.')
+    }) else {
+        return Err(format!("bad --record {target:?}\n{USAGE}"));
     };
-    let requests = doc
-        .get("requests_per_level")
-        .and_then(Json::as_u64)
-        .ok_or("requests_per_level missing")?;
-    let mut prev_conc = 0u64;
-    for (i, level) in levels.iter().enumerate() {
-        let field = |name: &str| -> Result<u64, String> {
-            level
-                .get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("levels[{i}].{name} missing"))
-        };
-        let conc = field("concurrency")?;
-        if conc <= prev_conc {
-            return Err(format!(
-                "levels[{i}]: concurrency {conc} must rise past {prev_conc}"
-            ));
-        }
-        prev_conc = conc;
-        let (ok, s429, s503) = (field("ok")?, field("shed_429")?, field("shed_503")?);
-        if ok + s429 + s503 != requests {
-            return Err(format!(
-                "levels[{i}]: ok {ok} + sheds {s429}+{s503} ≠ requests_per_level {requests}"
-            ));
-        }
-        let (p50, p99) = (field("p50_us")?, field("p99_us")?);
-        if p50 > p99 {
-            return Err(format!("levels[{i}]: p50 {p50}µs > p99 {p99}µs"));
-        }
-        if p99 == 0 {
-            return Err(format!("levels[{i}]: zero p99 means nothing was timed"));
-        }
-    }
-    // Smoke the load harness: a tiny zipfian run against a live server,
-    // every request accounted for.
-    let spec = serveload::LoadSpec::smoke();
-    let results = serveload::run(&spec);
-    for r in &results {
-        if r.ok + r.shed_429 + r.shed_503 != spec.requests_per_level as u64 {
-            return Err(format!("smoke run lost requests: {r:?}"));
-        }
-    }
-    println!(
-        "bench_record --check: {path} ok (schema, {} levels accounted, \
-         p50≤p99, live-server harness smoke)",
-        levels.len()
-    );
+    let mut doc = read_record(path)?;
+    let measured = measure_section(section, samples, quick)?;
+    put_run(&mut doc, section, run, measured)?;
+    std::fs::write(path, format!("{}\n", doc.encode()))
+        .map_err(|e| format!("writing {path}: {e}"))?;
+    println!("wrote {target} into {path}");
     Ok(())
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let after = |name: &str, n: usize| -> Option<&str> {
+        let i = args.iter().position(|a| a == name)?;
+        args.get(i + n).map(String::as_str)
     };
-    if let Some(path) = flag("--check") {
-        return check(&path);
+    if let Some(path) = after("--check", 1) {
+        check_record(&read_record(path)?).map_err(|e| format!("{path}: {e}"))?;
+        smoke()?;
+        let bars = bars().len();
+        println!("bench_record --check: {path} ok (fields, {bars} bars, serve runs, smokes)");
+        return Ok(());
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let samples: usize = match flag("--samples") {
+    let samples: usize = match after("--samples", 1) {
         Some(raw) => raw.parse().map_err(|_| format!("bad --samples {raw:?}"))?,
         None if quick => 3,
         None => 15,
     };
-    let query_sets = if quick { 1 } else { QUERY_SETS };
-    if let Some(path) = flag("--out8") {
-        let spec = if quick {
-            serveload::LoadSpec::smoke()
-        } else {
-            serveload::LoadSpec::default()
-        };
-        let results = serveload::run(&spec);
-        let doc = document8(&spec, &results);
-        std::fs::write(&path, format!("{}\n", doc.encode()))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-        return Ok(());
+    match (after("--record", 1), after("--record", 2)) {
+        (Some(target), Some(path)) => record(target, path, samples, quick),
+        _ => Err(USAGE.into()),
     }
-    if let Some(path) = flag("--out7") {
-        // Updates first: the search sweep heats caches/allocator enough to
-        // visibly skew the much smaller per-op update timings.
-        let updates = measure_updates(samples);
-        let doc = document7(measure(samples, query_sets), updates, samples);
-        std::fs::write(&path, format!("{}\n", doc.encode()))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-        return Ok(());
-    }
-    let measured = measure(samples, query_sets);
-    match flag("--out") {
-        None => {
-            println!("{}", document(measured.clone(), measured, samples).encode());
-        }
-        Some(path) => {
-            let before = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Json::parse(&text).ok())
-                .and_then(|doc| doc.get("before").cloned())
-                .unwrap_or_else(|| measured.clone());
-            let doc = document(before, measured, samples);
-            std::fs::write(&path, format!("{}\n", doc.encode()))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-    }
-    Ok(())
 }
 
 fn main() -> std::process::ExitCode {
@@ -571,5 +491,84 @@ fn main() -> std::process::ExitCode {
             eprintln!("bench_record: {msg}");
             std::process::ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> Json {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_RECORD.json");
+        read_record(path).unwrap()
+    }
+
+    /// `doc` with `value` at `path`, through the checker: its error.
+    fn broken(doc: &Json, path: &str, value: Json) -> Result<(), String> {
+        let mut edited = doc.clone();
+        set(&mut edited, path, value).unwrap();
+        check_record(&edited)
+    }
+
+    #[test]
+    fn committed_record_passes_and_each_bar_fails_one_past_its_bound() {
+        let doc = committed();
+        check_record(&doc).unwrap();
+        assert_eq!(bars().len(), 20);
+        for (lhs, times, rhs, pct, slack_us) in bars() {
+            let rhs = uint_at(&doc, &rhs).unwrap();
+            let largest = (rhs + rhs * pct / 100 + slack_us) / times;
+            broken(&doc, &lhs, Json::Uint(largest)).unwrap();
+            let err = broken(&doc, &lhs, Json::Uint(largest + 1)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{lhs} = {} breaks", largest + 1)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn defects_fail_naming_their_path() {
+        let doc = committed();
+        let entry = "search.runs.pr7.mini-dblp.truss";
+        let Some(Json::Object(mut fields)) = at(&doc, entry).ok().cloned() else {
+            panic!("{entry} is an object");
+        };
+        fields.retain(|(k, _)| k != "finish_us");
+        let err = broken(&doc, entry, Json::Object(fields)).unwrap_err();
+        assert_eq!(err, format!("{entry}.finish_us missing"));
+        let level = |i: usize, f: &str| uint_at(&doc, &format!("serve.runs.pr8.levels.{i}.{f}"));
+        for (i, field, value) in [
+            (2, "ok", level(2, "ok").unwrap() - 1),
+            (0, "p50_us", level(0, "p99_us").unwrap() + 1),
+            (1, "p50_us", 0),
+            (3, "concurrency", level(2, "concurrency").unwrap()),
+        ] {
+            let path = format!("serve.runs.pr8.levels.{i}.{field}");
+            let err = broken(&doc, &path, Json::Uint(value)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("serve.runs.pr8.levels.{i}: ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn put_run_replaces_one_run_and_keeps_the_rest() {
+        let doc = committed();
+        let mut edited = doc.clone();
+        put_run(&mut edited, "search", "pr7", Json::Uint(1)).unwrap();
+        assert_eq!(at(&edited, "search.runs.pr7"), Ok(&Json::Uint(1)));
+        set(
+            &mut edited,
+            "search.runs.pr7",
+            at(&doc, "search.runs.pr7").unwrap().clone(),
+        )
+        .unwrap();
+        assert_eq!(edited, doc, "every other run is untouched");
+        let mut fresh = empty_record();
+        put_run(&mut fresh, "updates", "pr9", Json::Uint(2)).unwrap();
+        let updates = r#"{"unit":"microseconds_median","runs":{"pr9":2}}"#;
+        assert_eq!(fresh.get("updates"), Json::parse(updates).ok().as_ref());
     }
 }

@@ -2,16 +2,18 @@
 //!
 //! Self-hosts a two-tenant `CtcServer` (mini-facebook + mini-dblp) and
 //! drives it through increasing concurrency levels, printing the p50/p99
-//! latency trajectory — the interactive face of the `BENCH_8.json`
-//! recorder (`bench_record --out8`).
+//! latency trajectory — the interactive face of
+//! `bench_record --record serve.<run>`. `--json` prints the run as
+//! [`encode_run`] encodes it, the encoding that recorder writes into
+//! `BENCH_RECORD.json`. A failed run exits 1 with one `load_gen:` error
+//! line.
 //!
 //! ```text
 //! load_gen [--levels 1,4,16,64] [--requests N] [--zipf S]
 //!          [--pool N] [--seed N] [--json]
 //! ```
 
-use ctc_bench::serveload::{encode_levels, run, LoadSpec};
-use ctc_server::Json;
+use ctc_bench::serveload::{encode_run, run, LoadSpec};
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,18 +69,15 @@ fn main() -> std::process::ExitCode {
             }
         }
     }
-    let results = run(&spec);
+    let results = match run(&spec) {
+        Ok(results) => results,
+        Err(msg) => {
+            eprintln!("load_gen: {msg}");
+            return std::process::ExitCode::FAILURE;
+        }
+    };
     if args.iter().any(|a| a == "--json") {
-        let doc = Json::Object(vec![
-            ("zipf_s".into(), Json::Float(spec.zipf_s)),
-            ("pool_size".into(), Json::Uint(spec.pool_size as u64)),
-            (
-                "requests_per_level".into(),
-                Json::Uint(spec.requests_per_level as u64),
-            ),
-            ("levels".into(), encode_levels(&results)),
-        ]);
-        println!("{}", doc.encode());
+        println!("{}", encode_run(&spec, &results).encode());
     } else {
         println!(
             "load_gen: zipf(s={}) over {} queries/tenant, {} requests/level",

@@ -1,4 +1,5 @@
-//! Zipfian load generator for the evented serving stack (`BENCH_8.json`).
+//! Zipfian load generator for the evented serving stack (the `serve`
+//! section of `BENCH_RECORD.json`).
 //!
 //! Self-hosts a [`CtcServer`] on an ephemeral loopback port with two named
 //! tenants (the mini presets), then drives it with keep-alive client
@@ -7,14 +8,17 @@
 //! serving mix where a hot head amortizes through the answer cache while
 //! the tail keeps the search path honest. Every request's wall latency is
 //! recorded client-side; the document reports the p50/p99 trajectory per
-//! level plus any admission sheds observed (429/503).
+//! level plus any admission sheds observed (429/503). Any other status, or
+//! a connect, write or read failure, ends the run with an `Err` that names
+//! the level. [`encode_run`] is the one encoding of a run, shared by
+//! `bench_record --record serve.<run>` and `load_gen --json`.
 //!
 //! Determinism: the query pool, the Zipf draw sequence, and the
 //! tenant interleave are all seeded (splitmix64 — the vendored `rand` has
 //! no distributions, so the sampler is hand-rolled); latencies are of
-//! course machine-dependent, which is why the committed bars in
-//! `bench_record --check` validate shape (schema, p50 ≤ p99, exact
-//! request accounting), never absolute microseconds.
+//! course machine-dependent, which is why `bench_record --check` validates
+//! a serve run's shape (levels, exact request accounting, 0 < p50 ≤ p99),
+//! never absolute microseconds.
 
 use ctc_core::CommunityEngine;
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
@@ -185,6 +189,9 @@ fn read_status(conn: &mut TcpStream, scratch: &mut Vec<u8>) -> std::io::Result<(
     }
 }
 
+/// One connection's tally: latencies plus ok / 429 / 503 counts.
+type ConnTally = (Vec<u64>, u64, u64, u64);
+
 /// One client connection's share of a level: keep-alive, reconnecting
 /// only if the server closed the connection (e.g. after a shed).
 fn drive_conn(
@@ -193,15 +200,15 @@ fn drive_conn(
     zipf: &Zipf,
     mut rng: u64,
     requests: usize,
-) -> (Vec<u64>, u64, u64, u64) {
-    let connect = || -> TcpStream {
-        let conn = TcpStream::connect(addr).expect("load connect");
+) -> Result<ConnTally, String> {
+    let connect = || -> Result<TcpStream, String> {
+        let conn = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
         conn.set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
+            .map_err(|e| format!("connect: {e}"))?;
         let _ = conn.set_nodelay(true);
-        conn
+        Ok(conn)
     };
-    let mut conn = connect();
+    let mut conn = connect()?;
     let mut scratch = Vec::new();
     let (mut ok, mut s429, mut s503) = (0u64, 0u64, 0u64);
     let mut lat = Vec::with_capacity(requests);
@@ -214,25 +221,26 @@ fn drive_conn(
         );
         let t0 = Instant::now();
         if conn.write_all(raw.as_bytes()).is_err() {
-            conn = connect();
+            conn = connect()?;
             scratch.clear();
             conn.write_all(raw.as_bytes())
-                .expect("write after reconnect");
+                .map_err(|e| format!("write after reconnect: {e}"))?;
         }
-        let (status, closed) = read_status(&mut conn, &mut scratch).expect("read status");
+        let (status, closed) =
+            read_status(&mut conn, &mut scratch).map_err(|e| format!("read: {e}"))?;
         lat.push(t0.elapsed().as_micros() as u64);
         match status {
             200 => ok += 1,
             429 => s429 += 1,
             503 => s503 += 1,
-            other => panic!("unexpected status {other}"),
+            other => return Err(format!("unexpected status {other} from /t/{tenant}/search")),
         }
         if closed {
-            conn = connect();
+            conn = connect()?;
             scratch.clear();
         }
     }
-    (lat, ok, s429, s503)
+    Ok((lat, ok, s429, s503))
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -246,41 +254,66 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// Runs the whole trajectory: one self-hosted server, every level in
 /// `spec.levels` in order, cache state carried across levels (a serving
 /// process is warm; re-cold-starting per level would measure builds).
-pub fn run(spec: &LoadSpec) -> Vec<LevelResult> {
+///
+/// The first failure — a status other than 200, 429 or 503, or a connect,
+/// write or read error — ends the run as an `Err` naming its level.
+pub fn run(spec: &LoadSpec) -> Result<Vec<LevelResult>, String> {
+    let (fb_engine, fb_pool) = query_pool("mini-facebook", spec.pool_size, spec.seed);
+    let (dblp_engine, dblp_pool) = query_pool("mini-dblp", spec.pool_size, spec.seed ^ 1);
+    let pools = vec![
+        (TENANTS[0].to_string(), fb_pool),
+        (TENANTS[1].to_string(), dblp_pool),
+    ];
+    drive(
+        spec,
+        vec![(TENANTS[0], fb_engine), (TENANTS[1], dblp_engine)],
+        &pools,
+    )
+}
+
+/// Serves `engines` as named tenants and drives every level of `spec`
+/// with requests drawn from `pools`, each `(tenant, bodies)`.
+fn drive(
+    spec: &LoadSpec,
+    engines: Vec<(&str, CommunityEngine)>,
+    pools: &[(String, Vec<String>)],
+) -> Result<Vec<LevelResult>, String> {
     let cfg = ServeConfig {
         pool: Parallelism::threads(2),
         max_conns: spec.levels.iter().copied().max().unwrap_or(1) + 16,
         request_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     };
-    let (fb_engine, fb_pool) = query_pool("mini-facebook", spec.pool_size, spec.seed);
-    let (dblp_engine, dblp_pool) = query_pool("mini-dblp", spec.pool_size, spec.seed ^ 1);
-    let state = Arc::new(AppState::new(fb_engine.clone(), &cfg));
-    state
-        .add_tenant_engine(TENANTS[0], fb_engine)
-        .expect("register fb");
-    state
-        .add_tenant_engine(TENANTS[1], dblp_engine)
-        .expect("register dblp");
-    let pools: Vec<(String, Vec<String>)> = vec![
-        (TENANTS[0].to_string(), fb_pool),
-        (TENANTS[1].to_string(), dblp_pool),
-    ];
-    let server = CtcServer::bind_state(Arc::clone(&state), "127.0.0.1:0", &cfg).expect("bind");
+    let state = Arc::new(AppState::new(engines[0].1.clone(), &cfg));
+    for (name, engine) in engines {
+        state.add_tenant_engine(name, engine)?;
+    }
+    let server = CtcServer::bind_state(Arc::clone(&state), "127.0.0.1:0", &cfg)
+        .map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.serve());
+    let results = drive_levels(addr, spec, pools);
+    handle.shutdown();
+    let _ = join.join();
+    results
+}
 
+/// Drives every level of `spec` at the server on `addr`, in order.
+fn drive_levels(
+    addr: SocketAddr,
+    spec: &LoadSpec,
+    pools: &[(String, Vec<String>)],
+) -> Result<Vec<LevelResult>, String> {
     let zipf = Zipf::new(spec.pool_size, spec.zipf_s);
     let mut results = Vec::with_capacity(spec.levels.len());
     for (li, &level) in spec.levels.iter().enumerate() {
         let level = level.max(1);
         let share = spec.requests_per_level / level;
         let extra = spec.requests_per_level % level;
-        let outcomes: Vec<(Vec<u64>, u64, u64, u64)> = std::thread::scope(|scope| {
+        let outcomes: Vec<Result<ConnTally, String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..level)
                 .map(|ci| {
-                    let pools = &pools;
                     let zipf = &zipf;
                     let requests = share + usize::from(ci < extra);
                     let rng = spec
@@ -292,12 +325,17 @@ pub fn run(spec: &LoadSpec) -> Vec<LevelResult> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("client"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err("client thread panicked".into()))
+                })
                 .collect()
         });
         let mut lat: Vec<u64> = Vec::with_capacity(spec.requests_per_level);
         let (mut ok, mut s429, mut s503) = (0u64, 0u64, 0u64);
-        for (l, o, a, b) in outcomes {
+        for outcome in outcomes {
+            let (l, o, a, b) =
+                outcome.map_err(|e| format!("level {} (concurrency {level}): {e}", li + 1))?;
             lat.extend(l);
             ok += o;
             s429 += a;
@@ -313,28 +351,35 @@ pub fn run(spec: &LoadSpec) -> Vec<LevelResult> {
             p99_us: percentile(&lat, 0.99),
         });
     }
-    handle.shutdown();
-    let _ = join.join();
-    results
+    Ok(results)
 }
 
-/// The `levels` array of the `ctc-bench-8` document.
-pub fn encode_levels(results: &[LevelResult]) -> Json {
-    Json::Array(
-        results
-            .iter()
-            .map(|r| {
-                Json::Object(vec![
-                    ("concurrency".into(), Json::Uint(r.concurrency as u64)),
-                    ("ok".into(), Json::Uint(r.ok)),
-                    ("shed_429".into(), Json::Uint(r.shed_429)),
-                    ("shed_503".into(), Json::Uint(r.shed_503)),
-                    ("p50_us".into(), Json::Uint(r.p50_us)),
-                    ("p99_us".into(), Json::Uint(r.p99_us)),
-                ])
-            })
-            .collect(),
-    )
+/// One serve run as `BENCH_RECORD.json` records it: the load shape, the
+/// tenant count and one entry per level.
+pub fn encode_run(spec: &LoadSpec, results: &[LevelResult]) -> Json {
+    let levels = results
+        .iter()
+        .map(|r| {
+            Json::Object(vec![
+                ("concurrency".into(), Json::Uint(r.concurrency as u64)),
+                ("ok".into(), Json::Uint(r.ok)),
+                ("shed_429".into(), Json::Uint(r.shed_429)),
+                ("shed_503".into(), Json::Uint(r.shed_503)),
+                ("p50_us".into(), Json::Uint(r.p50_us)),
+                ("p99_us".into(), Json::Uint(r.p99_us)),
+            ])
+        })
+        .collect();
+    Json::Object(vec![
+        ("zipf_s".into(), Json::Float(spec.zipf_s)),
+        ("pool_size".into(), Json::Uint(spec.pool_size as u64)),
+        (
+            "requests_per_level".into(),
+            Json::Uint(spec.requests_per_level as u64),
+        ),
+        ("tenants".into(), Json::Uint(TENANTS.len() as u64)),
+        ("levels".into(), Json::Array(levels)),
+    ])
 }
 
 #[cfg(test)]
@@ -357,7 +402,7 @@ mod tests {
     #[test]
     fn smoke_load_run_accounts_every_request() {
         let spec = LoadSpec::smoke();
-        let results = run(&spec);
+        let results = run(&spec).expect("smoke run");
         assert_eq!(results.len(), spec.levels.len());
         for r in &results {
             assert_eq!(
@@ -368,5 +413,20 @@ mod tests {
             assert!(r.p50_us <= r.p99_us, "{r:?}");
             assert!(r.p99_us > 0, "{r:?}");
         }
+    }
+
+    #[test]
+    fn unexpected_status_is_an_err_not_a_panic() {
+        let spec = LoadSpec {
+            levels: vec![1, 2],
+            requests_per_level: 4,
+            pool_size: 1,
+            ..LoadSpec::default()
+        };
+        let (engine, bodies) = query_pool("mini-facebook", 1, spec.seed);
+        let err = drive(&spec, vec![("fb", engine)], &[("ghost".into(), bodies)])
+            .expect_err("an unregistered tenant answers 404");
+        assert!(err.contains("level 1 (concurrency 1)"), "{err}");
+        assert!(err.contains("unexpected status 404"), "{err}");
     }
 }

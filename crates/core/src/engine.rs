@@ -399,8 +399,9 @@ impl CommunityEngine {
     /// The first mutation on an engine adopts the current index into the
     /// dynamic state in `O(n + m)`; later batches reuse it, so steady-state
     /// per-update cost is the local repair cascade plus the `O(n + m)`
-    /// republication — still far below the `O(ρm)` rebuild (see
-    /// `BENCH_7.json`).
+    /// republication. The `updates` runs of `BENCH_RECORD.json` time only
+    /// the [`DynamicIndex`] repair against the `O(ρm)` rebuild; the
+    /// republication is ctcbench's `dynamic.materialize_p50_us`.
     ///
     /// The outer `Err` only reports internal materialization failures
     /// (never caused by rejected updates); per-update outcomes live in

@@ -89,7 +89,8 @@ mod tests {
         // Every Gt edge has parent trussness ≥ kt.
         for (_, lu, lv) in gt.graph.edges() {
             let (pu, pv) = (gt.parent(lu), gt.parent(lv));
-            assert!(idx.truss_of_pair(pu, pv).unwrap() >= tree.min_truss);
+            let e = g.edge_between(pu, pv).unwrap();
+            assert!(idx.edge_truss(e) >= tree.min_truss);
         }
     }
 

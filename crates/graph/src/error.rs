@@ -25,11 +25,11 @@ pub enum GraphError {
     },
     /// An I/O failure, carried as a string so the error stays `Clone + Eq`.
     Io(String),
-    /// A malformed binary graph image or snapshot (bad magic, truncated
-    /// section, checksum mismatch, inconsistent arrays).
+    /// A malformed snapshot or log (bad magic, truncated section, checksum
+    /// mismatch, inconsistent arrays).
     Corrupt(String),
-    /// A binary image or snapshot written by a newer, forward-incompatible
-    /// format version. Distinct from [`GraphError::Corrupt`]: the file is
+    /// A snapshot or log written by a newer, forward-incompatible format
+    /// version. Distinct from [`GraphError::Corrupt`]: the file is
     /// intact, this build is just too old to read it.
     UnsupportedVersion {
         /// Version found in the file header.

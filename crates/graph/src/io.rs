@@ -1,10 +1,8 @@
-//! Graph serialization: SNAP-style edge lists, a compact binary image, and
-//! the building blocks of the `.ctci` snapshot format.
+//! Graph serialization: SNAP-style edge lists and the building blocks of
+//! the `.ctci` snapshot format.
 //!
 //! The paper's datasets ship as whitespace-separated edge lists with `#`
-//! comments (SNAP format); [`read_edge_list`] accepts exactly that. The
-//! binary image is a little-endian `u32` dump framed with a magic header,
-//! assembled through the `bytes` crate.
+//! comments (SNAP format); [`read_edge_list`] accepts exactly that.
 //!
 //! The snapshot layer (consumed by `ctc_truss::snapshot`, specified
 //! byte-for-byte in `docs/INDEX_FORMAT.md`) builds on three primitives
@@ -24,14 +22,9 @@ use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::{GraphError, Result};
 use crate::fx::FxHashMap;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
-
-/// Magic bytes prefixing the binary graph image.
-pub const MAGIC: &[u8; 4] = b"CTCG";
-/// Binary image format version.
-pub const VERSION: u32 = 1;
 
 /// Reads a SNAP-style edge list: one `u v` pair per line, `#` comments and
 /// blank lines ignored. Vertex labels may be arbitrary non-negative
@@ -87,62 +80,6 @@ pub fn write_edge_list<W: Write>(g: &CsrGraph, mut w: W) -> Result<()> {
         writeln!(w, "{} {}", u.0, v.0)?;
     }
     Ok(())
-}
-
-/// Serializes `g` into the compact binary image.
-pub fn to_bytes(g: &CsrGraph) -> Bytes {
-    let m = g.num_edges();
-    let mut buf = BytesMut::with_capacity(16 + 8 * m);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(g.num_vertices() as u32);
-    buf.put_u32_le(m as u32);
-    for (_, u, v) in g.edges() {
-        buf.put_u32_le(u.0);
-        buf.put_u32_le(v.0);
-    }
-    buf.freeze()
-}
-
-/// Deserializes a graph from the binary image produced by [`to_bytes`].
-pub fn from_bytes(mut data: &[u8]) -> Result<CsrGraph> {
-    if data.len() < 16 {
-        return Err(GraphError::Corrupt("image shorter than header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(GraphError::Corrupt("bad magic".into()));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(GraphError::UnsupportedVersion {
-            found: version,
-            supported: VERSION,
-        });
-    }
-    let n = data.get_u32_le() as usize;
-    let m = data.get_u32_le() as usize;
-    if data.remaining() < 8 * m {
-        return Err(GraphError::Corrupt(format!(
-            "truncated edge section: want {} bytes, have {}",
-            8 * m,
-            data.remaining()
-        )));
-    }
-    let mut builder = GraphBuilder::with_capacity(m);
-    builder.ensure_vertices(n);
-    for _ in 0..m {
-        let u = data.get_u32_le();
-        let v = data.get_u32_le();
-        if u as usize >= n || v as usize >= n {
-            return Err(GraphError::Corrupt(format!(
-                "edge ({u},{v}) out of range for n={n}"
-            )));
-        }
-        builder.add_edge(u, v);
-    }
-    Ok(builder.build())
 }
 
 // ---------------------------------------------------------------------------
@@ -403,43 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let g = graph_from_edges(&[(0, 3), (1, 3), (2, 3), (0, 1)]);
-        let img = to_bytes(&g);
-        let g2 = from_bytes(&img).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(from_bytes(b"nope").is_err());
-        assert!(from_bytes(b"XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00").is_err());
-        // Valid header claiming edges that are not present.
-        let mut img = BytesMut::new();
-        img.put_slice(MAGIC);
-        img.put_u32_le(VERSION);
-        img.put_u32_le(2);
-        img.put_u32_le(5);
-        assert!(from_bytes(&img).is_err());
-    }
-
-    #[test]
-    fn version_mismatch_is_typed() {
-        let g = graph_from_edges(&[(0, 1)]);
-        let mut img = BytesMut::new();
-        img.put_slice(&to_bytes(&g));
-        let mut raw = img.to_vec();
-        raw[4] = 99; // bump the version field
-        assert_eq!(
-            from_bytes(&raw).unwrap_err(),
-            GraphError::UnsupportedVersion {
-                found: 99,
-                supported: VERSION
-            }
-        );
-    }
-
-    #[test]
     fn u32_sections_roundtrip_and_reject_truncation() {
         let mut buf = BytesMut::new();
         put_u32_section(&mut buf, &[7, 8, 9]);
@@ -573,17 +473,5 @@ mod tests {
         for len in 0..40 {
             assert_ne!(lanes64(&vec![0; len]), lanes64(&vec![0; len + 1]));
         }
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_edge() {
-        let mut img = BytesMut::new();
-        img.put_slice(MAGIC);
-        img.put_u32_le(VERSION);
-        img.put_u32_le(2); // n = 2
-        img.put_u32_le(1); // m = 1
-        img.put_u32_le(0);
-        img.put_u32_le(7); // vertex 7 out of range
-        assert!(from_bytes(&img).is_err());
     }
 }

@@ -686,4 +686,45 @@ mod tests {
         let shared = g.edge_between(VertexId(2), VertexId(3)).unwrap();
         assert_eq!(d.truss(shared), 4);
     }
+
+    /// K_130 is the smallest clique whose triangle slots exceed the
+    /// pre-index cap (8385 edges × 128 = 1,073,280 > 2^20), so both graphs
+    /// here take the `DynGraph` merge peel: the clique alone, then with a
+    /// pendant edge, a triangle and a K4 hung off clique vertex 0.
+    #[test]
+    fn merge_fallback_past_the_pre_index_cap() {
+        let clique = crate::fixtures::clique(130);
+        let mut edges: Vec<(u32, u32)> = clique.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+        let alone = graph_from_edges(&edges);
+        edges.extend([(0, 130), (0, 131), (0, 132), (131, 132)]);
+        edges.extend([
+            (0, 133),
+            (0, 134),
+            (0, 135),
+            (133, 134),
+            (133, 135),
+            (134, 135),
+        ]);
+        let hung = graph_from_edges(&edges);
+        for (name, g) in [("K130", &alone), ("K130 + hangers", &hung)] {
+            let slots: u64 = edge_supports(g).iter().map(|&s| u64::from(s)).sum();
+            assert!(
+                slots > pre_index_cap_pairs(g.num_edges()),
+                "{name}: {slots} triangle slots no longer exceed the pre-index cap"
+            );
+            let d = truss_decomposition(g);
+            let par = truss_decomposition_par(g, Parallelism::threads(2));
+            assert_eq!(d.edge_truss, par.edge_truss, "{name}: serial vs parallel");
+            assert_eq!(d.max_truss, 130, "{name}");
+            for (e, u, v) in g.edges() {
+                let want = match u.0.max(v.0) {
+                    0..=129 => 130,
+                    130 => 2,
+                    131 | 132 => 3,
+                    _ => 4,
+                };
+                assert_eq!(d.truss(e), want, "{name}: edge ({u}, {v})");
+            }
+        }
+    }
 }

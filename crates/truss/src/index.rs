@@ -2,15 +2,14 @@
 //!
 //! For each vertex the incident arcs are re-sorted by **descending edge
 //! trussness**, so "all incident edges with trussness ≥ k" is a row prefix;
-//! vertex trussness is the first entry. A hashtable keyed by the canonical
-//! vertex pair resolves edge trussness without the CSR lookup, exactly as
-//! the paper describes. Construction costs one truss decomposition,
-//! `O(ρ·m)` (Remark 1); the index occupies `O(m)` space.
+//! vertex trussness is the first entry. The trussness of an edge given by
+//! its vertex pair is `edge_truss(g.edge_between(u, v)?)`: the CSR's
+//! sorted rows answer the pair lookup the paper gives a hashtable.
+//! Construction costs one truss decomposition, `O(ρ·m)` (Remark 1); the
+//! index occupies `O(m)` space.
 
 use crate::decompose::{truss_decomposition_with, DecomposeScratch, TrussDecomposition};
-use ctc_graph::fx::{fx_map_with_capacity, FxHashMap};
 use ctc_graph::{CsrGraph, EdgeId, VertexId};
-use std::sync::OnceLock;
 
 /// Truss index over a fixed graph.
 #[derive(Clone, Debug)]
@@ -27,11 +26,6 @@ pub struct TrussIndex {
     sorted_nbr: Vec<u32>,
     /// Edge ids parallel to `sorted_nbr`.
     sorted_edge: Vec<u32>,
-    /// Canonical `(u, v) → edge id` hashtable (paper: "we build a hashtable
-    /// to keep all the edges and their trussness values"). Built lazily on
-    /// first pair lookup — the per-query index builds of the LCTC locate
-    /// phase never pay the `m` hash inserts.
-    edge_map: OnceLock<FxHashMap<(u32, u32), u32>>,
 }
 
 impl TrussIndex {
@@ -132,30 +126,7 @@ impl TrussIndex {
             offsets,
             sorted_nbr,
             sorted_edge,
-            edge_map: OnceLock::new(),
         }
-    }
-
-    /// The lazily built pair hashtable. Reconstructed from the truss-sorted
-    /// rows (each undirected edge appears in both endpoint rows; the `u < nb`
-    /// direction yields the canonical key exactly once).
-    fn edge_map(&self) -> &FxHashMap<(u32, u32), u32> {
-        self.edge_map.get_or_init(|| {
-            let m = self.edge_truss.len();
-            let mut map = fx_map_with_capacity(m);
-            for u in 0..self.num_vertices() {
-                let lo = self.offsets[u] as usize;
-                let hi = self.offsets[u + 1] as usize;
-                for i in lo..hi {
-                    let nb = self.sorted_nbr[i];
-                    if (u as u32) < nb {
-                        map.insert((u as u32, nb), self.sorted_edge[i]);
-                    }
-                }
-            }
-            debug_assert_eq!(map.len(), m);
-            map
-        })
     }
 
     /// Trussness of edge `e`.
@@ -193,20 +164,6 @@ impl TrussIndex {
         self.edge_truss.len()
     }
 
-    /// Trussness of the edge `{u, v}` via the hashtable (`None` if absent).
-    pub fn truss_of_pair(&self, u: VertexId, v: VertexId) -> Option<u32> {
-        let key = if u.0 < v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        self.edge_map()
-            .get(&key)
-            .map(|&e| self.edge_truss[e as usize])
-    }
-
-    /// Edge id of `{u, v}` via the hashtable.
-    pub fn edge_of_pair(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        let key = if u.0 < v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        self.edge_map().get(&key).map(|&e| EdgeId(e))
-    }
-
     /// The truss-sorted row of `v`: parallel `(neighbors, edge ids)` slices
     /// ordered by descending edge trussness.
     #[inline]
@@ -237,9 +194,6 @@ impl TrussIndex {
             + self.offsets.len() * 4
             + self.sorted_nbr.len() * 4
             + self.sorted_edge.len() * 4
-            // hashtable entries: key (8) + value (4), plus ~1/0.875 load.
-            // The table is lazy; an unbuilt one occupies nothing.
-            + self.edge_map.get().map_or(0, |m| (m.len() * 12 * 8) / 7)
     }
 }
 
@@ -278,19 +232,6 @@ mod tests {
                 .unwrap_or(0);
             assert_eq!(idx.vertex_truss(v), first);
         }
-    }
-
-    #[test]
-    fn hashtable_agrees_with_csr() {
-        let g = figure1_graph();
-        let idx = TrussIndex::build(&g);
-        for (e, u, v) in g.edges() {
-            assert_eq!(idx.truss_of_pair(u, v), Some(idx.edge_truss(e)));
-            assert_eq!(idx.truss_of_pair(v, u), Some(idx.edge_truss(e)));
-            assert_eq!(idx.edge_of_pair(u, v), Some(e));
-        }
-        let f = Figure1Ids::default();
-        assert_eq!(idx.truss_of_pair(f.q2, f.q3), None);
     }
 
     #[test]

@@ -47,7 +47,10 @@ fn section2_support_vs_trussness_example() {
     let f = Figure1Ids::default();
     let idx = TrussIndex::build(&g);
     assert_eq!(support_of(&g, f.q2, f.v2), Some(3));
-    assert_eq!(idx.truss_of_pair(f.q2, f.v2), Some(4));
+    assert_eq!(
+        g.edge_between(f.q2, f.v2).map(|e| idx.edge_truss(e)),
+        Some(4)
+    );
 }
 
 #[test]

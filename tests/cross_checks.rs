@@ -32,7 +32,7 @@ proptest! {
         let d = truss_decomposition(&g);
         for (e, u, v) in g.edges() {
             prop_assert_eq!(idx.edge_truss(e), d.truss(e));
-            prop_assert_eq!(idx.truss_of_pair(u, v), Some(d.truss(e)));
+            prop_assert_eq!(g.edge_between(u, v).map(|e| idx.edge_truss(e)), Some(d.truss(e)));
         }
         for v in g.vertices() {
             prop_assert_eq!(idx.vertex_truss(v), d.vertex_truss(&g, v));

@@ -6,7 +6,7 @@ use ctc_graph::{
     bfs_distances, connected_components, diameter_double_sweep, diameter_exact, graph_from_edges,
     personalized_pagerank, PageRankOptions, UnionFind, VertexId, INF,
 };
-use ctc_truss::TrussIndex;
+use ctc_truss::{Snapshot, TrussIndex};
 use proptest::prelude::*;
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -76,9 +76,9 @@ proptest! {
         ctc_graph::io::write_edge_list(&g, &mut buf).unwrap();
         let (g2, _) = ctc_graph::io::read_edge_list(&buf[..]).unwrap();
         prop_assert_eq!(g.num_edges(), g2.num_edges());
-        // Binary image preserves ids exactly.
-        let img = ctc_graph::io::to_bytes(&g);
-        let g3 = ctc_graph::io::from_bytes(&img).unwrap();
+        // The .ctci graph section preserves ids exactly.
+        let img = Snapshot::build(g.clone()).to_bytes();
+        let g3 = Snapshot::from_bytes(&img).unwrap().graph;
         prop_assert_eq!(&g, &g3);
     }
 

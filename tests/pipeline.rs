@@ -176,8 +176,8 @@ fn tcp_model_contrast_from_intro() {
 fn serialization_roundtrip_preserves_search_results() {
     let net = mini_network("facebook", 19).unwrap();
     let g = &net.graph;
-    let img = ctc_graph::io::to_bytes(g);
-    let g2 = ctc_graph::io::from_bytes(&img).unwrap();
+    let img = Snapshot::build(g.clone()).to_bytes();
+    let g2 = Snapshot::from_bytes(&img).unwrap().graph;
     assert_eq!(g, &g2);
     let mut qgen = QueryGenerator::new(g, 29);
     let q = qgen.sample(2, DegreeRank::top(0.5), 2).unwrap();
