@@ -6,17 +6,23 @@
 //! other edges of each triangle it closed. A bucket queue keyed by support
 //! gives `O(1)` re-prioritization, for `O(m^{1.5})` total time.
 //!
+//! The serial path finds triangles on a *degree-oriented* adjacency, as
+//! the forward triangle-listing algorithm does: each edge is kept once, at
+//! its endpoint of lower `(degree, id)` rank, so a walk over the oriented
+//! rows meets each triangle exactly once, from its lowest-ranked vertex.
+//! One walk counts the supports; a second lists every triangle into
+//! per-edge slots, which the peel then reads instead of intersecting rows.
+//!
 //! [`truss_decomposition_par`] is the multi-core variant: instead of one
 //! edge at a time, it peels whole same-trussness *frontiers* — every live
 //! edge whose support has fallen to `k − 2` — concurrently, in the style of
-//! the PKT algorithm (Kabir & Madduri, HPEC'17). Trussness is a
-//! well-defined function of the graph, so both paths produce byte-identical
-//! arrays; the serial path remains the correctness oracle for the parallel
-//! one.
+//! the PKT algorithm (Kabir & Madduri, HPEC'17), intersecting sorted rows
+//! as it goes. Trussness is a well-defined function of the graph, so both
+//! paths produce byte-identical arrays; they share no triangle-finding
+//! code, and each is the correctness oracle for the other.
 
 use ctc_graph::{
-    edge_supports, edge_supports_par, BitsetAdjacency, BitsetBuffers, CsrGraph, DynGraph, EdgeId,
-    Parallelism, VertexId, DEFAULT_DENSE_DEGREE,
+    edge_supports, edge_supports_par, CsrGraph, DynGraph, EdgeId, Parallelism, VertexId,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -119,14 +125,140 @@ impl SupportBuckets {
     }
 }
 
-/// Pooled working memory for [`truss_decomposition_with`]: the bitset
-/// adjacency slab, the flat triangle pre-index, the `peeled` flags, and the
-/// bucket-queue arrays. One scratch serves any number of decompositions;
-/// a warmed scratch makes repeated per-query decompositions (LCTC's locate
-/// phase) allocation-free.
+/// Degree-oriented forward adjacency: every edge `{u, v}` is stored once,
+/// at its lower-ranked endpoint, where `u ≺ v` iff `(deg u, u) < (deg v,
+/// v)`. A triangle `u ≺ v ≺ w` then shows up exactly once, as the wedge
+/// `u → v → w` closed by the arc `u → w`, so each walk finds each triangle
+/// once, from its lowest-ranked vertex; and no out-row is longer than
+/// `√(2m)`, which bounds a walk by `O(m^{1.5})`.
+#[derive(Clone, Debug, Default)]
+struct Oriented {
+    /// `start[u]..start[u + 1]` is `u`'s slice of `arcs`.
+    start: Vec<u32>,
+    /// `(v, e)` for every out-arc `u → v` of edge `e`, row by row.
+    arcs: Vec<(u32, u32)>,
+    /// `mark[w]` is `e_uw` while `w` is an out-neighbor of the vertex `u`
+    /// being walked, and the dummy edge slot `m` otherwise.
+    mark: Vec<u32>,
+}
+
+impl Oriented {
+    /// Orients `g` in `O(n + m)`: each CSR row is filtered as it is
+    /// copied, so out-rows stay ascending with no sort.
+    fn build(&mut self, g: &CsrGraph) {
+        let n = g.num_vertices();
+        // `(deg v, v)` packed into one ordered key.
+        let rank = |v: u32| ((g.degree(VertexId(v)) as u64) << 32) | u64::from(v);
+        self.start.clear();
+        self.start.reserve(n + 1);
+        // Branch-free filter: every arc is written at `len`, which only
+        // advances past out-arcs; the one spare slot takes the last write.
+        self.arcs.clear();
+        self.arcs.resize(g.num_edges() + 1, (0, 0));
+        let mut len = 0;
+        for u in 0..n as u32 {
+            self.start.push(len as u32);
+            let ru = rank(u);
+            let row = g.neighbors(VertexId(u)).iter();
+            for (&v, &e) in row.zip(g.neighbor_edge_ids(VertexId(u))) {
+                self.arcs[len] = (v, e);
+                len += usize::from(ru < rank(v));
+            }
+        }
+        self.arcs.truncate(len);
+        self.start.push(len as u32);
+        self.mark.clear();
+        self.mark.resize(n, g.num_edges() as u32);
+    }
+
+    /// Calls `visit(mark, e_uv, out(v))` for every out-arc `u → v`, with
+    /// `u`'s out-neighbors marked: for each `(w, e_vw)` in `out(v)`,
+    /// `mark[w]` is either the third edge `e_uw` of the triangle `u ≺ v ≺
+    /// w` or the dummy slot `m`.
+    fn walk(&mut self, mut visit: impl FnMut(&[u32], u32, &[(u32, u32)])) {
+        let Self { start, arcs, mark } = self;
+        // Every edge has exactly one arc, so `m` is the arc count.
+        let dummy = arcs.len() as u32;
+        let out = |v: u32| start[v as usize] as usize..start[v as usize + 1] as usize;
+        for u in 0..mark.len() as u32 {
+            let out_u = &arcs[out(u)];
+            for &(v, e) in out_u {
+                mark[v as usize] = e;
+            }
+            for &(v, e_uv) in out_u {
+                visit(mark, e_uv, &arcs[out(v)]);
+            }
+            for &(v, _) in out_u {
+                mark[v as usize] = dummy;
+            }
+        }
+    }
+
+    /// First walk: per-edge supports into `sup` (identical to
+    /// `edge_supports`). Branch-free: a miss lands on the dummy slot `m`,
+    /// whose wrapping counter is dropped at the end.
+    fn count(&mut self, sup: &mut Vec<u32>) {
+        let m = self.arcs.len();
+        sup.clear();
+        sup.resize(m + 1, 0);
+        self.walk(|mark, e_uv, out_v| {
+            let mut closed = 0u32;
+            for &(w, e_vw) in out_v {
+                let e_uw = mark[w as usize] as usize;
+                let hit = u32::from(e_uw != m);
+                sup[e_uw] = sup[e_uw].wrapping_add(1);
+                sup[e_vw as usize] += hit;
+                closed += hit;
+            }
+            sup[e_uv as usize] += closed;
+        });
+        sup.truncate(m);
+    }
+
+    /// Second walk: lays out the triangle pre-index for the supports
+    /// `sup` the first walk counted. Edge `e`'s slots are
+    /// `tri[tri_start[e]..tri_start[e + 1]]`, one pair of the other two
+    /// edge ids per triangle on `e`, in walk order.
+    fn fill(&mut self, sup: &[u32], tri_start: &mut Vec<u32>, tri: &mut Vec<u32>) {
+        // Point each edge at the end of its run; the walk fills runs
+        // back to front, leaving `tri_start[e]` at the start of `e`'s run.
+        tri_start.clear();
+        tri_start.reserve(sup.len() + 1);
+        let mut end = 0u32;
+        for &s in sup {
+            end += 2 * s;
+            tri_start.push(end);
+        }
+        tri_start.push(end);
+        tri.clear();
+        tri.resize(end as usize, 0);
+        let m = self.arcs.len() as u32;
+        self.walk(|mark, e_uv, out_v| {
+            for &(w, e_vw) in out_v {
+                let e_uw = mark[w as usize];
+                if e_uw == m {
+                    continue;
+                }
+                for (e, a, b) in [(e_uv, e_vw, e_uw), (e_vw, e_uv, e_uw), (e_uw, e_uv, e_vw)] {
+                    let slot = &mut tri_start[e as usize];
+                    *slot -= 2;
+                    tri[*slot as usize] = a;
+                    tri[*slot as usize + 1] = b;
+                }
+            }
+        });
+    }
+}
+
+/// Pooled working memory for [`truss_decomposition_with`]: the
+/// degree-oriented adjacency and its marks, the per-edge supports, the
+/// flat triangle pre-index, the `peeled` flags, and the bucket-queue
+/// arrays. One scratch serves any number of decompositions; once warm on
+/// a graph, a decomposition of that graph (LCTC's per-query one, say)
+/// allocates only the trussness array it returns.
 #[derive(Clone, Debug, Default)]
 pub struct DecomposeScratch {
-    bitset: BitsetBuffers,
+    oriented: Oriented,
     sup: Vec<u32>,
     tri_start: Vec<u32>,
     tri: Vec<u32>,
@@ -160,13 +292,15 @@ pub fn truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
 /// Runs the truss decomposition on `g` using pooled `scratch` buffers.
 ///
 /// Identical output to [`truss_decomposition`] (which delegates here with a
-/// fresh scratch). The hot path replaces the per-edge adjacency merges of
-/// the classic peel with a flat *triangle pre-index*: one bitset-kernel
-/// sweep lists every triangle's other two edge ids into per-edge slots, and
-/// the peel loop then touches only those slots, skipping triangles already
-/// broken by a `peeled` flag — no deletion overlay, no merges. Graphs whose
-/// triangle mass exceeds the pre-index cap use the classic
-/// [`DynGraph`] merge peel instead (same answers, bounded memory).
+/// fresh scratch). Triangles are found on a degree-oriented adjacency,
+/// which holds each edge once at its lower-ranked endpoint, so a walk
+/// finds each triangle exactly once. The first walk counts supports; the
+/// second fills a flat *triangle pre-index* (the other two edge ids of
+/// each triangle, in per-edge slots), and the peel loop then touches only
+/// those slots, skipping triangles already broken by a `peeled` flag — no
+/// deletion overlay, no merges. Graphs whose triangle mass exceeds the
+/// pre-index cap skip the second walk and use the classic [`DynGraph`]
+/// merge peel instead (same answers, bounded memory).
 pub fn truss_decomposition_with(
     g: &CsrGraph,
     scratch: &mut DecomposeScratch,
@@ -179,42 +313,16 @@ pub fn truss_decomposition_with(
             max_truss: 0,
         };
     }
-    let adj =
-        BitsetAdjacency::build_in(g, DEFAULT_DENSE_DEGREE, std::mem::take(&mut scratch.bitset));
-    // Pass 1: per-edge supports via the intersection kernel (identical to
-    // `edge_supports`); their sum is the triangle-slot budget.
-    scratch.sup.clear();
-    scratch.sup.reserve(m);
-    let mut total_pairs = 0u64;
-    for (_, u, v) in g.edges() {
-        let s = adj.intersection_count(g, u, v);
-        total_pairs += s as u64;
-        scratch.sup.push(s);
-    }
+    scratch.oriented.build(g);
+    scratch.oriented.count(&mut scratch.sup);
+    // The supports' sum is the triangle-slot budget.
+    let total_pairs: u64 = scratch.sup.iter().map(|&s| u64::from(s)).sum();
     let use_pre_index = total_pairs <= pre_index_cap_pairs(m) && total_pairs * 2 <= u32::MAX as u64;
     let mut max_truss = 2u32;
     if use_pre_index {
-        // Pass 2: flatten every triangle into its owning edge's slot range.
-        // Edges are visited in id order and the kernel emits common
-        // neighbors in ascending order, so slots are filled sequentially.
-        scratch.tri_start.clear();
-        scratch.tri_start.reserve(m + 1);
-        let mut off = 0u32;
-        for &s in &scratch.sup {
-            scratch.tri_start.push(off);
-            off += 2 * s;
-        }
-        scratch.tri_start.push(off);
-        scratch.tri.clear();
-        scratch.tri.reserve(off as usize);
-        let tri = &mut scratch.tri;
-        for (_, u, v) in g.edges() {
-            adj.for_each_common(g, u, v, 0, |_, euw, evw| {
-                tri.push(euw.0);
-                tri.push(evw.0);
-            });
-        }
-        debug_assert_eq!(scratch.tri.len(), off as usize);
+        scratch
+            .oriented
+            .fill(&scratch.sup, &mut scratch.tri_start, &mut scratch.tri);
         scratch.peeled.clear();
         scratch.peeled.resize(m, false);
         // Lazy bucket peel: a decrement is one store plus one push — no
@@ -300,7 +408,6 @@ pub fn truss_decomposition_with(
             live.remove_edge(e);
         }
     }
-    scratch.bitset = adj.into_buffers();
     TrussDecomposition {
         edge_truss,
         max_truss,
@@ -685,6 +792,76 @@ mod tests {
         assert_eq!(d.max_truss, 4);
         let shared = g.edge_between(VertexId(2), VertexId(3)).unwrap();
         assert_eq!(d.truss(shared), 4);
+    }
+
+    /// Graphs for the per-pass checks: the paper's Figure 1, a clique, a
+    /// star whose hub also sits in a K4 (the K4's other three vertices tie
+    /// on degree, as do the two spokes a chord joins, so the orientation
+    /// breaks those ties by id), and random samples on both sides of the
+    /// pre-index cap.
+    fn pass_graphs() -> Vec<(&'static str, CsrGraph)> {
+        use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
+        let mut star = vec![(1, 2), (4, 9), (4, 10), (4, 11), (9, 10), (9, 11), (10, 11)];
+        star.extend([0, 1, 2, 3, 5, 6, 7, 8].map(|s| (4, s)));
+        let graphs = vec![
+            ("figure1", crate::fixtures::figure1_graph()),
+            ("k7", crate::fixtures::clique(7)),
+            ("star+k4", graph_from_edges(&star)),
+            ("er", erdos_renyi_nm(120, 900, 5)),
+            ("ba", barabasi_albert(300, 4, 6)),
+            ("dense er", erdos_renyi_nm(180, 13_000, 7)),
+            ("dense ba", barabasi_albert(260, 80, 8)),
+        ];
+        for (name, g) in &graphs {
+            let slots: u64 = edge_supports(g).iter().map(|&s| u64::from(s)).sum();
+            let over = slots > pre_index_cap_pairs(g.num_edges());
+            assert_eq!(over, name.starts_with("dense"), "{name}: {slots} slots");
+        }
+        graphs
+    }
+
+    #[test]
+    fn oriented_count_matches_the_bitset_supports() {
+        let mut oriented = Oriented::default();
+        let mut sup = vec![7; 3];
+        for (name, g) in pass_graphs() {
+            oriented.build(&g);
+            oriented.count(&mut sup);
+            assert_eq!(sup, edge_supports(&g), "{name}");
+        }
+    }
+
+    /// Each edge's slots hold one pair per triangle on it: the same
+    /// triangles, by their other two edge ids, that the bitset kernel's
+    /// listing produces for that edge (pairs compared unordered, since a
+    /// walk meets an edge from either endpoint).
+    #[test]
+    fn oriented_fill_matches_the_bitset_listing() {
+        let mut oriented = Oriented::default();
+        let (mut sup, mut tri_start, mut tri) = (Vec::new(), Vec::new(), Vec::new());
+        for (name, g) in pass_graphs() {
+            oriented.build(&g);
+            oriented.count(&mut sup);
+            oriented.fill(&sup, &mut tri_start, &mut tri);
+            assert_eq!(tri_start.len(), g.num_edges() + 1, "{name}");
+            assert_eq!(tri_start[0], 0, "{name}");
+            let unordered = |a: u32, b: u32| (a.min(b), a.max(b));
+            let adj = ctc_graph::BitsetAdjacency::build(&g);
+            for (e, u, v) in g.edges() {
+                let (a, b) = (tri_start[e.index()], tri_start[e.index() + 1]);
+                let mut got: Vec<_> = tri[a as usize..b as usize]
+                    .chunks_exact(2)
+                    .map(|p| unordered(p[0], p[1]))
+                    .collect();
+                let mut want = Vec::new();
+                adj.for_each_common(&g, u, v, 0, |_, euw, evw| {
+                    want.push(unordered(euw.0, evw.0));
+                });
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{name}: edge ({u}, {v})");
+            }
+        }
     }
 
     /// K_130 is the smallest clique whose triangle slots exceed the

@@ -2,6 +2,7 @@
 //! the serial oracle: at 2/4/8 threads the per-edge trussness array must be
 //! byte-identical to `truss_decomposition`'s on random and planted graphs.
 
+use ctc_gen::networks::{dblp_like, facebook_like};
 use ctc_gen::planted::{planted_equal, planted_partition, PlantedConfig};
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
 use ctc_graph::{edge_supports, edge_supports_par, CsrGraph, Parallelism};
@@ -95,4 +96,18 @@ fn thread_count_exceeding_edge_count_is_safe() {
     let serial = truss_decomposition(&g);
     let parallel = truss_decomposition_par(&g, Parallelism::threads(64));
     assert_eq!(parallel.edge_truss, serial.edge_truss);
+}
+
+/// The two full presets `CommunityEngine::build` decomposes at start-up,
+/// through two kernels that share no triangle-enumeration code: the serial
+/// degree-oriented walks and the PKT frontier peel.
+#[test]
+fn full_presets_agree_across_kernels() {
+    for net in [facebook_like(), dblp_like()] {
+        let g = &net.data.graph;
+        let serial = truss_decomposition(g);
+        let pkt = truss_decomposition_par(g, Parallelism::threads(2));
+        assert_eq!(serial.edge_truss, pkt.edge_truss, "{}", net.name);
+        assert_eq!(serial.max_truss, pkt.max_truss, "{}", net.name);
+    }
 }
