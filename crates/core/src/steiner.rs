@@ -57,14 +57,6 @@ pub fn steiner_tree(
     }
 }
 
-/// Distinct trussness levels of the graph, descending.
-fn distinct_levels(idx: &TrussIndex) -> Vec<u32> {
-    let mut levels: Vec<u32> = idx.edge_truss_slice().to_vec();
-    levels.sort_unstable_by(|a, b| b.cmp(a));
-    levels.dedup();
-    levels
-}
-
 fn steiner_path_min(
     g: &CsrGraph,
     idx: &TrussIndex,
@@ -77,14 +69,10 @@ fn steiner_path_min(
     // least one endpoint of every pair involving that vertex; globally cap
     // at the max vertex trussness among the query set.
     let cap = q.iter().map(|&v| idx.vertex_truss(v)).max().unwrap_or(2);
-    let levels: Vec<u32> = distinct_levels(idx)
-        .into_iter()
-        .filter(|&t| t <= cap)
-        .collect();
     let mut scratch = BfsScratch::new(g.num_vertices());
     // Metric closure: best (cost, level) per query pair.
     let mut closure = vec![vec![(f64::INFINITY, 0u32); r]; r];
-    for &t in &levels {
+    for &t in idx.distinct_levels().iter().filter(|&&t| t <= cap) {
         let penalty = gamma * (tau_bar - t) as f64;
         // A path found at this or any lower level costs ≥ penalty + 1;
         // once every pair already beats that, no further level can help.

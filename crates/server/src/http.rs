@@ -273,10 +273,15 @@ pub struct Response {
     /// Extra headers beyond the always-present `content-type`,
     /// `content-length` and `connection`.
     pub headers: Vec<(&'static str, String)>,
-    /// The response body (JSON everywhere in this server). Shared, not
-    /// owned: a cached answer is handed to every response that serves it
-    /// without being copied.
+    /// The response body (JSON everywhere in this server), or its first
+    /// part when [`Response::tail`] holds the rest. Shared, not owned: a
+    /// cached answer is handed to every response that serves it without
+    /// being copied.
     pub body: Arc<Vec<u8>>,
+    /// The rest of a two-part body, sent right after `body`: a search
+    /// answer's member lists, which the answer cache shares between the
+    /// answers with one community.
+    pub tail: Option<Arc<Vec<u8>>>,
 }
 
 impl Response {
@@ -285,14 +290,25 @@ impl Response {
         Self::shared(Arc::new(body))
     }
 
-    /// A 200 response over a body other holders keep too (the answer
-    /// cache): the response takes a reference, not a copy.
+    /// A 200 response over a body other holders keep too: the response
+    /// takes a reference, not a copy.
     pub fn shared(body: Arc<Vec<u8>>) -> Self {
         Response {
             status: 200,
             reason: "OK",
             headers: Vec::new(),
             body,
+            tail: None,
+        }
+    }
+
+    /// A 200 response whose body is `body` followed by `tail`, both kept
+    /// by other holders too (a cached answer's fields and member lists):
+    /// the response takes references, not copies.
+    pub fn shared_parts(body: Arc<Vec<u8>>, tail: Arc<Vec<u8>>) -> Self {
+        Response {
+            tail: Some(tail),
+            ..Self::shared(body)
         }
     }
 
@@ -301,8 +317,7 @@ impl Response {
         Response {
             status,
             reason,
-            headers: Vec::new(),
-            body: Arc::new(body),
+            ..Self::ok(body)
         }
     }
 
@@ -323,7 +338,7 @@ impl Response {
         for (name, value) in &self.headers {
             let _ = write!(out, "{name}: {value}\r\n");
         }
-        let _ = write!(out, "content-length: {}\r\n", self.body.len());
+        let _ = write!(out, "content-length: {}\r\n", self.body_len());
         out.extend_from_slice(if close {
             b"connection: close\r\n\r\n"
         } else {
@@ -331,22 +346,37 @@ impl Response {
         });
     }
 
+    /// The body's second part, empty for a one-part body.
+    fn tail_bytes(&self) -> &[u8] {
+        self.tail.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The body's length in bytes, both parts together.
+    fn body_len(&self) -> usize {
+        self.body.len() + self.tail_bytes().len()
+    }
+
     /// Serializes the response, head and body, into one buffer.
     pub fn encode(&self, close: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEAD_CAPACITY + self.body.len());
+        let mut out = Vec::with_capacity(HEAD_CAPACITY + self.body_len());
         self.write_head(close, &mut out);
         out.extend_from_slice(&self.body);
+        out.extend_from_slice(self.tail_bytes());
         out
     }
 
     /// Writes the bytes [`Response::encode`] returns to `w`, without
     /// assembling them: the head is formatted on its own and goes out
-    /// with the shared body in vectored writes (`writev` on a socket), so
-    /// the body is never copied on its way to the kernel.
+    /// with the shared body parts in vectored writes (`writev` on a
+    /// socket), so the body is never copied on its way to the kernel.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
         let mut head = Vec::with_capacity(HEAD_CAPACITY);
         self.write_head(close, &mut head);
-        let mut parts = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut parts = [
+            IoSlice::new(&head),
+            IoSlice::new(&self.body),
+            IoSlice::new(self.tail_bytes()),
+        ];
         let mut parts = &mut parts[..];
         while !parts.is_empty() {
             match w.write_vectored(parts) {
@@ -555,8 +585,14 @@ mod tests {
     #[test]
     fn write_to_sends_exactly_the_encoded_bytes() {
         let body = Arc::new(br#"{"k":4,"vertices":[1,2,3]}"#.to_vec());
+        let fields = Arc::new(br#"{"k":4,"#.to_vec());
+        let lists = Arc::new(br#""vertices":[1,2,3]}"#.to_vec());
         let responses = [
             Response::shared(Arc::clone(&body)).with_header("x-cache", "hit"),
+            Response::shared_parts(Arc::clone(&fields), Arc::clone(&lists))
+                .with_header("x-cache", "miss"),
+            Response::shared_parts(Arc::new(Vec::new()), Arc::clone(&lists)),
+            Response::shared_parts(Arc::clone(&fields), Arc::new(Vec::new())),
             Response::error(404, "Not Found", b"{}".to_vec()),
             Response::ok(Vec::new()),
         ];
@@ -574,6 +610,14 @@ mod tests {
             }
         }
         assert!(Arc::ptr_eq(&responses[0].body, &body), "shared, not copied");
+        // The two-part body is the one-part body, split: same bytes, same
+        // content-length.
+        let whole = String::from_utf8(responses[0].encode(false)).unwrap();
+        let split = String::from_utf8(responses[1].encode(false)).unwrap();
+        assert_eq!(whole.replace("x-cache: hit", "x-cache: miss"), split);
+        assert!(split.contains(&format!("content-length: {}\r\n", body.len())));
+        assert!(Arc::ptr_eq(&responses[1].body, &fields));
+        assert!(Arc::ptr_eq(responses[1].tail.as_ref().unwrap(), &lists));
     }
 
     #[test]

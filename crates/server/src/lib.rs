@@ -20,7 +20,9 @@
 //!   over one descriptor set and a loopback wake channel;
 //! * [`registry`] — the multi-tenant snapshot registry: many named
 //!   engines behind one listener, loaded lazily from `.ctci` paths and
-//!   evicted cost-aware (bytes-weighted LRU, never pinned or dirty);
+//!   evicted cost-aware (bytes-weighted LRU, never pinned or dirty), each
+//!   with an answer cache whose answers share the member lists of one
+//!   community;
 //! * [`server`] — the request handler, with no socket: routing, the
 //!   tenant handlers behind per-tenant admission (quarantine → `503`,
 //!   in-flight cap → `429`), the stats bodies, and the one panic
@@ -79,8 +81,9 @@ pub use registry::{
 pub use server::{AppState, CountersSnapshot, ServeConfig, ServerCountersSnapshot, DEFAULT_TENANT};
 pub use transport::{CtcServer, ServeReport, ServerHandle};
 pub use wire::{
-    decode_search_request, decode_update_request, encode_community, encode_error,
-    encode_update_response, QueryKey, SearchRequest, UpdateOutcome, UpdateRequest, WireUpdate,
+    decode_search_request, decode_update_request, encode_community, encode_community_parts,
+    encode_error, encode_update_response, QueryKey, SearchRequest, UpdateOutcome, UpdateRequest,
+    WireUpdate,
 };
 
 // Re-exported so downstreams of the server crate name the engine types

@@ -27,11 +27,12 @@
 use crate::cache::LruCache;
 use crate::wire::QueryKey;
 use ctc_core::CommunityEngine;
+use ctc_graph::io::lanes64;
 use ctc_truss::DeltaLogFile;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Tuning for the per-tenant health state machine (see [`TenantHealth`]).
@@ -225,14 +226,151 @@ impl TenantHealth {
     }
 }
 
-/// A cached `/search` answer: the encoded body plus the answer's
-/// trussness `k`, the class-keyed invalidation handle — an applied
-/// update with `max_class < k` provably cannot change this answer (for
-/// the exact algorithms), so the entry survives the update.
+/// A cached `/search` answer: the encoded body in its two parts plus the
+/// answer's trussness `k`, the class-keyed invalidation handle — an
+/// applied update with `max_class < k` provably cannot change this answer
+/// (for the exact algorithms), so the entry survives the update.
 #[derive(Clone)]
 pub(crate) struct CachedAnswer {
     pub(crate) k: u32,
-    pub(crate) body: Arc<Vec<u8>>,
+    /// The answer's own fields, `{"k":…,"num_vertices":…,…,`.
+    pub(crate) fields: Arc<Vec<u8>>,
+    /// The member lists, `"vertices":[…],"edges":[…]}`: one allocation
+    /// for every cached answer over the same community.
+    pub(crate) lists: Arc<Vec<u8>>,
+}
+
+/// What a member list is interned under: its byte length and [`lanes64`]
+/// of its bytes. Equal lists have equal ids; a list is shared only after
+/// a byte-for-byte comparison, so a collision costs sharing, never a
+/// wrong answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ListId(usize, u64);
+
+impl ListId {
+    /// The id of `lists`: one pass over its bytes.
+    pub(crate) fn of(lists: &[u8]) -> Self {
+        ListId(lists.len(), lanes64(lists))
+    }
+}
+
+/// One tenant's answer cache: an LRU of answers keyed on [`QueryKey`],
+/// and an intern table through which answers with one community share
+/// their member lists. Many queries get the same community back (the
+/// Truss baseline answers G0, which depends only on the pair (k,
+/// component)), and the lists are nearly all of a body's bytes.
+pub(crate) struct AnswerCache {
+    answers: LruCache<QueryKey, CachedAnswer>,
+    /// Member lists of cached answers by id. The table holds no list
+    /// alive: a list is freed once no cached answer, or response in
+    /// flight, holds it. Entries whose list no cached answer holds are
+    /// pruned whenever the table outgrows twice the answers, so it never
+    /// does.
+    lists: HashMap<ListId, Weak<Vec<u8>>>,
+}
+
+impl AnswerCache {
+    /// An empty cache of at most `cap` answers; `0` caches nothing.
+    pub(crate) fn new(cap: usize) -> Self {
+        AnswerCache {
+            answers: LruCache::new(cap),
+            lists: HashMap::new(),
+        }
+    }
+
+    /// The configured capacity, in answers.
+    pub(crate) fn capacity(&self) -> usize {
+        self.answers.capacity()
+    }
+
+    /// Looks up `key`, refreshing its recency on a hit: reference bumps,
+    /// no copy.
+    pub(crate) fn get(&mut self, key: &QueryKey) -> Option<CachedAnswer> {
+        self.answers.get(key)
+    }
+
+    /// The member list interned under `id`, while a holder keeps it. The
+    /// caller compares it with its own list before sharing it.
+    pub(crate) fn shared_list(&self, id: ListId) -> Option<Arc<Vec<u8>>> {
+        self.lists.get(&id).and_then(Weak::upgrade)
+    }
+
+    /// Caches `answer` under `key`, evicting the least recently used
+    /// answer at capacity, and interns its member lists under `id` unless
+    /// a live list already holds that id.
+    pub(crate) fn insert(&mut self, key: QueryKey, answer: CachedAnswer, id: ListId) {
+        let list = Arc::downgrade(&answer.lists);
+        self.answers.insert(key, answer);
+        let slot = self.lists.entry(id).or_default();
+        if slot.strong_count() == 0 {
+            *slot = list;
+        }
+        if self.lists.len() > 2 * self.answers.len() {
+            self.prune();
+        }
+    }
+
+    /// Keeps only the answers for which `keep` returns `true`; see
+    /// [`LruCache::retain`].
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&QueryKey, &CachedAnswer) -> bool) {
+        self.answers.retain(keep);
+        self.prune();
+    }
+
+    /// Drops every answer and every interned list.
+    pub(crate) fn clear(&mut self) {
+        self.answers.clear();
+        self.lists.clear();
+    }
+
+    /// Forgets the lists no cached answer holds.
+    fn prune(&mut self) {
+        let held: HashSet<*const Vec<u8>> = self
+            .answers
+            .values()
+            .map(|a| Arc::as_ptr(&a.lists))
+            .collect();
+        // A dead `Weak` still owns its allocation, so its address cannot
+        // be a live list's.
+        self.lists.retain(|_, list| held.contains(&list.as_ptr()));
+    }
+
+    /// Entries of the intern table, dead ones included.
+    #[cfg(test)]
+    pub(crate) fn interned(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// Number of cached answers.
+    pub(crate) fn len(&self) -> usize {
+        self.answers.len()
+    }
+
+    /// The body bytes the cached answers serve: each answer's fields and
+    /// lists, shared or not.
+    pub(crate) fn bytes(&self) -> usize {
+        self.answers
+            .values()
+            .map(|a| a.fields.len() + a.lists.len())
+            .sum()
+    }
+
+    /// The body bytes the cached answers hold: each answer's fields, plus
+    /// each distinct list allocation once.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        self.answers
+            .values()
+            .map(|a| {
+                let list = if seen.insert(Arc::as_ptr(&a.lists)) {
+                    a.lists.len()
+                } else {
+                    0
+                };
+                a.fields.len() + list
+            })
+            .sum()
+    }
 }
 
 /// Monotonic per-tenant counters. Owned by the registry entry and shared
@@ -285,7 +423,7 @@ pub struct TenantState {
     pub(crate) primary: Mutex<CommunityEngine>,
     pub(crate) serving: RwLock<CommunityEngine>,
     pub(crate) epoch: AtomicU64,
-    pub(crate) cache: Mutex<LruCache<QueryKey, CachedAnswer>>,
+    pub(crate) cache: Mutex<AnswerCache>,
     pub(crate) counters: Arc<TenantCounters>,
     /// Shared health state machine (registry entry owns the other ref,
     /// so health survives eviction/reload).
@@ -316,7 +454,7 @@ impl TenantState {
             primary: Mutex::new(engine),
             serving: RwLock::new(serving),
             epoch: AtomicU64::new(0),
-            cache: Mutex::new(LruCache::new(cache_cap)),
+            cache: Mutex::new(AnswerCache::new(cache_cap)),
             counters,
             health,
             wal: Mutex::new(None),

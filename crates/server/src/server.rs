@@ -22,14 +22,14 @@
 //! owns (routing, connections, panics, search phases) lives in one
 //! process-wide counter set.
 
-use crate::cache::LruCache;
 use crate::http::{parse_request, Parse, Request, Response, DEFAULT_MAX_BODY};
 use crate::json::Json;
 use crate::registry::{
-    CachedAnswer, HealthPolicy, Registry, TenantError, TenantState, TenantSummary,
+    AnswerCache, CachedAnswer, HealthPolicy, ListId, Registry, TenantError, TenantState,
+    TenantSummary,
 };
 use crate::wire::{
-    decode_search_request, decode_update_request, encode_community, encode_error,
+    decode_search_request, decode_update_request, encode_community_parts, encode_error,
     encode_update_response, search_error_response, UpdateOutcome,
 };
 use ctc_core::{CommunityEngine, EngineUpdate, SearchAlgo};
@@ -271,9 +271,7 @@ impl Drop for InflightGuard<'_> {
 /// that panicked mid-insert may have left a partially updated recency
 /// list, so the recovered cache is cleared — dropping answers is always
 /// safe, serving from a corrupt structure is not.
-fn lock_cache<'a>(
-    t: &'a TenantState,
-) -> MutexGuard<'a, LruCache<crate::wire::QueryKey, CachedAnswer>> {
+fn lock_cache(t: &TenantState) -> MutexGuard<'_, AnswerCache> {
     match t.cache.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
@@ -284,19 +282,19 @@ fn lock_cache<'a>(
     }
 }
 
-/// A tenant's `cache` stats object. `bytes` sums the cached bodies,
-/// read from the cache itself under the caller's lock rather than kept
-/// as a second counter.
-fn cache_stats(
-    cache: &LruCache<crate::wire::QueryKey, CachedAnswer>,
-    hits: u64,
-    misses: u64,
-) -> Json {
-    let bytes: usize = cache.values().map(|a| a.body.len()).sum();
+/// A tenant's `cache` stats object. `bytes` sums the bodies the cached
+/// answers serve and `resident_bytes` what they hold, each shared member
+/// list once; both are read from the cache itself under the caller's
+/// lock rather than kept as second counters.
+fn cache_stats(cache: &AnswerCache, hits: u64, misses: u64) -> Json {
     Json::Object(vec![
         ("capacity".into(), Json::Uint(cache.capacity() as u64)),
         ("entries".into(), Json::Uint(cache.len() as u64)),
-        ("bytes".into(), Json::Uint(bytes as u64)),
+        ("bytes".into(), Json::Uint(cache.bytes() as u64)),
+        (
+            "resident_bytes".into(),
+            Json::Uint(cache.resident_bytes() as u64),
+        ),
         ("hits".into(), Json::Uint(hits)),
         ("misses".into(), Json::Uint(misses)),
     ])
@@ -726,14 +724,14 @@ impl AppState {
         };
         let key = parsed.key();
         // Bind the lookup to its own statement so the cache mutex is
-        // released at once: under the lock a hit is only an Arc bump, and
-        // the response shares the cached body, never copying it, here or
-        // on its way to the socket.
+        // released at once: under the lock a hit is only two Arc bumps,
+        // and the response shares the cached body parts, never copying
+        // them, here or on its way to the socket.
         let hit = lock_cache(tenant).get(&key);
         if let Some(ans) = hit {
             tenant.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
             tenant.counters.search_ok.fetch_add(1, Ordering::Relaxed);
-            return Response::shared(ans.body).with_header("x-cache", "hit");
+            return Response::shared_parts(ans.fields, ans.lists).with_header("x-cache", "hit");
         }
         // Miss: run the search under the per-request config. The engine
         // clone is three Arc bumps; per-query inner parallelism stays
@@ -760,11 +758,25 @@ impl AppState {
                 self.counters
                     .phase_total_us
                     .fetch_add(tu, Ordering::Relaxed);
-                // Encode once into an exact-size buffer that the cache
-                // and this response share: a later hit neither re-encodes
-                // nor copies the community.
-                let body = Arc::new(encode_community(&snapshot, &c));
-                {
+                // Encode once, into exact-size fields and member lists that
+                // the cache and this response share: a later hit neither
+                // re-encodes nor copies the community.
+                let (fields, lists) = encode_community_parts(&snapshot, &c);
+                let mut answer = CachedAnswer {
+                    k: c.k,
+                    fields: Arc::new(fields),
+                    lists: Arc::new(lists),
+                };
+                let caching = lock_cache(tenant).capacity() > 0;
+                if caching {
+                    // Share an equal list that a cached answer already
+                    // holds. The hash and the byte comparison run outside
+                    // the cache lock, which is held only to look up.
+                    let id = ListId::of(&answer.lists);
+                    let candidate = lock_cache(tenant).shared_list(id);
+                    if let Some(lists) = candidate.filter(|l| *l == answer.lists) {
+                        answer.lists = lists;
+                    }
                     let mut cache = lock_cache(tenant);
                     // Re-check the epoch under the cache lock: if an
                     // update published while this search ran, the answer
@@ -772,16 +784,10 @@ impl AppState {
                     // it after the update's invalidation pass would poison
                     // the cache; skipping the insert is always safe.
                     if tenant.epoch.load(Ordering::SeqCst) == epoch {
-                        cache.insert(
-                            key,
-                            CachedAnswer {
-                                k: c.k,
-                                body: Arc::clone(&body),
-                            },
-                        );
+                        cache.insert(key, answer.clone(), id);
                     }
                 }
-                Response::shared(body).with_header("x-cache", "miss")
+                Response::shared_parts(answer.fields, answer.lists).with_header("x-cache", "miss")
             }
             Err(e) => {
                 search_err();
@@ -1141,7 +1147,9 @@ impl AppState {
 mod tests {
     use super::*;
     use crate::transport::CtcServer;
+    use crate::wire::encode_community;
     use ctc_core::SearchAlgo;
+    use ctc_graph::VertexId;
     use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
     use std::io::{Read, Write};
     use std::time::Instant;
@@ -1463,20 +1471,147 @@ mod tests {
         )
     }
 
+    /// Routes one raw request to its response, unencoded.
+    fn route(s: &AppState, raw: &[u8]) -> Response {
+        let Ok(Parse::Complete(r, _)) = parse_request(raw, DEFAULT_MAX_BODY) else {
+            panic!("complete request");
+        };
+        s.route(&r)
+    }
+
+    /// The response's member-list part.
+    fn lists_of(response: &Response) -> &Arc<Vec<u8>> {
+        response
+            .tail
+            .as_ref()
+            .expect("a search answer has two parts")
+    }
+
     #[test]
     fn hits_share_the_cached_body_allocation() {
         let s = state(8);
         let raw = req("POST", "/search", &search_body("bd"));
-        let Ok(Parse::Complete(r, _)) = parse_request(&raw, DEFAULT_MAX_BODY) else {
-            panic!("complete request");
-        };
-        let [miss, hit, again] = [s.route(&r), s.route(&r), s.route(&r)];
+        let [miss, hit, again] = [route(&s, &raw), route(&s, &raw), route(&s, &raw)];
         assert_eq!(miss.headers, [("x-cache", "miss".to_string())]);
         assert_eq!(hit.headers, [("x-cache", "hit".to_string())]);
-        assert!(Arc::ptr_eq(&hit.body, &again.body), "a hit copied the body");
         assert!(
-            Arc::ptr_eq(&miss.body, &hit.body),
-            "the miss answers from the buffer it cached"
+            Arc::ptr_eq(&hit.body, &again.body),
+            "a hit copied the fields"
+        );
+        assert!(Arc::ptr_eq(lists_of(&hit), lists_of(&again)));
+        assert!(
+            Arc::ptr_eq(&miss.body, &hit.body) && Arc::ptr_eq(lists_of(&miss), lists_of(&hit)),
+            "the miss answers from the buffers it cached"
+        );
+    }
+
+    /// `{"query":[labels],"algo":algo}` as a `/search` request.
+    fn search(labels: &[VertexId], algo: &str) -> Vec<u8> {
+        let labels: Vec<String> = labels.iter().map(|v| v.0.to_string()).collect();
+        let body = format!(r#"{{"query":[{}],"algo":"{algo}"}}"#, labels.join(","));
+        req("POST", "/search", &body)
+    }
+
+    #[test]
+    fn answers_with_one_community_share_one_list_allocation() {
+        let s = state(8);
+        let f = Figure1Ids::default();
+        // The Truss baseline answers G0, the grey k=4 region, for any
+        // query inside it; Basic answers the smaller Figure 1(b).
+        let all = route(&s, &search(&[f.q1, f.q2, f.q3], "truss"));
+        let one = route(&s, &search(&[f.q1], "truss"));
+        let basic = route(&s, &search(&[f.q1, f.q2, f.q3], "basic"));
+        assert!(
+            Arc::ptr_eq(lists_of(&all), lists_of(&one)),
+            "one community, one list allocation"
+        );
+        assert_ne!(lists_of(&all), lists_of(&basic));
+        // Responses stay byte-identical to a direct search.
+        for (response, q, algo) in [
+            (&all, &[f.q1, f.q2, f.q3][..], SearchAlgo::TrussOnly),
+            (&one, &[f.q1][..], SearchAlgo::TrussOnly),
+            (&basic, &[f.q1, f.q2, f.q3][..], SearchAlgo::Basic),
+        ] {
+            let direct = s.engine().search(q, algo).unwrap();
+            assert_eq!(
+                split(&response.encode(false)).1,
+                encode_community(&s.engine(), &direct)
+            );
+        }
+        // A hit on the second query serves the shared list too.
+        let hit = route(&s, &search(&[f.q1], "truss"));
+        assert_eq!(hit.headers, [("x-cache", "hit".to_string())]);
+        assert!(Arc::ptr_eq(lists_of(&hit), lists_of(&all)));
+        assert_eq!(lock_cache(s.default_tenant()).interned(), 2);
+    }
+
+    #[test]
+    fn intern_table_stays_within_twice_the_cache_entries() {
+        // 40 disjoint K4s: a query in clique i answers clique i, so every
+        // query brings a new community.
+        let edges: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|c| {
+                let b = 4 * c;
+                [
+                    (b, b + 1),
+                    (b, b + 2),
+                    (b, b + 3),
+                    (b + 1, b + 2),
+                    (b + 1, b + 3),
+                    (b + 2, b + 3),
+                ]
+            })
+            .collect();
+        let s = AppState::new(
+            CommunityEngine::build(ctc_graph::graph_from_edges(&edges)),
+            &ServeConfig {
+                cache_cap: 3,
+                ..ServeConfig::default()
+            },
+        );
+        let mut held = Vec::new();
+        for c in 0..40u32 {
+            let response = route(&s, &search(&[VertexId(4 * c)], "truss"));
+            assert_eq!(response.headers, [("x-cache", "miss".to_string())]);
+            // Keep every fourth response alive, as a slow client would:
+            // its list outlives the cached answer that held it.
+            if c % 4 == 0 {
+                held.push(response);
+            }
+            let cache = lock_cache(s.default_tenant());
+            assert!(cache.len() <= 3);
+            assert!(
+                cache.interned() <= 2 * cache.len(),
+                "{} interned lists for {} answers",
+                cache.interned(),
+                cache.len()
+            );
+        }
+        // An evicted list is freed with its last holder: the table keeps
+        // none alive. Clique 1 and the three after it are held nowhere.
+        let evicted = Arc::downgrade(lists_of(&route(&s, &search(&[VertexId(5)], "truss"))));
+        for c in [2u32, 3, 5] {
+            route(&s, &search(&[VertexId(4 * c + 1)], "truss"));
+        }
+        assert_eq!(evicted.strong_count(), 0, "an evicted list stayed alive");
+        drop(held);
+    }
+
+    #[test]
+    fn cache_cap_zero_interns_nothing() {
+        let s = state(0);
+        let f = Figure1Ids::default();
+        let first = route(&s, &search(&[f.q1], "truss"));
+        let second = route(&s, &search(&[f.q2], "truss"));
+        assert_eq!(lists_of(&first), lists_of(&second), "equal lists");
+        assert!(
+            !Arc::ptr_eq(lists_of(&first), lists_of(&second)),
+            "not shared"
+        );
+        let cache = lock_cache(s.default_tenant());
+        assert_eq!(
+            (cache.len(), cache.interned(), cache.resident_bytes()),
+            (0, 0, 0)
         );
     }
 
@@ -1530,24 +1665,44 @@ mod tests {
             let (_, body) = split(&s.respond(&req("GET", target, "")).unwrap());
             let json = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
             let cache = json.get("cache").expect("cache object");
-            (
-                cache.get("entries").and_then(Json::as_u64).unwrap(),
-                cache.get("bytes").and_then(Json::as_u64).unwrap(),
-            )
+            let field = |name: &str| cache.get(name).and_then(Json::as_u64).unwrap();
+            (field("entries"), field("bytes"), field("resident_bytes"))
         };
-        assert_eq!(stats("/stats"), (0, 0));
-        let mut sizes = Vec::new();
-        for algo in ["basic", "bd", "lctc"] {
-            let raw = s.respond(&req("POST", "/search", &search_body(algo)));
-            sizes.push(split(&raw.unwrap()).1.len() as u64);
-        }
+        assert_eq!(stats("/stats"), (0, 0, 0));
+        // An answer's (fields, lists) byte counts.
+        let answer = |raw: Vec<u8>| {
+            let response = route(&s, &raw);
+            (response.body.len() as u64, lists_of(&response).len() as u64)
+        };
+        let [_, (f1, l1), (f2, l2)] =
+            ["basic", "bd", "lctc"].map(|algo| answer(req("POST", "/search", &search_body(algo))));
         // Capacity 2: the first answer was evicted, the last two remain.
-        let want = (2, sizes[1] + sizes[2]);
-        assert_eq!(stats("/stats"), want);
-        assert_eq!(stats("/t/default/stats"), want);
+        let (_, bytes, _) = stats("/stats");
+        assert_eq!(bytes, f1 + l1 + f2 + l2);
+        assert_eq!(stats("/t/default/stats"), stats("/stats"));
         // A hit moves nothing.
+        let before = stats("/stats");
         s.respond(&req("POST", "/search", &search_body("lctc")));
-        assert_eq!(stats("/stats"), want);
+        assert_eq!(stats("/stats"), before);
+        // Two queries whose answers are one community (the Truss
+        // baseline's G0): both bodies count in `bytes`, their shared
+        // lists once in `resident_bytes`.
+        let f = Figure1Ids::default();
+        let (fa, la) = answer(search(&[f.q1, f.q2, f.q3], "truss"));
+        let (fb, lb) = answer(search(&[f.q1], "truss"));
+        assert_eq!(la, lb);
+        let shared = stats("/stats");
+        assert_eq!(shared, (2, fa + la + fb + lb, fa + fb + la));
+        // Evicting the first only frees its fields; evicting the second
+        // frees G0's lists too, and `resident_bytes` falls.
+        let (fc, lc) = answer(search(&[f.q1, f.q2, f.q3], "basic"));
+        let one_left = stats("/stats");
+        assert_eq!(one_left.2, shared.2 - fa + fc + lc);
+        answer(search(&[f.q1, f.q2], "basic"));
+        let evicted = stats("/stats");
+        assert!(evicted.2 < one_left.2, "{evicted:?} after {one_left:?}");
+        assert_eq!(evicted.0, 2);
+        assert_eq!(stats("/t/default/stats"), evicted);
     }
 
     #[test]

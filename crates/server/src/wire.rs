@@ -6,11 +6,13 @@
 //!
 //! * **Determinism** — [`encode_community`] writes fields in a fixed
 //!   order with no timing or identity data, so the same [`Community`]
-//!   always encodes to the same bytes. Each answer is encoded once, into
-//!   a buffer of exactly its size that the answer cache and every
-//!   response serving it share, never copied; the soak test pins that a
-//!   served answer is byte-identical to a directly computed one, cached
-//!   or not.
+//!   always encodes to the same bytes. The server encodes each answer
+//!   once, as two exact-size parts ([`encode_community_parts`]): the
+//!   answer's own fields and its member lists, which the answer cache
+//!   shares between answers with one community. Every response serving
+//!   the answer shares both parts, never copying them; the soak test
+//!   pins that a served answer is byte-identical to a directly computed
+//!   one, cached or not.
 //! * **Normalization** — a query is a vertex *set*; [`SearchRequest`]
 //!   sorts and deduplicates labels, so every permutation of the same set
 //!   shares one [`QueryKey`] (and therefore one cache slot), and the
@@ -374,20 +376,52 @@ pub fn encode_update_response(
 /// written without building a [`Json`] tree: one pass sums the exact
 /// length (fixed punctuation plus the digit count of every number), the
 /// second writes the bytes into a buffer allocated at exactly that size,
-/// so the body never reallocates and carries no spare capacity into the
-/// answer cache.
+/// so the body never reallocates and carries no spare capacity.
+///
+/// It is the concatenation of the two parts [`encode_community_parts`]
+/// returns.
 pub fn encode_community(engine: &CommunityEngine, c: &Community) -> Vec<u8> {
-    let mut len = 0usize;
-    write_community(engine, c, &mut len);
+    let len = measure(|n| {
+        write_fields(c, n);
+        write_lists(engine, c, n);
+    });
+    exact(len, |out| {
+        write_fields(c, out);
+        write_lists(engine, c, out);
+    })
+}
+
+/// The `/search` body of `c` as two exact-size buffers: the answer's own
+/// fields, `{"k":…,"num_vertices":…,"num_edges":…,"query_distance":…,`,
+/// and its member lists, `"vertices":[…],"edges":[…]}`. The answer cache
+/// keeps them apart so that answers with one community share a single
+/// copy of its lists, which hold nearly all of a body's bytes.
+pub fn encode_community_parts(engine: &CommunityEngine, c: &Community) -> (Vec<u8>, Vec<u8>) {
+    let fields = exact(measure(|n| write_fields(c, n)), |out| write_fields(c, out));
+    let lists = exact(measure(|n| write_lists(engine, c, n)), |out| {
+        write_lists(engine, c, out)
+    });
+    (fields, lists)
+}
+
+/// The byte count `write` produces.
+fn measure(write: impl FnOnce(&mut usize)) -> usize {
+    let mut len = 0;
+    write(&mut len);
+    len
+}
+
+/// What `write` produces, in a buffer allocated at its measured `len`.
+fn exact(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
-    write_community(engine, c, &mut out);
+    write(&mut out);
     debug_assert_eq!(out.len(), len, "measured and written body lengths differ");
     out
 }
 
-/// Where [`write_community`] sends the body: a `usize` counts its bytes,
-/// a `Vec<u8>` receives them. One writer drives both, so the measured
-/// length and the written bytes cannot disagree.
+/// Where [`write_fields`] and [`write_lists`] send the body: a `usize`
+/// counts its bytes, a `Vec<u8>` receives them. One writer drives both,
+/// so the measured length and the written bytes cannot disagree.
 trait BodySink {
     fn put(&mut self, bytes: &[u8]);
     fn uint(&mut self, n: u64);
@@ -423,9 +457,9 @@ impl BodySink for Vec<u8> {
     }
 }
 
-/// The `/search` body of `c`, field by field, in the order and spelling
-/// `Json::encode` gives the equivalent object.
-fn write_community(engine: &CommunityEngine, c: &Community, out: &mut impl BodySink) {
+/// The `/search` body of `c` up to its member lists, field by field, in
+/// the order and spelling `Json::encode` gives the equivalent object.
+fn write_fields(c: &Community, out: &mut impl BodySink) {
     out.put(br#"{"k":"#);
     out.uint(u64::from(c.k));
     out.put(br#","num_vertices":"#);
@@ -434,7 +468,13 @@ fn write_community(engine: &CommunityEngine, c: &Community, out: &mut impl BodyS
     out.uint(c.num_edges() as u64);
     out.put(br#","query_distance":"#);
     out.uint(u64::from(c.query_distance));
-    out.put(br#","vertices":["#);
+    out.put(b",");
+}
+
+/// The rest of the `/search` body of `c`: its vertices and edges as
+/// original labels, through the closing brace.
+fn write_lists(engine: &CommunityEngine, c: &Community, out: &mut impl BodySink) {
+    out.put(br#""vertices":["#);
     for (i, &v) in c.vertices.iter().enumerate() {
         if i > 0 {
             out.put(b",");

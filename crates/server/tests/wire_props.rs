@@ -1,6 +1,6 @@
 //! Property/fuzz battery for the wire layer.
 //!
-//! Pins the two contracts the serving stack rests on:
+//! Pins the three contracts the serving stack rests on:
 //!
 //! 1. The HTTP parser (and the whole request path behind it) **never
 //!    panics** on arbitrary byte streams and always yields either a
@@ -9,14 +9,18 @@
 //! 2. The JSON encoder **round-trips arbitrary strings** — any label
 //!    string, with any escaping-hostile content — through the decoder
 //!    unchanged.
+//! 3. A `/search` body's two parts, the answer's fields and its member
+//!    lists, **concatenate to `encode_community`**, the oracle body.
 //!
 //! The vendored proptest stand-in samples deterministically from the test
 //! name, so failures are reproducible.
 
-use ctc_core::CommunityEngine;
+use ctc_core::{Community, CommunityEngine, SearchAlgo};
+use ctc_graph::{GraphBuilder, VertexId};
 use ctc_server::json::Json;
-use ctc_server::{AppState, ServeConfig};
+use ctc_server::{encode_community, encode_community_parts, AppState, ServeConfig};
 use ctc_truss::fixtures::figure1_graph;
+use ctc_truss::Snapshot;
 use proptest::prelude::*;
 
 fn state() -> AppState {
@@ -172,6 +176,66 @@ proptest! {
             "valid in-range query must succeed or be cleanly unservable, got {:?}",
             String::from_utf8_lossy(&response[..20])
         );
+    }
+}
+
+/// Contract 3 for one community: the fields, then the lists, are the
+/// encoded body, and each part sits in a buffer of exactly its size.
+fn parts_contract(engine: &CommunityEngine, c: &Community) -> Result<(), TestCaseError> {
+    let (fields, lists) = encode_community_parts(engine, c);
+    prop_assert_eq!(
+        [&fields[..], &lists[..]].concat(),
+        encode_community(engine, c)
+    );
+    prop_assert!(fields.starts_with(br#"{"k":"#) && fields.ends_with(b","));
+    prop_assert!(lists.starts_with(br#""vertices":["#) && lists.ends_with(b"]}"));
+    prop_assert_eq!(fields.capacity(), fields.len());
+    prop_assert_eq!(lists.capacity(), lists.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Contract 3 on every algorithm's answers over random graphs with
+    /// random labels (every digit count), and on communities drawn at
+    /// random outside any search.
+    #[test]
+    fn community_parts_concatenate_to_the_encoded_body(
+        edges in proptest::collection::vec((0u32..16, 0u32..16), 0..64),
+        labels in proptest::collection::vec(0u64..u64::MAX, 16..17),
+        query in proptest::collection::vec(0u32..16, 1..4),
+        header in (0u32..u32::MAX, 0u32..u32::MAX),
+        members in proptest::collection::vec(0u32..16, 0..16),
+    ) {
+        let mut b = GraphBuilder::new();
+        b.extend_edges(edges.iter().copied());
+        b.ensure_vertices(16);
+        let engine = CommunityEngine::from_snapshot(
+            Snapshot::build(b.build()).with_labels(labels).expect("one label per vertex"),
+        );
+        let q: Vec<VertexId> = query.iter().map(|&v| VertexId(v)).collect();
+        for algo in [
+            SearchAlgo::Basic,
+            SearchAlgo::BulkDelete,
+            SearchAlgo::Local,
+            SearchAlgo::TrussOnly,
+        ] {
+            if let Ok(c) = engine.search(&q, algo) {
+                parts_contract(&engine, &c)?;
+            }
+        }
+        let vertices: Vec<VertexId> = members.iter().map(|&v| VertexId(v)).collect();
+        let drawn = Community {
+            k: header.0,
+            edges: vertices.windows(2).map(|w| (w[0], w[1])).collect(),
+            vertices,
+            query_distance: header.1,
+            iterations: 0,
+            g0_size: (0, 0),
+            timings: Default::default(),
+        };
+        parts_contract(&engine, &drawn)?;
     }
 }
 

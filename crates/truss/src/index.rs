@@ -20,6 +20,8 @@ pub struct TrussIndex {
     vertex_truss: Vec<u32>,
     /// Maximum trussness of any edge — `τ̄(∅)`.
     max_truss: u32,
+    /// The distinct edge trussness values, descending.
+    levels: Vec<u32>,
     /// Row offsets (copied from the CSR so the index is self-contained).
     offsets: Vec<u32>,
     /// Neighbor ids, each row sorted by (desc trussness, asc id).
@@ -88,6 +90,10 @@ impl TrussIndex {
             level_start[t] = acc;
             acc += level_count[t];
         }
+        let distinct = (0..levels as u32)
+            .rev()
+            .filter(|&t| level_count[t as usize] > 0)
+            .collect();
         let mut order = vec![0u32; m];
         for (e, &t) in edge_truss.iter().enumerate() {
             let slot = &mut level_start[t as usize];
@@ -123,6 +129,7 @@ impl TrussIndex {
             edge_truss,
             vertex_truss,
             max_truss,
+            levels: distinct,
             offsets,
             sorted_nbr,
             sorted_edge,
@@ -152,6 +159,13 @@ impl TrussIndex {
     #[inline(always)]
     pub fn max_truss(&self) -> u32 {
         self.max_truss
+    }
+
+    /// The distinct edge trussness values, descending: the levels at
+    /// which the `τ ≥ t` subgraph changes. Computed once per index.
+    #[inline]
+    pub fn distinct_levels(&self) -> &[u32] {
+        &self.levels
     }
 
     /// Number of vertices covered.
@@ -191,6 +205,7 @@ impl TrussIndex {
     pub fn memory_bytes(&self) -> usize {
         self.edge_truss.len() * 4
             + self.vertex_truss.len() * 4
+            + self.levels.len() * 4
             + self.offsets.len() * 4
             + self.sorted_nbr.len() * 4
             + self.sorted_edge.len() * 4
@@ -274,6 +289,39 @@ mod tests {
             assert_eq!(nbrs, &want_nbrs[..], "row of {v} diverged");
             assert_eq!(edges, &want_edges[..], "edge row of {v} diverged");
         }
+    }
+
+    /// What [`TrussIndex::distinct_levels`] must equal: every edge's
+    /// trussness, sorted descending, deduplicated.
+    fn sorted_distinct(idx: &TrussIndex) -> Vec<u32> {
+        let mut levels = idx.edge_truss_slice().to_vec();
+        levels.sort_unstable_by(|a, b| b.cmp(a));
+        levels.dedup();
+        levels
+    }
+
+    #[test]
+    fn distinct_levels_match_a_sort_of_the_edge_trussness() {
+        let idx = TrussIndex::build(&figure1_graph());
+        assert_eq!(idx.distinct_levels(), [4, 2]);
+        assert_eq!(idx.distinct_levels(), sorted_distinct(&idx));
+        for seed in 0..4 {
+            let g = ctc_gen::random::erdos_renyi_nm(150, 1500, seed);
+            let idx = TrussIndex::build(&g);
+            assert!(idx.distinct_levels().len() > 2, "seed {seed}");
+            assert_eq!(idx.distinct_levels(), sorted_distinct(&idx), "seed {seed}");
+        }
+        let empty = TrussIndex::build(&graph_from_edges(&[]));
+        assert!(empty.distinct_levels().is_empty());
+        // A republished index carries them too: cutting the bridge `t`
+        // off removes level 2.
+        let f = Figure1Ids::default();
+        let mut dynx = crate::DynamicIndex::build(&figure1_graph());
+        dynx.delete_edge(f.q1, f.t).unwrap();
+        dynx.delete_edge(f.t, f.q3).unwrap();
+        let (_, idx) = dynx.materialize().unwrap();
+        assert_eq!(idx.distinct_levels(), [4]);
+        assert_eq!(idx.distinct_levels(), sorted_distinct(&idx));
     }
 
     #[test]

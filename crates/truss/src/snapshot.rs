@@ -396,6 +396,7 @@ mod tests {
             snap.index.edge_truss_slice()
         );
         assert_eq!(loaded.index.max_truss(), snap.index.max_truss());
+        assert_eq!(loaded.index.distinct_levels(), snap.index.distinct_levels());
         assert_eq!(loaded.labels, snap.labels);
         for v in snap.graph.vertices() {
             assert_eq!(loaded.index.sorted_row(v), snap.index.sorted_row(v));
