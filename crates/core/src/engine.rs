@@ -104,12 +104,24 @@ pub struct EngineStats {
     pub labeled: bool,
 }
 
-/// A shared pool of [`PeelScratch`] workspaces, so the warm query path
-/// (`search` / `search_batch` / every server worker holding an engine
-/// clone) reuses peel buffers instead of allocating per request. Capped:
-/// the pool never holds more scratches than the process has concurrent
-/// search calls, and stragglers beyond the cap are simply dropped.
-#[derive(Default)]
+/// The process's one pool of idle [`PeelScratch`] workspaces. Every
+/// [`CommunityEngine::search`] draws from it: `search_batch`, every server
+/// worker, every tenant and every republished engine version. A search
+/// holds a scratch only while it runs, so the pool never holds more
+/// scratches than the process has had concurrent searches, and no more
+/// than [`ScratchPool::MAX_IDLE`]; stragglers beyond the cap are dropped.
+/// Checkout is LIFO, so a single thread keeps reusing one warm scratch.
+///
+/// Reuse across graphs is safe (see [`PeelScratch`]); the price is that a
+/// scratch grows to the union of the graphs it served rather than the
+/// largest of one engine's searches.
+///
+/// Not a `thread_local!`: a search that unwinds drops its scratch instead
+/// of returning it, so a half-updated scratch is never reused.
+static SCRATCH_POOL: ScratchPool = ScratchPool {
+    pool: Mutex::new(Vec::new()),
+};
+
 struct ScratchPool {
     pool: Mutex<Vec<PeelScratch>>,
 }
@@ -131,6 +143,26 @@ impl ScratchPool {
         if pool.len() < Self::MAX_IDLE {
             pool.push(scratch);
         }
+    }
+}
+
+/// What the process-wide scratch pool holds between searches.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScratchPoolStats {
+    /// Idle scratches the pool retains.
+    pub idle: usize,
+    /// Sum of [`PeelScratch::heap_bytes`] over the idle scratches.
+    /// Scratches checked out by running searches are not counted.
+    pub resident_bytes: usize,
+}
+
+/// Counts the idle scratches of the process-wide pool behind
+/// [`CommunityEngine::search`] and the heap bytes they hold.
+pub fn scratch_pool_stats() -> ScratchPoolStats {
+    let pool = SCRATCH_POOL.pool.lock().expect("scratch pool poisoned");
+    ScratchPoolStats {
+        idle: pool.len(),
+        resident_bytes: pool.iter().map(PeelScratch::heap_bytes).sum(),
     }
 }
 
@@ -180,8 +212,8 @@ pub struct BatchReport {
 /// A loaded-once, query-many CTC engine.
 ///
 /// Cheap to clone (all heavy state is behind [`Arc`]) and safe to share
-/// across threads — batch workers borrow the same graph, index and
-/// scratch pool.
+/// across threads — batch workers borrow the same graph and index, and
+/// every engine draws peel working memory from one process-wide pool.
 #[derive(Clone)]
 pub struct CommunityEngine {
     graph: Arc<CsrGraph>,
@@ -190,7 +222,6 @@ pub struct CommunityEngine {
     labels: Arc<LabelTable>,
     cfg: CtcConfig,
     batch_par: Parallelism,
-    scratch: Arc<ScratchPool>,
     /// Warm dynamic-maintenance state, created lazily on first mutation.
     /// `None` on read-only engines (and on [`CommunityEngine::frozen_clone`]s,
     /// so reader clones never force the writer's copy-on-write).
@@ -218,7 +249,6 @@ impl CommunityEngine {
             labels: Arc::new(LabelTable::new(snap.labels)),
             cfg: CtcConfig::default(),
             batch_par: Parallelism::serial(),
-            scratch: Arc::new(ScratchPool::default()),
             dynamic: None,
         }
     }
@@ -329,14 +359,16 @@ impl CommunityEngine {
     /// serving registry uses to decide which cold snapshot to evict under
     /// a memory budget.
     ///
-    /// It leaves out the working memory the engine keeps beside that
-    /// state for as long as it, or any clone of it, lives: the scratch
-    /// pool, which holds up to one [`PeelScratch`] per concurrent search
-    /// (at most 64 idle), each grown to the largest search it served; and
-    /// the dynamic-maintenance state a writer builds on its first update.
-    /// Neither is small: after 200 searches in ctcbench's serving mix one
-    /// scratch held about 11.6 MiB on its facebook graph and 10.6 MiB on
-    /// dblp, 1.8–3.1× those engines' own 3.9 and 6.0 MB.
+    /// It leaves out two kinds of working memory. Peel scratches live in
+    /// one process-wide pool, not in the engine: at most one per
+    /// concurrent search in the whole process (at most 64 idle), each
+    /// grown to the union of the graphs it served, and
+    /// [`scratch_pool_stats`] reports what the idle ones hold. After 200
+    /// searches in ctcbench's serving mix, one scratch held about
+    /// 11.4 MiB for the facebook graph alone and 10.7 MiB for dblp alone
+    /// (3.1× and 1.9× those engines' own 3.9 and 6.0 MB), and 18.1 MiB
+    /// when it served both. The other is the dynamic-maintenance state a
+    /// writer builds on its first update.
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes() + self.index.memory_bytes() + self.labels.memory_bytes()
     }
@@ -348,14 +380,17 @@ impl CommunityEngine {
 
     /// Answers one query with `algo` under the engine's configuration.
     ///
-    /// Peel working memory comes from the engine's shared scratch pool, so
-    /// a warm engine answers without allocating in the peeling loop.
+    /// Working memory comes from the process-wide scratch pool that every
+    /// engine shares, so a warm process answers without allocating in the
+    /// peeling loop, and holds one scratch per concurrent search however
+    /// many engines it serves. A search that panics drops its scratch
+    /// instead of returning it.
     pub fn search(&self, q: &[VertexId], algo: SearchAlgo) -> Result<Community> {
-        let mut scratch = self.scratch.checkout();
+        let mut scratch = SCRATCH_POOL.checkout();
         let out = self
             .searcher()
             .search_with(q, algo, &self.cfg, &mut scratch);
-        self.scratch.restore(scratch);
+        SCRATCH_POOL.restore(scratch);
         out
     }
 

@@ -56,7 +56,8 @@ pub mod steiner;
 pub use config::{ConfigFingerprint, CtcConfig, SteinerMode};
 pub use decision::{decide_ctck, CtckAnswer};
 pub use engine::{
-    BatchReport, CommunityEngine, EngineQuery, EngineStats, EngineUpdate, SearchAlgo,
+    scratch_pool_stats, BatchReport, CommunityEngine, EngineQuery, EngineStats, EngineUpdate,
+    ScratchPoolStats, SearchAlgo,
 };
 pub use peel::{
     peel, peel_reference, peel_rounds, peel_with, DeletePolicy, PeelOutcome, PeelScratch, PeelStats,

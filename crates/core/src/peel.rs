@@ -28,7 +28,7 @@
 //! correctness oracle; the property suite pins `peel_with ==
 //! peel_reference` on random graphs for every policy and thread count.
 
-use ctc_graph::{query_connected, EpochMarks, INF};
+use ctc_graph::{query_connected, vec_heap_bytes, EpochMarks, INF};
 use ctc_graph::{BfsScratch, CsrGraph, DistanceField, DynBuffers, DynGraph, Parallelism, VertexId};
 use ctc_truss::{CascadeReport, TrussMaintainer};
 
@@ -79,10 +79,15 @@ pub struct PeelStats {
 /// the truss maintainer, one [`DistanceField`] per query source, the
 /// per-vertex distance profiles, victim buffers and removal stamps.
 ///
-/// Create once (per worker / per engine pool slot) and reuse across
-/// queries: after the buffers reach the workload's high-water mark, a warm
-/// peel performs **zero** heap allocations in its round loop — the
-/// property the counting-allocator test in `ctc-core/tests` pins.
+/// Create once (per worker, or per slot of the process-wide pool that
+/// [`CommunityEngine::search`](crate::CommunityEngine::search) draws from)
+/// and reuse across queries and graphs: after the buffers reach the
+/// workload's high-water mark, a warm peel performs **zero** heap
+/// allocations in its round loop — the property the counting-allocator
+/// test in `ctc-core/tests` pins. Reuse across graphs is safe because
+/// every buffer is grow-only and either epoch-stamped, re-armed per call,
+/// or (the supports cache) keyed on the exact edge list it was filled
+/// from.
 #[derive(Default)]
 pub struct PeelScratch {
     dyn_bufs: Option<DynBuffers>,
@@ -119,6 +124,33 @@ impl PeelScratch {
     /// An empty scratch; buffers grow to fit the graphs it peels.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes the scratch holds: the capacity of every pooled buffer,
+    /// down through the deletion overlay, the truss maintainer, the
+    /// distance fields, the supports cache and the locate-phase scratches.
+    /// Dropping the scratch frees exactly this much.
+    pub fn heap_bytes(&self) -> usize {
+        self.dyn_bufs.as_ref().map_or(0, DynBuffers::heap_bytes)
+            + self.maint.as_ref().map_or(0, TrussMaintainer::heap_bytes)
+            + vec_heap_bytes(&self.fields)
+            + self
+                .fields
+                .iter()
+                .map(DistanceField::heap_bytes)
+                .sum::<usize>()
+            + vec_heap_bytes(&self.dist_max)
+            + vec_heap_bytes(&self.dist_sum)
+            + vec_heap_bytes(&self.vertex_removed_at)
+            + vec_heap_bytes(&self.edge_removed_at)
+            + vec_heap_bytes(&self.victims)
+            + self.report.heap_bytes()
+            + vec_heap_bytes(&self.changed_union)
+            + self.mark.heap_bytes()
+            + vec_heap_bytes(&self.cached_edges)
+            + vec_heap_bytes(&self.cached_supports)
+            + self.find.heap_bytes()
+            + self.decomp.heap_bytes()
     }
 
     /// Sizes the per-call state (stamps, profiles) for an `n`-vertex,

@@ -1,11 +1,12 @@
 //! Counting-allocator proof that the warm peel path allocates nothing.
 //!
 //! `CommunityEngine::search` / `search_batch` run their peeling through a
-//! pooled [`PeelScratch`] (the engine's scratch pool), so the per-request
-//! peel work is exactly one [`peel_rounds`] call over warm buffers. This
-//! test installs a counting global allocator, warms a scratch on the
-//! workload, and then asserts the round loop performs **zero** heap
-//! allocations — for every deletion policy.
+//! [`PeelScratch`] drawn from the process-wide scratch pool that every
+//! engine shares, so the per-request peel work is exactly one
+//! [`peel_rounds`] call over warm buffers. This test installs a counting
+//! global allocator, warms a scratch on the workload, and then asserts
+//! the round loop performs **zero** heap allocations — for every
+//! deletion policy.
 //!
 //! Single test function on purpose: the allocation counter is global, and
 //! concurrent tests in the same binary would pollute the measurement.

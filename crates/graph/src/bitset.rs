@@ -22,6 +22,7 @@
 //! to the merge oracle by construction.
 
 use crate::csr::CsrGraph;
+use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
 
 /// Default degree threshold: rows with fewer neighbors stay sparse.
@@ -71,6 +72,13 @@ pub struct BitsetAdjacency {
     words: Vec<u64>,
     rank: Vec<u32>,
     rows: Vec<Row>,
+}
+
+impl BitsetBuffers {
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.words) + vec_heap_bytes(&self.rank) + vec_heap_bytes(&self.rows)
+    }
 }
 
 impl BitsetAdjacency {

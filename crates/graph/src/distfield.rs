@@ -32,6 +32,7 @@
 //! deletion schedules.
 
 use crate::dynamic::DynGraph;
+use crate::heap::{nested_heap_bytes, vec_heap_bytes};
 use crate::ids::{EdgeId, VertexId};
 use crate::traversal::INF;
 
@@ -98,6 +99,11 @@ impl EpochMarks {
             true
         }
     }
+
+    /// Heap bytes held (the stamp array's capacity).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.stamp)
+    }
 }
 
 /// A pooled, incrementally-repairable single-source BFS distance array.
@@ -157,6 +163,18 @@ impl DistanceField {
             buckets: Vec::new(),
             changed: Vec::new(),
         }
+    }
+
+    /// Heap bytes held by the field's pooled buffers (capacity, not
+    /// length: the field is grow-only).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.dist)
+            + self.settled.heap_bytes()
+            + vec_heap_bytes(&self.queue)
+            + self.mark.heap_bytes()
+            + nested_heap_bytes(&self.levels)
+            + nested_heap_bytes(&self.buckets)
+            + vec_heap_bytes(&self.changed)
     }
 
     /// The source vertex of the most recent [`init`](Self::init).

@@ -8,6 +8,7 @@
 //! this "record removals, never copy" strategy for its `O(m')` space bound.
 
 use crate::csr::CsrGraph;
+use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
 
 /// The owned buffers behind a [`DynGraph`], detached from any base graph.
@@ -38,6 +39,17 @@ pub struct DynGraph<'g> {
     /// Position of each vertex in `alive_list` (`u32::MAX` once dead).
     alive_pos: Vec<u32>,
     alive_edge_count: usize,
+}
+
+impl DynBuffers {
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.vertex_alive)
+            + vec_heap_bytes(&self.edge_alive)
+            + vec_heap_bytes(&self.degree)
+            + vec_heap_bytes(&self.alive_list)
+            + vec_heap_bytes(&self.alive_pos)
+    }
 }
 
 impl<'g> DynGraph<'g> {

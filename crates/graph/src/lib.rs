@@ -45,6 +45,7 @@ pub mod distfield;
 pub mod dynamic;
 pub mod error;
 pub mod fx;
+pub mod heap;
 pub mod ids;
 pub mod io;
 pub mod pagerank;
@@ -66,6 +67,7 @@ pub use distfield::{DistanceField, EpochMarks};
 pub use dynamic::{DynBuffers, DynGraph};
 pub use error::{GraphError, Result};
 pub use fx::{FxHashMap, FxHashSet};
+pub use heap::{nested_heap_bytes, vec_heap_bytes};
 pub use ids::{EdgeId, VertexId};
 pub use pagerank::{personalized_pagerank, PageRankOptions};
 pub use parallel::Parallelism;

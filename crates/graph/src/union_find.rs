@@ -3,6 +3,8 @@
 //! Used by `FindG0` (incremental query-connectivity checks while edges
 //! stream in by descending trussness) and by the Steiner-tree MST stage.
 
+use crate::heap::vec_heap_bytes;
+
 /// Disjoint-set forest over `0..n`.
 #[derive(Clone, Debug)]
 pub struct UnionFind {
@@ -107,6 +109,11 @@ impl EpochUnionFind {
     /// An empty structure; size it per query with [`reset`](Self::reset).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.parent) + vec_heap_bytes(&self.size) + vec_heap_bytes(&self.stamp)
     }
 
     /// Makes every element of `0..n` a singleton. O(1) except on first

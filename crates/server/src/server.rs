@@ -32,7 +32,7 @@ use crate::wire::{
     decode_search_request, decode_update_request, encode_community_parts, encode_error,
     encode_update_response, search_error_response, UpdateOutcome,
 };
-use ctc_core::{CommunityEngine, EngineUpdate, SearchAlgo};
+use ctc_core::{scratch_pool_stats, CommunityEngine, EngineUpdate, SearchAlgo};
 use ctc_graph::Parallelism;
 use ctc_truss::{DeltaLogFile, DeltaOp, DeltaRecord};
 use std::net::{SocketAddr, TcpStream};
@@ -939,10 +939,12 @@ impl AppState {
     }
 
     /// The `/stats` body's `server` object: serving-layer counters,
-    /// tenant health and the registry summary.
+    /// tenant health, the registry summary, and the process-wide pool of
+    /// idle search scratches.
     fn encode_server_object(&self) -> Json {
         let v = self.server_counters();
         let summaries: Vec<TenantSummary> = self.registry.summaries();
+        let scratch = scratch_pool_stats();
         Json::Object(vec![
             ("accepted".into(), Json::Uint(v.accepted)),
             ("admitted".into(), Json::Uint(v.admitted)),
@@ -999,6 +1001,16 @@ impl AppState {
                     ),
                     ("loads".into(), Json::Uint(self.registry.loads())),
                     ("evictions".into(), Json::Uint(self.registry.evictions())),
+                ]),
+            ),
+            (
+                "scratch".into(),
+                Json::Object(vec![
+                    ("idle".into(), Json::Uint(scratch.idle as u64)),
+                    (
+                        "resident_bytes".into(),
+                        Json::Uint(scratch.resident_bytes as u64),
+                    ),
                 ]),
             ),
         ])
@@ -1194,6 +1206,14 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains(r#""num_vertices":12"#), "{text}");
         assert!(text.contains(r#""healthz":1"#), "{text}");
+        // The process-wide scratch pool sits beside the registry; other
+        // tests share the pool, so only the shape is pinned here.
+        let stats = Json::parse(&text).unwrap();
+        let scratch = stats.get("server").and_then(|s| s.get("scratch"));
+        for field in ["idle", "resident_bytes"] {
+            let value = scratch.and_then(|s| s.get(field)).and_then(Json::as_u64);
+            assert!(value.is_some(), "server.scratch.{field}: {text}");
+        }
     }
 
     #[test]

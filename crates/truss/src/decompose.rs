@@ -22,7 +22,8 @@
 //! code, and each is the correctness oracle for the other.
 
 use ctc_graph::{
-    edge_supports, edge_supports_par, CsrGraph, DynGraph, EdgeId, Parallelism, VertexId,
+    edge_supports, edge_supports_par, nested_heap_bytes, vec_heap_bytes, CsrGraph, DynGraph,
+    EdgeId, Parallelism, VertexId,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -77,6 +78,14 @@ struct SupportBuckets {
 }
 
 impl SupportBuckets {
+    fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.sorted)
+            + vec_heap_bytes(&self.pos)
+            + vec_heap_bytes(&self.bin_start)
+            + vec_heap_bytes(&self.sup)
+            + vec_heap_bytes(&self.cursor)
+    }
+
     /// Rebuilds the bucket queue for `sup`, reusing pooled capacity.
     fn reset_from(&mut self, sup: &[u32]) {
         let m = sup.len();
@@ -143,6 +152,10 @@ struct Oriented {
 }
 
 impl Oriented {
+    fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.start) + vec_heap_bytes(&self.arcs) + vec_heap_bytes(&self.mark)
+    }
+
     /// Orients `g` in `O(n + m)`: each CSR row is filtered as it is
     /// copied, so out-rows stay ascending with no sort.
     fn build(&mut self, g: &CsrGraph) {
@@ -274,6 +287,18 @@ impl DecomposeScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        self.oriented.heap_bytes()
+            + vec_heap_bytes(&self.sup)
+            + vec_heap_bytes(&self.tri_start)
+            + vec_heap_bytes(&self.tri)
+            + vec_heap_bytes(&self.peeled)
+            + vec_heap_bytes(&self.touched)
+            + self.buckets.heap_bytes()
+            + nested_heap_bytes(&self.lazy)
     }
 }
 

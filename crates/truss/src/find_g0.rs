@@ -10,7 +10,10 @@
 
 use crate::index::TrussIndex;
 use ctc_graph::error::{GraphError, Result};
-use ctc_graph::{BfsScratch, CsrGraph, EdgeId, EpochMarks, EpochUnionFind, Subgraph, VertexId};
+use ctc_graph::{
+    nested_heap_bytes, vec_heap_bytes, BfsScratch, CsrGraph, EdgeId, EpochMarks, EpochUnionFind,
+    Subgraph, VertexId,
+};
 
 /// Output of [`find_g0`]: the maximal connected k-truss containing `Q` with
 /// the largest `k`, as an edge/vertex set of the parent graph.
@@ -55,6 +58,22 @@ impl FindScratch {
     /// An empty scratch; buffers grow on first use and are reused after.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.cursor)
+            + self.cursor_set.heap_bytes()
+            + vec_heap_bytes(&self.pending)
+            + self.pending_set.heap_bytes()
+            + self.in_g0_vertex.heap_bytes()
+            + self.in_g0_edge.heap_bytes()
+            + self.uf.heap_bytes()
+            + vec_heap_bytes(&self.g0_edges)
+            + vec_heap_bytes(&self.touched)
+            + nested_heap_bytes(&self.levels)
+            + vec_heap_bytes(&self.q_raw)
+            + self.comp.heap_bytes()
     }
 
     #[inline]

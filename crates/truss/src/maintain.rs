@@ -7,7 +7,9 @@
 //! and isolated vertices are swept — restoring the k-truss property exactly
 //! as the paper's Algorithm 3 does.
 
-use ctc_graph::{edge_supports_dyn_pooled, BitsetBuffers, DynGraph, EdgeId, VertexId};
+use ctc_graph::{
+    edge_supports_dyn_pooled, vec_heap_bytes, BitsetBuffers, DynGraph, EdgeId, VertexId,
+};
 
 /// What a maintenance round removed: the requested vertices, every cascade
 /// victim, and all deleted edges. The peeling algorithms use this to stamp
@@ -25,6 +27,11 @@ impl CascadeReport {
     pub fn clear(&mut self) {
         self.vertices.clear();
         self.edges.clear();
+    }
+
+    /// Heap bytes held (capacity of both lists).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.vertices) + vec_heap_bytes(&self.edges)
     }
 }
 
@@ -67,6 +74,17 @@ impl TrussMaintainer {
         };
         m.reset_for(live, k);
         m
+    }
+
+    /// Heap bytes held by the maintainer's pooled buffers (capacity, not
+    /// length).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.support)
+            + vec_heap_bytes(&self.in_queue)
+            + vec_heap_bytes(&self.queue)
+            + vec_heap_bytes(&self.touched)
+            + vec_heap_bytes(&self.orphans)
+            + self.bitset.heap_bytes()
     }
 
     /// Re-arms the maintainer for `live` at level `k`, recomputing the

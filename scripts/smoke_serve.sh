@@ -5,9 +5,9 @@
 # requests (LCTC, fixed-k Basic, the Truss baseline) and assert 200 plus
 # the same k and the same member list a direct `ctc-cli search --index`
 # reports, repeat the first for a cache hit, send one malformed body
-# (400), check the counters in /stats, then shut down gracefully via
-# POST /shutdown, require exit code 0 and the same counters in the
-# daemon's drain line.
+# (400), check the counters and the scratch pool in /stats, then shut
+# down gracefully via POST /shutdown, require exit code 0 and the same
+# counters in the daemon's drain line.
 #
 # Run from the repo root: bash scripts/smoke_serve.sh
 set -euo pipefail
@@ -95,6 +95,13 @@ for want in '"search_ok":4,' '"search_err":1,' '"hits":1,' '"misses":3}' '"panic
     printf '%s' "$STATS" | grep -qF "$want" \
         || { echo "FAIL: /stats lacks $want:"; printf '%s\n' "$STATS" | tail -1; exit 1; }
 done
+# The three misses ran searches, so the process-wide scratch pool holds
+# at least one idle scratch with buffers in it.
+SCRATCH=$(printf '%s' "$STATS" | sed -n 's/.*"scratch":{"idle":\([0-9]*\),"resident_bytes":\([0-9]*\)}.*/\1 \2/p')
+read -r IDLE RESIDENT <<< "${SCRATCH:-0 0}"
+[ "$IDLE" -ge 1 ] && [ "$RESIDENT" -gt 0 ] \
+    || { echo "FAIL: /stats server.scratch missing or empty:"; printf '%s\n' "$STATS" | tail -1; exit 1; }
+echo "smoke: scratch pool: $IDLE idle, $RESIDENT resident bytes"
 
 # Graceful shutdown: the daemon must drain and exit 0 on its own.
 request POST /shutdown '' > /dev/null
