@@ -1,13 +1,19 @@
 //! Microbench: truss decomposition and truss-index construction — the
 //! offline cost behind Table 3 — on the mini presets and on the full
-//! facebook and dblp presets a serving engine builds at start-up, plus
+//! facebook and dblp presets a serving engine builds at start-up,
 //! serial-vs-parallel comparisons of the frontier-peeling decomposition at
-//! 1/2/4/8 threads.
+//! 1/2/4/8 threads, and LCTC's per-query decomposition of its local graph
+//! `Gt` through one warm pooled scratch.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ctc_gen::{mini_network, network_by_name};
-use ctc_graph::Parallelism;
-use ctc_truss::{truss_decomposition, truss_decomposition_par, TrussIndex};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ctc_core::local::expand_tree;
+use ctc_core::{steiner_tree, CtcConfig};
+use ctc_gen::{mini_network, network_by_name, DegreeRank, QueryGenerator};
+use ctc_graph::{CsrGraph, Parallelism};
+use ctc_truss::{
+    truss_decomposition, truss_decomposition_par, truss_decomposition_with, DecomposeScratch,
+    TrussIndex,
+};
 use std::time::Duration;
 
 fn bench_decomposition(c: &mut Criterion) {
@@ -57,5 +63,54 @@ fn bench_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decomposition);
+/// LCTC's local graphs `Gt` (Algorithm 5, steps 2–3) for a fixed set of
+/// `count` seeded queries, drawn as ctcbench draws them: |Q| = 3 from the
+/// top 80% by degree, pairwise within 2 hops.
+fn lctc_local_graphs(g: &CsrGraph, count: usize) -> Vec<CsrGraph> {
+    let idx = TrussIndex::build(g);
+    let cfg = CtcConfig::default();
+    let mut gen = QueryGenerator::new(g, 1);
+    (0..count)
+        .filter_map(|_| {
+            let q = gen.sample(3, DegreeRank::top(0.8), 2)?;
+            let tree = steiner_tree(g, &idx, &q, cfg.gamma, cfg.steiner_mode)?;
+            Some(expand_tree(g, &idx, &tree, cfg.eta).graph)
+        })
+        .collect()
+}
+
+/// The decomposition stage of LCTC's locate: every `Gt` of the seeded set
+/// in turn, through one scratch already warm on all of them, as the
+/// pooled `PeelScratch` serves it.
+fn bench_lctc_local(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lctc_local");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    for name in ["facebook", "dblp"] {
+        let g = network_by_name(name).expect("full preset").data.graph;
+        let locals = lctc_local_graphs(&g, 20);
+        let edges: usize = locals.iter().map(CsrGraph::num_edges).sum();
+        let mut scratch = DecomposeScratch::new();
+        for gt in &locals {
+            truss_decomposition_with(gt, &mut scratch);
+        }
+        group.bench_function(
+            BenchmarkId::new(
+                "decompose",
+                format!("{name}/{} Gt, {edges} edges", locals.len()),
+            ),
+            |b| {
+                b.iter(|| {
+                    for gt in &locals {
+                        black_box(truss_decomposition_with(gt, &mut scratch));
+                    }
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_decomposition, bench_lctc_local);
 criterion_main!(benches);

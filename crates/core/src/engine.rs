@@ -365,8 +365,8 @@ impl CommunityEngine {
     /// grown to the union of the graphs it served, and
     /// [`scratch_pool_stats`] reports what the idle ones hold. After 200
     /// searches in ctcbench's serving mix, one scratch held about
-    /// 11.4 MiB for the facebook graph alone and 10.7 MiB for dblp alone
-    /// (3.1× and 1.9× those engines' own 3.9 and 6.0 MB), and 18.1 MiB
+    /// 5.3 MiB for the facebook graph alone and 10.6 MiB for dblp alone
+    /// (1.4× and 1.8× those engines' own 3.9 and 6.0 MB), and 12.3 MiB
     /// when it served both. The other is the dynamic-maintenance state a
     /// writer builds on its first update.
     pub fn memory_bytes(&self) -> usize {

@@ -116,7 +116,8 @@ pub struct PeelScratch {
     /// with the searcher so a checked-out engine scratch covers both
     /// phases of a query.
     pub(crate) find: ctc_truss::FindScratch,
-    /// Pooled truss-decomposition state for LCTC's per-query index build.
+    /// Pooled truss-decomposition state: LCTC's per-query index build,
+    /// and the support count that arms the maintainer on a cache miss.
     pub(crate) decomp: ctc_truss::DecomposeScratch,
 }
 
@@ -178,13 +179,13 @@ impl PeelScratch {
                 .all(|(e, u, v)| self.cached_edges[e.index()] == (u.0, v.0))
     }
 
-    /// Stores `sub`'s edge list plus its fully-alive supports.
-    fn fill_supports_cache(&mut self, sub: &CsrGraph, supports: &[u32]) {
+    /// Stores `sub`'s edge list plus its fully-alive supports, counted by
+    /// the oriented walk in the decomposition scratch.
+    fn fill_supports_cache(&mut self, sub: &CsrGraph) {
         self.cached_edges.clear();
         self.cached_edges
             .extend(sub.edges().map(|(_, u, v)| (u.0, v.0)));
-        self.cached_supports.clear();
-        self.cached_supports.extend_from_slice(supports);
+        self.decomp.count_supports(sub, &mut self.cached_supports);
         self.cache_filled = true;
     }
 
@@ -285,21 +286,11 @@ pub fn peel_rounds(
     let m = sub.num_edges();
     scratch.prepare(n, m);
     let mut live = DynGraph::with_buffers(sub, scratch.dyn_bufs.take().unwrap_or_default());
-    let cache_hit = scratch.supports_cached_for(sub);
-    let mut maint = match scratch.maint.take() {
-        Some(mut mt) => {
-            if cache_hit {
-                mt.reset_with(&scratch.cached_supports, &live, k);
-            } else {
-                mt.reset_for(&live, k);
-            }
-            mt
-        }
-        None => TrussMaintainer::new(&live, k),
-    };
-    if !cache_hit {
-        scratch.fill_supports_cache(sub, maint.supports());
+    if !scratch.supports_cached_for(sub) {
+        scratch.fill_supports_cache(sub);
     }
+    let mut maint = scratch.maint.take().unwrap_or_default();
+    maint.reset_with(&scratch.cached_supports, &live, k);
 
     // One incremental distance field per query source (grow-only pool).
     let q_len = q.len();

@@ -3,7 +3,7 @@
 //! `/stats` reports the process-wide scratch pool's resident bytes as the
 //! sum of `heap_bytes` over its idle scratches, so the sum must cover
 //! every pooled buffer. This test warms one scratch over all four
-//! algorithms on two graphs, then drops it and asserts that exactly
+//! algorithms on three graphs, then drops it and asserts that exactly
 //! `heap_bytes()` bytes were freed: a pooled field added later without
 //! accounting makes the drop free more than the report says.
 //!
@@ -86,13 +86,18 @@ fn dropping_a_warm_scratch_frees_exactly_its_heap_bytes() {
     })
     .graph;
     let ba = barabasi_albert(120, 4, 7);
+    let sparse = barabasi_albert(1500, 3, 7);
     let cfg = CtcConfig::default();
     let mut scratch = PeelScratch::new();
     let mut answered = 0;
-    // Twice over both graphs, so the second pass runs on buffers grown
-    // for the other graph (the reuse the process-wide pool relies on).
+    // Twice over all three graphs, so later passes run on buffers grown
+    // for the others (the reuse the process-wide pool relies on). LCTC's
+    // local decomposition peels the small dense graphs it cuts from the
+    // planted graph and the small BA graph on the live bit matrix, and
+    // the sparse ones it cuts from the large BA graph on the triangle
+    // pre-index, so the buffers of both fall inside the check.
     for _ in 0..2 {
-        for g in [&planted, &ba] {
+        for g in [&planted, &ba, &sparse] {
             let searcher = CtcSearcher::new(g);
             for q in queries(g) {
                 for algo in ALGOS {

@@ -22,7 +22,6 @@
 //! to the merge oracle by construction.
 
 use crate::csr::CsrGraph;
-use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
 
 /// Default degree threshold: rows with fewer neighbors stay sparse.
@@ -48,17 +47,6 @@ struct Row {
     num_words: u32,
 }
 
-/// Detached allocations of a [`BitsetAdjacency`], for pooling: build with
-/// [`BitsetAdjacency::build_in`], recover via
-/// [`BitsetAdjacency::into_buffers`], and the warm path stops allocating
-/// once the buffers have grown to the workload.
-#[derive(Clone, Debug, Default)]
-pub struct BitsetBuffers {
-    words: Vec<u64>,
-    rank: Vec<u32>,
-    rows: Vec<Row>,
-}
-
 /// Hybrid bitset/merge adjacency sidecar over a [`CsrGraph`].
 ///
 /// Holds no reference to the graph it was built from; every query takes
@@ -74,13 +62,6 @@ pub struct BitsetAdjacency {
     rows: Vec<Row>,
 }
 
-impl BitsetBuffers {
-    /// Heap bytes held (capacity of every buffer).
-    pub fn heap_bytes(&self) -> usize {
-        vec_heap_bytes(&self.words) + vec_heap_bytes(&self.rank) + vec_heap_bytes(&self.rows)
-    }
-}
-
 impl BitsetAdjacency {
     /// Builds the sidecar with the default degree threshold.
     pub fn build(g: &CsrGraph) -> Self {
@@ -91,21 +72,10 @@ impl BitsetAdjacency {
     /// non-isolated vertex whose span qualifies; `u32::MAX` packs nothing,
     /// forcing the pure merge path — the oracle configuration).
     pub fn with_threshold(g: &CsrGraph, threshold: u32) -> Self {
-        Self::build_in(g, threshold, BitsetBuffers::default())
-    }
-
-    /// Builds into recycled buffers (see [`BitsetBuffers`]).
-    pub fn build_in(g: &CsrGraph, threshold: u32, bufs: BitsetBuffers) -> Self {
-        let BitsetBuffers {
-            mut words,
-            mut rank,
-            mut rows,
-        } = bufs;
         let n = g.num_vertices();
-        rows.clear();
-        rows.resize(n, Row::default());
-        words.clear();
-        rank.clear();
+        let mut rows = vec![Row::default(); n];
+        let mut words: Vec<u64> = Vec::new();
+        let mut rank: Vec<u32> = Vec::new();
         let threshold = threshold.max(1);
         for (v, row) in rows.iter_mut().enumerate() {
             let nbrs = g.neighbors(VertexId(v as u32));
@@ -144,15 +114,6 @@ impl BitsetAdjacency {
             words,
             rank,
             rows,
-        }
-    }
-
-    /// Tears the sidecar down to its raw buffers for pooling.
-    pub fn into_buffers(self) -> BitsetBuffers {
-        BitsetBuffers {
-            words: self.words,
-            rank: self.rank,
-            rows: self.rows,
         }
     }
 
@@ -443,18 +404,6 @@ mod tests {
         for t in [1u32, u32::MAX] {
             check_against_merge(&g, t);
         }
-    }
-
-    #[test]
-    fn buffer_pooling_roundtrip() {
-        let g = dense_fixture();
-        let adj = BitsetAdjacency::with_threshold(&g, 1);
-        let dense = adj.num_dense();
-        assert!(dense > 0);
-        let bufs = adj.into_buffers();
-        let again = BitsetAdjacency::build_in(&g, 1, bufs);
-        assert_eq!(again.num_dense(), dense);
-        check_against_merge(&g, 1);
     }
 
     #[test]

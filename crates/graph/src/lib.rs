@@ -57,7 +57,7 @@ pub mod traversal;
 pub mod triangles;
 pub mod union_find;
 
-pub use bitset::{BitsetAdjacency, BitsetBuffers, DEFAULT_DENSE_DEGREE};
+pub use bitset::{BitsetAdjacency, DEFAULT_DENSE_DEGREE};
 pub use builder::{graph_from_edges, graph_from_vertex_pairs, GraphBuilder};
 pub use csr::CsrGraph;
 pub use distance::{
@@ -82,7 +82,7 @@ pub use traversal::{
 };
 pub use triangles::{
     common_neighbors, common_neighbors_into, edge_supports, edge_supports_adj, edge_supports_dyn,
-    edge_supports_dyn_into, edge_supports_dyn_pooled, edge_supports_par, for_each_triangle,
-    support_of, triangle_count, triangle_count_par,
+    edge_supports_dyn_into, edge_supports_par, for_each_triangle, support_of, triangle_count,
+    triangle_count_par,
 };
 pub use union_find::{EpochUnionFind, UnionFind};

@@ -8,7 +8,7 @@
 //! and every path produces answers byte-identical to the merge oracle
 //! ([`naive_edge_supports`] pins that in tests and proptests).
 
-use crate::bitset::{merge_count, BitsetAdjacency, BitsetBuffers};
+use crate::bitset::{merge_count, BitsetAdjacency};
 use crate::csr::CsrGraph;
 use crate::dynamic::DynGraph;
 use crate::ids::{EdgeId, VertexId};
@@ -29,8 +29,7 @@ pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
 }
 
 /// [`edge_supports`] against a caller-built kernel, writing into a
-/// caller-owned buffer — the pooled form the per-query decomposition uses
-/// so the warm path allocates nothing.
+/// caller-owned buffer.
 pub fn edge_supports_adj(g: &CsrGraph, adj: &BitsetAdjacency, sup: &mut Vec<u32>) {
     sup.clear();
     sup.resize(g.num_edges(), 0);
@@ -72,34 +71,19 @@ pub fn edge_supports_dyn(d: &DynGraph<'_>) -> Vec<u32> {
 }
 
 /// [`edge_supports_dyn`] writing into a caller-owned buffer.
-pub fn edge_supports_dyn_into(d: &DynGraph<'_>, sup: &mut Vec<u32>) {
-    let mut bufs = BitsetBuffers::default();
-    edge_supports_dyn_pooled(d, sup, &mut bufs);
-}
-
-/// [`edge_supports_dyn_into`] with a pooled kernel buffer, so pooled
-/// callers (the peel scratch of `ctc-core`) recompute supports with no
-/// per-call allocation once the buffers have grown.
 ///
-/// A fully-alive overlay (the state every peel starts from) takes the
-/// static fast path: the bitset/merge hybrid over the plain CSR with no
-/// per-element alive checks, which is what makes re-arming a pooled
-/// maintainer cheap. Partial overlays fall back to the alive-checked
-/// merge — bitset rows describe the *base* graph and would overcount
-/// deleted neighbors.
-pub fn edge_supports_dyn_pooled(d: &DynGraph<'_>, sup: &mut Vec<u32>, bufs: &mut BitsetBuffers) {
+/// A fully-alive overlay takes the static fast path: the bitset/merge
+/// hybrid over the plain CSR with no per-element alive checks. Partial
+/// overlays fall back to the alive-checked merge — bitset rows describe
+/// the *base* graph and would overcount deleted neighbors.
+pub fn edge_supports_dyn_into(d: &DynGraph<'_>, sup: &mut Vec<u32>) {
     let g = d.base();
-    sup.clear();
-    sup.resize(g.num_edges(), 0);
     if d.num_alive_vertices() == g.num_vertices() && d.num_alive_edges() == g.num_edges() {
-        let adj =
-            BitsetAdjacency::build_in(g, crate::bitset::DEFAULT_DENSE_DEGREE, std::mem::take(bufs));
-        for (e, u, v) in g.edges() {
-            sup[e.index()] = adj.intersection_count(g, u, v);
-        }
-        *bufs = adj.into_buffers();
+        edge_supports_adj(g, &BitsetAdjacency::build(g), sup);
         return;
     }
+    sup.clear();
+    sup.resize(g.num_edges(), 0);
     for (e, u, v) in d.alive_edges() {
         let mut c = 0u32;
         d.for_each_common_neighbor(u, v, |_, _, _| c += 1);

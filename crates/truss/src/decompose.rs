@@ -6,12 +6,15 @@
 //! other edges of each triangle it closed. A bucket queue keyed by support
 //! gives `O(1)` re-prioritization, for `O(m^{1.5})` total time.
 //!
-//! The serial path finds triangles on a *degree-oriented* adjacency, as
+//! The serial path counts supports on a *degree-oriented* adjacency, as
 //! the forward triangle-listing algorithm does: each edge is kept once, at
 //! its endpoint of lower `(degree, id)` rank, so a walk over the oriented
 //! rows meets each triangle exactly once, from its lowest-ranked vertex.
-//! One walk counts the supports; a second lists every triangle into
-//! per-edge slots, which the peel then reads instead of intersecting rows.
+//! The peel then finds the triangles a removed edge breaks in whichever
+//! structure holds the fewest bytes for the graph at hand: a live
+//! adjacency bit matrix (small dense graphs, such as LCTC's local `Gt`),
+//! a flat triangle pre-index that a second walk fills, or, past a size
+//! cap, row merges over a deletion overlay.
 //!
 //! [`truss_decomposition_par`] is the multi-core variant: instead of one
 //! edge at a time, it peels whole same-trussness *frontiers* — every live
@@ -22,8 +25,8 @@
 //! code, and each is the correctness oracle for the other.
 
 use ctc_graph::{
-    edge_supports, edge_supports_par, nested_heap_bytes, vec_heap_bytes, CsrGraph, DynGraph,
-    EdgeId, Parallelism, VertexId,
+    edge_supports, edge_supports_par, vec_heap_bytes, CsrGraph, DynGraph, EdgeId, Parallelism,
+    VertexId,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -73,6 +76,7 @@ struct SupportBuckets {
     sorted: Vec<u32>,
     pos: Vec<u32>,
     bin_start: Vec<u32>,
+    /// Current support per edge; the oriented count writes it directly.
     sup: Vec<u32>,
     cursor: Vec<u32>,
 }
@@ -86,51 +90,77 @@ impl SupportBuckets {
             + vec_heap_bytes(&self.cursor)
     }
 
-    /// Rebuilds the bucket queue for `sup`, reusing pooled capacity.
-    fn reset_from(&mut self, sup: &[u32]) {
+    /// Buckets the edges by the supports in `sup`, reusing pooled
+    /// capacity.
+    fn arm(&mut self) {
+        let Self {
+            sorted,
+            pos,
+            bin_start,
+            sup,
+            cursor,
+        } = self;
         let m = sup.len();
-        self.sup.clear();
-        self.sup.extend_from_slice(sup);
         let max_sup = sup.iter().copied().max().unwrap_or(0) as usize;
-        self.bin_start.clear();
-        self.bin_start.resize(max_sup + 2, 0);
-        for &s in sup {
-            self.bin_start[s as usize] += 1;
+        bin_start.clear();
+        bin_start.resize(max_sup + 2, 0);
+        for &s in sup.iter() {
+            bin_start[s as usize] += 1;
         }
         let mut acc = 0u32;
-        for slot in self.bin_start.iter_mut() {
+        for slot in bin_start.iter_mut() {
             let c = *slot;
             *slot = acc;
             acc += c;
         }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.bin_start);
-        self.sorted.clear();
-        self.sorted.resize(m, 0);
-        self.pos.clear();
-        self.pos.resize(m, 0);
+        cursor.clear();
+        cursor.extend_from_slice(bin_start);
+        sorted.clear();
+        sorted.resize(m, 0);
+        pos.clear();
+        pos.resize(m, 0);
         for (e, &s) in sup.iter().enumerate() {
-            let p = self.cursor[s as usize];
-            self.sorted[p as usize] = e as u32;
-            self.pos[e] = p;
-            self.cursor[s as usize] += 1;
+            let p = cursor[s as usize];
+            sorted[p as usize] = e as u32;
+            pos[e] = p;
+            cursor[s as usize] += 1;
         }
     }
 
-    /// Decrements `e`'s support by one, keeping buckets valid. Must only be
-    /// called when `sup[e] > floor` for the current processing frontier.
-    fn decrement(&mut self, e: u32) {
+    /// Decrements `e`'s support by one unless it has already fallen to
+    /// `floor`, the level being peeled: supports never drop below it, and
+    /// the edges at or below it are the ones the peel still has to pop at
+    /// this level. Swaps `e` to the front of its bucket, which then
+    /// shrinks by one, so every bucket above `floor` stays valid.
+    fn decrement_above(&mut self, e: u32, floor: u32) {
         let s = self.sup[e as usize];
-        debug_assert!(s > 0);
+        if s <= floor {
+            return;
+        }
         let p = self.pos[e as usize];
         let first = self.bin_start[s as usize];
-        // Swap e with the first edge of its bucket, then shrink the bucket.
         let other = self.sorted[first as usize];
         self.sorted.swap(first as usize, p as usize);
         self.pos[e as usize] = first;
         self.pos[other as usize] = p;
         self.bin_start[s as usize] = first + 1;
         self.sup[e as usize] = s - 1;
+    }
+
+    /// Pops every edge in ascending current support and assigns it
+    /// trussness `floor + 2`, where `floor` is the largest support popped
+    /// so far. `unwind(self, e, floor)` then decrements the other two
+    /// edges of each triangle that the removal of `e` breaks. Returns the
+    /// largest trussness assigned.
+    fn peel(&mut self, edge_truss: &mut [u32], mut unwind: impl FnMut(&mut Self, u32, u32)) -> u32 {
+        let mut floor = 0u32;
+        for i in 0..self.sorted.len() {
+            let e = self.sorted[i];
+            floor = floor.max(self.sup[e as usize]);
+            edge_truss[e as usize] = floor + 2;
+            unwind(self, e, floor);
+        }
+        floor + 2
     }
 }
 
@@ -163,10 +193,11 @@ impl Oriented {
         // `(deg v, v)` packed into one ordered key.
         let rank = |v: u32| ((g.degree(VertexId(v)) as u64) << 32) | u64::from(v);
         self.start.clear();
-        self.start.reserve(n + 1);
+        self.start.reserve_exact(n + 1);
         // Branch-free filter: every arc is written at `len`, which only
         // advances past out-arcs; the one spare slot takes the last write.
         self.arcs.clear();
+        self.arcs.reserve_exact(g.num_edges() + 1);
         self.arcs.resize(g.num_edges() + 1, (0, 0));
         let mut len = 0;
         for u in 0..n as u32 {
@@ -181,6 +212,7 @@ impl Oriented {
         self.arcs.truncate(len);
         self.start.push(len as u32);
         self.mark.clear();
+        self.mark.reserve_exact(n);
         self.mark.resize(n, g.num_edges() as u32);
     }
 
@@ -213,6 +245,7 @@ impl Oriented {
     fn count(&mut self, sup: &mut Vec<u32>) {
         let m = self.arcs.len();
         sup.clear();
+        sup.reserve_exact(m + 1);
         sup.resize(m + 1, 0);
         self.walk(|mark, e_uv, out_v| {
             let mut closed = 0u32;
@@ -236,7 +269,7 @@ impl Oriented {
         // Point each edge at the end of its run; the walk fills runs
         // back to front, leaving `tri_start[e]` at the start of `e`'s run.
         tri_start.clear();
-        tri_start.reserve(sup.len() + 1);
+        tri_start.reserve_exact(sup.len() + 1);
         let mut end = 0u32;
         for &s in sup {
             end += 2 * s;
@@ -244,6 +277,7 @@ impl Oriented {
         }
         tri_start.push(end);
         tri.clear();
+        tri.reserve_exact(end as usize);
         tri.resize(end as usize, 0);
         let m = self.arcs.len() as u32;
         self.walk(|mark, e_uv, out_v| {
@@ -263,24 +297,143 @@ impl Oriented {
     }
 }
 
+/// Adjacency bit matrix for the peel of a small dense graph: one row of
+/// `⌈n/64⌉` words per vertex, twice over. The static rows never change
+/// and, with a rank prefix per word (the popcount of the row's earlier
+/// words), give a neighbor's position in its CSR row, and so its edge id.
+/// The live rows lose an edge's two bits when it peels, so the AND of two
+/// live rows lists exactly the triangles still standing on an edge.
+#[derive(Clone, Debug, Default)]
+struct LiveMatrix {
+    /// Words per row.
+    width: usize,
+    fixed: Vec<u64>,
+    live: Vec<u64>,
+    rank: Vec<u32>,
+}
+
+impl LiveMatrix {
+    /// Bytes the matrix holds for an `n`-vertex graph: static and live
+    /// `u64` rows plus a `u32` rank prefix per word.
+    fn bytes(n: usize) -> u64 {
+        20 * n as u64 * n.div_ceil(64) as u64
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.fixed) + vec_heap_bytes(&self.live) + vec_heap_bytes(&self.rank)
+    }
+
+    /// Lays out `g`'s rows, reusing pooled capacity.
+    fn build(&mut self, g: &CsrGraph) {
+        let n = g.num_vertices();
+        let width = n.div_ceil(64);
+        let words = n * width;
+        self.width = width;
+        self.fixed.clear();
+        self.fixed.reserve_exact(words);
+        self.fixed.resize(words, 0);
+        for (u, row) in self.fixed.chunks_exact_mut(width).enumerate() {
+            for &v in g.neighbors(VertexId(u as u32)) {
+                row[v as usize >> 6] |= 1u64 << (v & 63);
+            }
+        }
+        self.live.clear();
+        self.live.reserve_exact(words);
+        self.live.extend_from_slice(&self.fixed);
+        self.rank.clear();
+        self.rank.reserve_exact(words);
+        for row in self.fixed.chunks_exact(width) {
+            let mut below = 0u32;
+            for &word in row {
+                self.rank.push(below);
+                below += word.count_ones();
+            }
+        }
+    }
+
+    /// Unwinds the triangles on the live edge `e = {u, v}` and clears its
+    /// two bits. CSR rows are ascending, so `w`'s position in `u`'s row
+    /// is the rank prefix of its word plus the static bits below it.
+    fn unwind(&mut self, g: &CsrGraph, buckets: &mut SupportBuckets, e: u32, floor: u32) {
+        let (u, v) = g.edge_endpoints(EdgeId(e));
+        let (nu, nv) = (g.neighbors(u), g.neighbors(v));
+        let (eu, ev) = (g.neighbor_edge_ids(u), g.neighbor_edge_ids(v));
+        let (ru, rv) = (u.index() * self.width, v.index() * self.width);
+        // Only the words both static rows span can hold a common neighbor.
+        let lo = nu[0].max(nv[0]) as usize >> 6;
+        let hi = nu[nu.len() - 1].min(nv[nv.len() - 1]) as usize >> 6;
+        for i in lo..=hi {
+            let mut common = self.live[ru + i] & self.live[rv + i];
+            while common != 0 {
+                let below = (common & common.wrapping_neg()) - 1;
+                common &= common - 1;
+                let at = |r: usize| {
+                    (self.rank[r + i] + (self.fixed[r + i] & below).count_ones()) as usize
+                };
+                buckets.decrement_above(eu[at(ru)], floor);
+                buckets.decrement_above(ev[at(rv)], floor);
+            }
+        }
+        self.live[ru + (v.index() >> 6)] &= !(1u64 << (v.0 & 63));
+        self.live[rv + (u.index() >> 6)] &= !(1u64 << (u.0 & 63));
+    }
+}
+
+/// How [`truss_decomposition_with`] finds the triangles a peeled edge
+/// breaks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Peel {
+    /// AND the endpoints' rows of a [`LiveMatrix`].
+    Matrix,
+    /// Read the edge's slots of the triangle pre-index.
+    PreIndex,
+    /// Merge the endpoints' rows over a [`DynGraph`] deletion overlay.
+    Merge,
+}
+
+/// Ceiling on the triangle pre-index size, in (edge, edge) slot pairs.
+/// At 8 bytes a pair it is also the byte budget of the live matrix;
+/// graphs that fit neither fall back to the `DynGraph` merge peel rather
+/// than materializing a huge structure.
+fn pre_index_cap_pairs(m: usize) -> u64 {
+    (32 * m as u64).max(1 << 20)
+}
+
+/// Picks the peel structure that holds the fewest bytes for a graph of
+/// `n` vertices, `m` edges and `pairs = Σ sup` triangle slots: the live
+/// matrix's `20·n·⌈n/64⌉` or the pre-index's `8·pairs + 4(m + 1)`, among
+/// those within the cap.
+fn choose_peel(n: usize, m: usize, pairs: u64) -> Peel {
+    let cap = pre_index_cap_pairs(m);
+    let pre_index = if pairs <= cap && 2 * pairs <= u64::from(u32::MAX) {
+        8 * pairs + 4 * (m as u64 + 1)
+    } else {
+        u64::MAX
+    };
+    if LiveMatrix::bytes(n) <= pre_index.min(8 * cap) {
+        Peel::Matrix
+    } else if pre_index != u64::MAX {
+        Peel::PreIndex
+    } else {
+        Peel::Merge
+    }
+}
+
 /// Pooled working memory for [`truss_decomposition_with`]: the
-/// degree-oriented adjacency and its marks, the per-edge supports, the
-/// flat triangle pre-index, the `peeled` flags, and the bucket-queue
-/// arrays. One scratch serves any number of decompositions; once warm on
-/// a graph, a decomposition of that graph (LCTC's per-query one, say)
+/// degree-oriented adjacency and its marks, the bucket queue with the
+/// per-edge supports, and whichever peel structure the graph took — the
+/// live matrix, or the flat triangle pre-index with its `peeled` flags.
+/// One scratch serves any number of decompositions; once warm on a
+/// graph, a decomposition of that graph (LCTC's per-query one, say)
 /// allocates only the trussness array it returns.
 #[derive(Clone, Debug, Default)]
 pub struct DecomposeScratch {
     oriented: Oriented,
-    sup: Vec<u32>,
+    buckets: SupportBuckets,
+    matrix: LiveMatrix,
     tri_start: Vec<u32>,
     tri: Vec<u32>,
     peeled: Vec<bool>,
-    touched: Vec<u32>,
-    buckets: SupportBuckets,
-    /// Lazy bucket queue for the pre-index peel: `lazy[s]` holds edges whose
-    /// support last *became* `s`; stale entries are skipped on pop.
-    lazy: Vec<Vec<u32>>,
 }
 
 impl DecomposeScratch {
@@ -292,21 +445,21 @@ impl DecomposeScratch {
     /// Heap bytes held (capacity of every buffer).
     pub fn heap_bytes(&self) -> usize {
         self.oriented.heap_bytes()
-            + vec_heap_bytes(&self.sup)
+            + self.buckets.heap_bytes()
+            + self.matrix.heap_bytes()
             + vec_heap_bytes(&self.tri_start)
             + vec_heap_bytes(&self.tri)
             + vec_heap_bytes(&self.peeled)
-            + vec_heap_bytes(&self.touched)
-            + self.buckets.heap_bytes()
-            + nested_heap_bytes(&self.lazy)
     }
-}
 
-/// Ceiling on the triangle pre-index size, in (edge, edge) slot pairs.
-/// Graphs whose triangle mass exceeds it fall back to the DynGraph merge
-/// loop rather than materializing a huge flat index.
-fn pre_index_cap_pairs(m: usize) -> u64 {
-    (32 * m as u64).max(1 << 20)
+    /// Counts the support of every edge of `g` into `sup` (equal to
+    /// `edge_supports`) with one walk over the degree-oriented adjacency
+    /// this scratch holds. The peel of `ctc-core` arms its truss
+    /// maintainer from it.
+    pub fn count_supports(&mut self, g: &CsrGraph, sup: &mut Vec<u32>) {
+        self.oriented.build(g);
+        self.oriented.count(sup);
+    }
 }
 
 /// Runs the truss decomposition on `g`.
@@ -317,18 +470,27 @@ pub fn truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
 /// Runs the truss decomposition on `g` using pooled `scratch` buffers.
 ///
 /// Identical output to [`truss_decomposition`] (which delegates here with a
-/// fresh scratch). Triangles are found on a degree-oriented adjacency,
-/// which holds each edge once at its lower-ranked endpoint, so a walk
-/// finds each triangle exactly once. The first walk counts supports; the
-/// second fills a flat *triangle pre-index* (the other two edge ids of
-/// each triangle, in per-edge slots), and the peel loop then touches only
-/// those slots, skipping triangles already broken by a `peeled` flag — no
-/// deletion overlay, no merges. Graphs whose triangle mass exceeds the
-/// pre-index cap skip the second walk and use the classic [`DynGraph`]
-/// merge peel instead (same answers, bounded memory).
+/// fresh scratch). One walk over a degree-oriented adjacency counts the
+/// supports, and the peel pops edges in ascending support from a bucket
+/// queue. To find the triangles a popped edge breaks, it uses whichever
+/// structure holds the fewest bytes: an adjacency bit matrix whose live
+/// rows it ANDs (small dense graphs), or a flat *triangle pre-index* that
+/// a second walk fills with the other two edge ids of each triangle, read
+/// under a `peeled` flag. Graphs too large for both take the classic
+/// [`DynGraph`] merge peel instead (same answers, bounded memory).
 pub fn truss_decomposition_with(
     g: &CsrGraph,
     scratch: &mut DecomposeScratch,
+) -> TrussDecomposition {
+    decompose(g, scratch, None)
+}
+
+/// [`truss_decomposition_with`], taking `force`'s peel structure instead
+/// of [`choose_peel`]'s when it is given.
+fn decompose(
+    g: &CsrGraph,
+    scratch: &mut DecomposeScratch,
+    force: Option<Peel>,
 ) -> TrussDecomposition {
     let m = g.num_edges();
     let mut edge_truss = vec![0u32; m];
@@ -338,101 +500,53 @@ pub fn truss_decomposition_with(
             max_truss: 0,
         };
     }
-    scratch.oriented.build(g);
-    scratch.oriented.count(&mut scratch.sup);
-    // The supports' sum is the triangle-slot budget.
-    let total_pairs: u64 = scratch.sup.iter().map(|&s| u64::from(s)).sum();
-    let use_pre_index = total_pairs <= pre_index_cap_pairs(m) && total_pairs * 2 <= u32::MAX as u64;
-    let mut max_truss = 2u32;
-    if use_pre_index {
-        scratch
-            .oriented
-            .fill(&scratch.sup, &mut scratch.tri_start, &mut scratch.tri);
-        scratch.peeled.clear();
-        scratch.peeled.resize(m, false);
-        // Lazy bucket peel: a decrement is one store plus one push — no
-        // positional swap maintenance. `lazy[s]` may hold stale entries
-        // (the edge moved on or was peeled); the pop re-checks `sup`.
-        // Trussness is a confluent fixpoint of the peel, so the different
-        // within-level order cannot change any output value.
-        let max_sup = scratch.sup.iter().copied().max().unwrap_or(0) as usize;
-        for bucket in scratch.lazy.iter_mut() {
-            bucket.clear();
+    let DecomposeScratch {
+        oriented,
+        buckets,
+        matrix,
+        tri_start,
+        tri,
+        peeled,
+    } = scratch;
+    oriented.build(g);
+    oriented.count(&mut buckets.sup);
+    let pairs = buckets.sup.iter().map(|&s| u64::from(s)).sum();
+    let peel = force.unwrap_or_else(|| choose_peel(g.num_vertices(), m, pairs));
+    buckets.arm();
+    let max_truss = match peel {
+        Peel::Matrix => {
+            matrix.build(g);
+            buckets.peel(&mut edge_truss, |b, e, floor| matrix.unwind(g, b, e, floor))
         }
-        if scratch.lazy.len() <= max_sup {
-            scratch.lazy.resize_with(max_sup + 1, Vec::new);
-        }
-        for (e, &s) in scratch.sup.iter().enumerate() {
-            scratch.lazy[s as usize].push(e as u32);
-        }
-        for k in 0..=max_sup {
-            let mut i = 0;
-            while i < scratch.lazy[k].len() {
-                let e = scratch.lazy[k][i] as usize;
-                i += 1;
-                if scratch.peeled[e] || scratch.sup[e] as usize != k {
-                    continue; // stale entry: the edge moved on or is gone
-                }
-                scratch.peeled[e] = true;
-                let truss = k as u32 + 2;
-                edge_truss[e] = truss;
-                max_truss = max_truss.max(truss);
+        Peel::PreIndex => {
+            oriented.fill(&buckets.sup, tri_start, tri);
+            peeled.clear();
+            peeled.resize(m, false);
+            buckets.peel(&mut edge_truss, |b, e, floor| {
+                peeled[e as usize] = true;
+                let run = tri_start[e as usize] as usize..tri_start[e as usize + 1] as usize;
                 // A triangle survives iff neither of its other two edges
-                // has been peeled — exactly the aliveness the deletion
-                // overlay's merge used to test. Supports never drop below
-                // the current level (the old `k_floor` clamp).
-                let (a, b) = (
-                    scratch.tri_start[e] as usize,
-                    scratch.tri_start[e + 1] as usize,
-                );
-                for pair in scratch.tri[a..b].chunks_exact(2) {
-                    let (e1, e2) = (pair[0] as usize, pair[1] as usize);
-                    if scratch.peeled[e1] || scratch.peeled[e2] {
-                        continue;
-                    }
-                    for f in [e1, e2] {
-                        if scratch.sup[f] as usize > k {
-                            scratch.sup[f] -= 1;
-                            scratch.lazy[scratch.sup[f] as usize].push(f as u32);
-                        }
+                // has been peeled.
+                for pair in tri[run].chunks_exact(2) {
+                    if !peeled[pair[0] as usize] && !peeled[pair[1] as usize] {
+                        b.decrement_above(pair[0], floor);
+                        b.decrement_above(pair[1], floor);
                     }
                 }
-            }
-            scratch.lazy[k].clear();
+            })
         }
-    } else {
-        scratch.buckets.reset_from(&scratch.sup);
-        // Peel edges in ascending current-support order. `k_floor` tracks
-        // the highest support seen at removal time; supports of later edges
-        // are clamped to it implicitly because `decrement` is skipped when
-        // a neighbor edge's support has already fallen to the frontier.
-        let mut k_floor = 0u32;
-        let buckets = &mut scratch.buckets;
-        let mut live = DynGraph::new(g);
-        let touched = &mut scratch.touched;
-        for i in 0..m {
-            let e = EdgeId(buckets.sorted[i]);
-            let s = buckets.sup[e.index()];
-            k_floor = k_floor.max(s);
-            let truss = k_floor + 2;
-            edge_truss[e.index()] = truss;
-            max_truss = max_truss.max(truss);
-            let (u, v) = g.edge_endpoints(e);
-            // Collect first: decrementing re-orders the bucket arrays, which
-            // must not race with the common-neighbor merge borrowing `live`.
-            touched.clear();
-            live.for_each_common_neighbor(u, v, |_, euw, evw| {
-                touched.push(euw.0);
-                touched.push(evw.0);
-            });
-            for &f in touched.iter() {
-                if buckets.sup[f as usize] > k_floor {
-                    buckets.decrement(f);
-                }
-            }
-            live.remove_edge(e);
+        Peel::Merge => {
+            let mut live = DynGraph::new(g);
+            buckets.peel(&mut edge_truss, |b, e, floor| {
+                let (u, v) = g.edge_endpoints(EdgeId(e));
+                live.for_each_common_neighbor(u, v, |_, euw, evw| {
+                    b.decrement_above(euw.0, floor);
+                    b.decrement_above(evw.0, floor);
+                });
+                live.remove_edge(EdgeId(e));
+            })
         }
-    }
+    };
     TrussDecomposition {
         edge_truss,
         max_truss,
@@ -823,7 +937,8 @@ mod tests {
     /// star whose hub also sits in a K4 (the K4's other three vertices tie
     /// on degree, as do the two spokes a chord joins, so the orientation
     /// breaks those ties by id), and random samples on both sides of the
-    /// pre-index cap.
+    /// pre-index cap. The dense ones exceed the cap and take the matrix;
+    /// among the rest, the byte rule picks each structure at least once.
     fn pass_graphs() -> Vec<(&'static str, CsrGraph)> {
         use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
         let mut star = vec![(1, 2), (4, 9), (4, 10), (4, 11), (9, 10), (9, 11), (10, 11)];
@@ -842,16 +957,138 @@ mod tests {
             let over = slots > pre_index_cap_pairs(g.num_edges());
             assert_eq!(over, name.starts_with("dense"), "{name}: {slots} slots");
         }
+        let peels: Vec<Peel> = graphs.iter().map(|(_, g)| chosen_peel(g)).collect();
+        assert!(peels.contains(&Peel::Matrix) && peels.contains(&Peel::PreIndex));
         graphs
     }
 
+    /// The peel [`truss_decomposition_with`] takes for `g`.
+    fn chosen_peel(g: &CsrGraph) -> Peel {
+        let pairs = edge_supports(g).iter().map(|&s| u64::from(s)).sum();
+        choose_peel(g.num_vertices(), g.num_edges(), pairs)
+    }
+
+    /// A full preset and LCTC-shaped local graphs cut from it: for each
+    /// of `count` seeded query sets (|Q| = 3, top-80% degree rank,
+    /// inter-distance 2), the ball of at most η = 1000 vertices that
+    /// Algorithm 5's expansion grows from `Q` over edges of trussness
+    /// ≥ `kt`, closed under those edges. `kt` is the level at which
+    /// FindG0 connects `Q`, an upper bound on the trussness of the
+    /// Steiner tree's weakest edge, which LCTC expands at.
+    fn preset_cuts(name: &str, count: usize) -> (CsrGraph, Vec<CsrGraph>) {
+        use ctc_gen::{network_by_name, DegreeRank, QueryGenerator};
+        let g = network_by_name(name).expect("preset").data.graph;
+        let idx = crate::TrussIndex::build(&g);
+        let mut gen = QueryGenerator::new(&g, 11);
+        let mut local = vec![u32::MAX; g.num_vertices()];
+        let mut cuts = Vec::new();
+        while cuts.len() < count {
+            let q = gen.sample(3, DegreeRank::top(0.8), 2).expect("query set");
+            let kt = crate::find_g0(&g, &idx, &q).expect("connected query").k;
+            let mut picked: Vec<VertexId> = Vec::new();
+            let mut head = 0;
+            for v in q {
+                if local[v.index()] == u32::MAX {
+                    local[v.index()] = picked.len() as u32;
+                    picked.push(v);
+                }
+            }
+            while head < picked.len() && picked.len() < 1000 {
+                let v = picked[head];
+                head += 1;
+                for (w, _, _) in idx.incident_at_least(v, kt) {
+                    if picked.len() < 1000 && local[w.index()] == u32::MAX {
+                        local[w.index()] = picked.len() as u32;
+                        picked.push(w);
+                    }
+                }
+            }
+            let mut b = ctc_graph::GraphBuilder::new();
+            b.ensure_vertices(picked.len());
+            for (lu, &u) in picked.iter().enumerate() {
+                for (w, _, _) in idx.incident_at_least(u, kt) {
+                    if w > u && local[w.index()] != u32::MAX {
+                        b.add_edge(lu as u32, local[w.index()]);
+                    }
+                }
+            }
+            for v in &picked {
+                local[v.index()] = u32::MAX;
+            }
+            // LCTC's locate spends its decomposition on the full-η cuts.
+            if picked.len() == 1000 {
+                cuts.push(b.build());
+            }
+        }
+        (g, cuts)
+    }
+
+    /// The local graphs the agreement test runs every peel on.
+    fn local_graphs() -> Vec<(String, CsrGraph)> {
+        let mut out = Vec::new();
+        for name in ["facebook", "dblp"] {
+            let (_, cuts) = preset_cuts(name, 2);
+            out.extend(
+                cuts.into_iter()
+                    .enumerate()
+                    .map(|(i, g)| (format!("{name} Gt {i}"), g)),
+            );
+        }
+        out
+    }
+
+    /// Every peel structure, forced or chosen, assigns the trussness that
+    /// PKT at 2 threads and the naive oracle agree on, through one
+    /// scratch reused across graphs and structures. The naive oracle
+    /// skips the two dense samples: it recounts every live edge's support
+    /// each round, which takes half a minute on them in a debug build.
     #[test]
-    fn oriented_count_matches_the_bitset_supports() {
-        let mut oriented = Oriented::default();
+    fn every_peel_agrees_with_the_oracles() {
+        let mut scratch = DecomposeScratch::new();
+        let graphs = pass_graphs()
+            .into_iter()
+            .map(|(name, g)| (name.to_string(), g))
+            .chain(local_graphs());
+        for (name, g) in graphs {
+            let pkt = truss_decomposition_par(&g, Parallelism::threads(2));
+            if !name.starts_with("dense") {
+                let naive = naive_truss_decomposition(&g);
+                assert_eq!(naive.edge_truss, pkt.edge_truss, "{name}: naive vs PKT");
+                assert_eq!(naive.max_truss, pkt.max_truss, "{name}: naive vs PKT");
+            }
+            for peel in [
+                None,
+                Some(Peel::Matrix),
+                Some(Peel::PreIndex),
+                Some(Peel::Merge),
+            ] {
+                let d = decompose(&g, &mut scratch, peel);
+                assert_eq!(d.edge_truss, pkt.edge_truss, "{name}: {peel:?}");
+                assert_eq!(d.max_truss, pkt.max_truss, "{name}: {peel:?}");
+            }
+        }
+    }
+
+    /// The byte rule on the presets ctcbench serves: fb's local graphs
+    /// and full fb (dense) take the matrix; full dblp (32K vertices) and
+    /// dblp's local graphs (sparse) keep the pre-index.
+    #[test]
+    fn byte_rule_picks_the_smaller_structure() {
+        for (name, want) in [("facebook", Peel::Matrix), ("dblp", Peel::PreIndex)] {
+            let (full, cuts) = preset_cuts(name, 3);
+            assert_eq!(chosen_peel(&full), want, "full {name}");
+            for (i, gt) in cuts.iter().enumerate() {
+                assert_eq!(chosen_peel(gt), want, "{name} Gt {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn counted_supports_match_the_bitset_supports() {
+        let mut scratch = DecomposeScratch::new();
         let mut sup = vec![7; 3];
         for (name, g) in pass_graphs() {
-            oriented.build(&g);
-            oriented.count(&mut sup);
+            scratch.count_supports(&g, &mut sup);
             assert_eq!(sup, edge_supports(&g), "{name}");
         }
     }
@@ -890,40 +1127,44 @@ mod tests {
     }
 
     /// K_130 is the smallest clique whose triangle slots exceed the
-    /// pre-index cap (8385 edges × 128 = 1,073,280 > 2^20), so both graphs
-    /// here take the `DynGraph` merge peel: the clique alone, then with a
-    /// pendant edge, a triangle and a K4 hung off clique vertex 0.
+    /// pre-index cap (8385 edges × 128 = 1,073,280 > 2^20); a path of
+    /// 6000 vertices hung off clique vertex 0 makes its matrix (6130
+    /// rows of 96 words, 11.8 MB) exceed the cap's 8 MiB too, so both
+    /// graphs here take the `DynGraph` merge peel: the padded clique
+    /// alone, then with a pendant edge, a triangle and a K4 hung off
+    /// clique vertex 1.
     #[test]
     fn merge_fallback_past_the_pre_index_cap() {
+        const PATH: u32 = 6000;
         let clique = crate::fixtures::clique(130);
         let mut edges: Vec<(u32, u32)> = clique.edges().map(|(_, u, v)| (u.0, v.0)).collect();
+        edges.push((0, 130));
+        edges.extend((130..130 + PATH - 1).map(|v| (v, v + 1)));
         let alone = graph_from_edges(&edges);
-        edges.extend([(0, 130), (0, 131), (0, 132), (131, 132)]);
+        let x = 130 + PATH;
+        edges.extend([(1, x), (1, x + 1), (1, x + 2), (x + 1, x + 2)]);
         edges.extend([
-            (0, 133),
-            (0, 134),
-            (0, 135),
-            (133, 134),
-            (133, 135),
-            (134, 135),
+            (1, x + 3),
+            (1, x + 4),
+            (1, x + 5),
+            (x + 3, x + 4),
+            (x + 3, x + 5),
+            (x + 4, x + 5),
         ]);
         let hung = graph_from_edges(&edges);
         for (name, g) in [("K130", &alone), ("K130 + hangers", &hung)] {
-            let slots: u64 = edge_supports(g).iter().map(|&s| u64::from(s)).sum();
-            assert!(
-                slots > pre_index_cap_pairs(g.num_edges()),
-                "{name}: {slots} triangle slots no longer exceed the pre-index cap"
-            );
+            assert_eq!(chosen_peel(g), Peel::Merge, "{name}");
             let d = truss_decomposition(g);
             let par = truss_decomposition_par(g, Parallelism::threads(2));
             assert_eq!(d.edge_truss, par.edge_truss, "{name}: serial vs parallel");
             assert_eq!(d.max_truss, 130, "{name}");
             for (e, u, v) in g.edges() {
-                let want = match u.0.max(v.0) {
-                    0..=129 => 130,
-                    130 => 2,
-                    131 | 132 => 3,
-                    _ => 4,
+                let want = match (u.0, v.0) {
+                    (_, 0..=129) => 130,
+                    (1, w) if w == x => 2,
+                    (_, w) if w == x + 1 || w == x + 2 => 3,
+                    (_, w) if w >= x + 3 => 4,
+                    _ => 2,
                 };
                 assert_eq!(d.truss(e), want, "{name}: edge ({u}, {v})");
             }

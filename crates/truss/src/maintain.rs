@@ -7,9 +7,7 @@
 //! and isolated vertices are swept — restoring the k-truss property exactly
 //! as the paper's Algorithm 3 does.
 
-use ctc_graph::{
-    edge_supports_dyn_pooled, vec_heap_bytes, BitsetBuffers, DynGraph, EdgeId, VertexId,
-};
+use ctc_graph::{edge_supports_dyn, vec_heap_bytes, DynGraph, EdgeId, VertexId};
 
 /// What a maintenance round removed: the requested vertices, every cascade
 /// victim, and all deleted edges. The peeling algorithms use this to stamp
@@ -39,9 +37,10 @@ impl CascadeReport {
 ///
 /// All working memory (support array, deletion queue, triangle scratch) is
 /// owned and reusable: a maintainer can be re-armed for a different graph
-/// or level with [`reset_for`](Self::reset_for) without reallocating, which
-/// is how the pooled peel scratch of `ctc-core` keeps the warm query path
-/// allocation-free.
+/// or level with [`reset_with`](Self::reset_with) without reallocating,
+/// which is how the pooled peel scratch of `ctc-core` keeps the warm query
+/// path allocation-free.
+#[derive(Default)]
 pub struct TrussMaintainer {
     /// Current support of each alive edge (garbage for dead edges).
     support: Vec<u32>,
@@ -55,24 +54,14 @@ pub struct TrussMaintainer {
     touched: Vec<(EdgeId, EdgeId)>,
     /// Pooled isolated-vertex scratch for the sweep.
     orphans: Vec<VertexId>,
-    /// Pooled bitset-adjacency slab for the support recomputation.
-    bitset: BitsetBuffers,
 }
 
 impl TrussMaintainer {
     /// Builds maintenance state for `live`, computing initial supports
     /// (line 15 of Algorithm 2) and enforcing level `k`.
     pub fn new(live: &DynGraph<'_>, k: u32) -> Self {
-        let mut m = TrussMaintainer {
-            support: Vec::new(),
-            k,
-            in_queue: Vec::new(),
-            queue: Vec::new(),
-            touched: Vec::new(),
-            orphans: Vec::new(),
-            bitset: BitsetBuffers::default(),
-        };
-        m.reset_for(live, k);
+        let mut m = TrussMaintainer::default();
+        m.reset_with(&edge_supports_dyn(live), live, k);
         m
     }
 
@@ -84,26 +73,12 @@ impl TrussMaintainer {
             + vec_heap_bytes(&self.queue)
             + vec_heap_bytes(&self.touched)
             + vec_heap_bytes(&self.orphans)
-            + self.bitset.heap_bytes()
     }
 
-    /// Re-arms the maintainer for `live` at level `k`, recomputing the
-    /// supports in place. Equivalent to `TrussMaintainer::new` but reuses
+    /// Re-arms the maintainer for `live` at level `k` with its supports
+    /// (must be `edge_supports_dyn(live)`-equal: the caller counts them,
+    /// or serves them from a cache keyed on the exact subgraph). Reuses
     /// every buffer.
-    pub fn reset_for(&mut self, live: &DynGraph<'_>, k: u32) {
-        edge_supports_dyn_pooled(live, &mut self.support, &mut self.bitset);
-        self.k = k;
-        self.in_queue.clear();
-        self.in_queue.resize(live.base().num_edges(), false);
-        self.queue.clear();
-        self.touched.clear();
-        self.orphans.clear();
-    }
-
-    /// Re-arms the maintainer with precomputed supports for a fully-alive
-    /// `live` (must be `edge_supports_dyn(live)`-equal — the caller's
-    /// contract when serving them from a cache keyed on the exact
-    /// subgraph). Skips the support recomputation entirely.
     pub fn reset_with(&mut self, supports: &[u32], live: &DynGraph<'_>, k: u32) {
         let m = live.base().num_edges();
         assert_eq!(supports.len(), m, "support table does not match graph");

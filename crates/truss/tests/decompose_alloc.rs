@@ -42,8 +42,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_decomposition_allocates_only_its_result() {
-    // The planted graph `crates/core/tests/alloc.rs` peels, and the mini
-    // facebook preset LCTC's per-query graphs are cut from.
+    // The planted graph `crates/core/tests/alloc.rs` peels and the mini
+    // facebook preset are small and dense, so they take the live bit
+    // matrix peel (3.3 KB and 56 KB of matrix against a 25 KB and a
+    // 201 KB pre-index); the sparse mini dblp preset keeps the triangle
+    // pre-index (220 KB against an 800 KB matrix).
     let planted = planted_partition(&PlantedConfig {
         community_sizes: vec![25, 30, 20],
         background_vertices: 8,
@@ -53,7 +56,12 @@ fn warm_decomposition_allocates_only_its_result() {
     })
     .graph;
     let facebook = mini_network("facebook", 7).expect("mini preset").graph;
-    for (name, g) in [("planted", &planted), ("mini facebook", &facebook)] {
+    let dblp = mini_network("dblp", 7).expect("mini preset").graph;
+    for (name, g) in [
+        ("planted", &planted),
+        ("mini facebook", &facebook),
+        ("mini dblp", &dblp),
+    ] {
         let want = truss_decomposition(g);
         let mut scratch = DecomposeScratch::new();
         let _ = truss_decomposition_with(g, &mut scratch);

@@ -1,8 +1,9 @@
 //! Property tests pinning the bitset-kernel locate path to merge-based
 //! oracles at the truss layer: `find_g0` under pooled scratch reuse,
 //! `tcp_communities` against a sorted-merge reimplementation, and the
-//! triangle pre-index decomposition against itself across scratch reuse —
-//! byte-identical on ER / BA / planted graphs.
+//! serial decomposition against itself across scratch reuse, whichever
+//! peel structure each graph takes — byte-identical on ER / BA / planted
+//! graphs.
 
 use ctc_gen::planted::planted_equal;
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
@@ -59,8 +60,9 @@ fn check_truss_kernels(
     decomp: &mut DecomposeScratch,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    // Decomposition: pooled scratch (triangle pre-index path) must match a
-    // fresh run byte-for-byte.
+    // Decomposition: a pooled scratch, last grown on another graph and
+    // perhaps another peel structure, must match a fresh run
+    // byte-for-byte.
     let fresh = truss_decomposition(g);
     let pooled = truss_decomposition_with(g, decomp);
     prop_assert_eq!(
