@@ -1,9 +1,9 @@
 //! Microbench: truss decomposition and truss-index construction — the
 //! offline cost behind Table 3 — on the mini presets and on the full
-//! facebook and dblp presets a serving engine builds at start-up,
-//! serial-vs-parallel comparisons of the frontier-peeling decomposition at
-//! 1/2/4/8 threads, and LCTC's per-query decomposition of its local graph
-//! `Gt` through one warm pooled scratch.
+//! facebook and dblp presets a serving engine builds at start-up, the
+//! PKT frontier-peeling oracle at 2/4/8 threads against the serial kernel,
+//! and LCTC's per-query decomposition of its local graph `Gt` through one
+//! warm pooled scratch.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctc_core::local::expand_tree;
@@ -39,11 +39,11 @@ fn bench_decomposition(c: &mut Criterion) {
     }
     group.finish();
 
-    // Serial vs parallel on the densest generated graph (the full facebook
-    // preset: 87K edges on 4K vertices; dblp has more edges, 128K, but on
-    // 32K vertices). threads=1 routes through the serial decomposition and
-    // is the baseline; speedups at ≥2 threads require real cores, so run
-    // this on multi-core hardware.
+    // The PKT oracle against the serial kernel on the densest generated
+    // graph (the full facebook preset: 87K edges on 4K vertices; dblp has
+    // more edges, 128K, but on 32K vertices). threads=1 routes through the
+    // serial decomposition and is the baseline every build runs; PKT would
+    // have to beat it on real cores to earn a build path.
     let net = network_by_name("facebook").expect("full preset");
     let g = net.data.graph;
     let mut group = c.benchmark_group("truss_decomposition_parallel");

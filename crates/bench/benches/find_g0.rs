@@ -1,9 +1,7 @@
-//! Microbench: `FindG0` (Algorithm 2) — the `O(|E(G0)|)` claim of Remark 2
-//! — and the serial-vs-parallel offline index build that feeds it.
+//! Microbench: `FindG0` (Algorithm 2) — the `O(|E(G0)|)` claim of Remark 2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
-use ctc_graph::Parallelism;
 use ctc_truss::{find_g0, TrussIndex};
 use std::time::Duration;
 
@@ -22,22 +20,6 @@ fn bench_find_g0(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("|Q|={size}")),
             &q,
             |b, q| b.iter(|| find_g0(&g, &idx, q).expect("connected")),
-        );
-    }
-    group.finish();
-
-    // The index build is FindG0's offline prerequisite (Table 3's
-    // construction column): compare the serial decomposition against the
-    // parallel frontier peeling feeding the same index.
-    let mut group = c.benchmark_group("find_g0_index_build");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("t={threads}")),
-            &g,
-            |b, g| b.iter(|| TrussIndex::build_par(g, Parallelism::threads(threads))),
         );
     }
     group.finish();

@@ -2,7 +2,7 @@
 
 use ctc_core::{Community, CtcConfig, CtcSearcher};
 use ctc_gen::{DegreeRank, Network, QueryGenerator};
-use ctc_graph::{CsrGraph, Parallelism, VertexId};
+use ctc_graph::VertexId;
 use std::time::Duration;
 
 /// Experiment knobs, read from the environment so `run_all` and CI can
@@ -10,9 +10,7 @@ use std::time::Duration;
 ///
 /// * `CTC_QUERIES` — query sets per data point (default per experiment);
 /// * `CTC_BUDGET_SECS` — wall-clock budget per workload point (default 60);
-/// * `CTC_SEED` — workload RNG seed (default 42);
-/// * `CTC_THREADS` — worker threads for index builds (0 = all cores,
-///   default 1 = serial).
+/// * `CTC_SEED` — workload RNG seed (default 42).
 #[derive(Clone, Debug)]
 pub struct ExpEnv {
     /// Query sets per data point.
@@ -21,8 +19,6 @@ pub struct ExpEnv {
     pub budget: Duration,
     /// Workload seed.
     pub seed: u64,
-    /// Thread count for the parallel phases (truss decomposition).
-    pub parallelism: Parallelism,
 }
 
 impl ExpEnv {
@@ -42,22 +38,11 @@ impl ExpEnv {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(42);
-        let parallelism = std::env::var("CTC_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Parallelism::threads)
-            .unwrap_or_else(Parallelism::serial);
         ExpEnv {
             queries,
             budget,
             seed,
-            parallelism,
         }
-    }
-
-    /// Builds a searcher for `g` honoring `CTC_THREADS`.
-    pub fn searcher<'g>(&self, g: &'g CsrGraph) -> CtcSearcher<'g> {
-        CtcSearcher::with_parallelism(g, self.parallelism)
     }
 }
 

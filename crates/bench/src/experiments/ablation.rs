@@ -6,7 +6,7 @@
 //!    (Alg. 4) vs the LCTC `L'` greedy, run on identical `G0`s.
 
 use crate::common::{banner, mean, sample_queries, ExpEnv};
-use ctc_core::{peel, CtcConfig, DeletePolicy, SteinerMode};
+use ctc_core::{peel, CtcConfig, CtcSearcher, DeletePolicy, SteinerMode};
 use ctc_eval::{fmt_f, fmt_secs, run_workload, Table};
 use ctc_gen::{network_by_name, DegreeRank};
 use ctc_truss::g0_subgraph;
@@ -21,7 +21,7 @@ pub fn steiner_modes() {
         "Ablation A — truss-distance mode in LCTC (dblp)",
         &format!("{} spread query sets (|Q| = 4, l = 3)", env.queries),
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     let queries = sample_queries(&net, env.queries, 4, DegreeRank::any(), 3, env.seed);
     let mut t = Table::new(["mode", "k", "|V|", "diameter", "time"]);
     for (label, mode) in [
@@ -62,7 +62,7 @@ pub fn delete_policies() {
         "Ablation B — peeling policy on identical G0 (facebook)",
         &format!("{} query sets (|Q| = 3, l = 2)", env.queries),
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     let queries = sample_queries(&net, env.queries, 3, DegreeRank::top(0.8), 2, env.seed);
     type PolicyRow = (&'static str, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
     let mut rows: Vec<PolicyRow> = vec![

@@ -3,7 +3,7 @@
 //! inter-distance `l` — on the DBLP and Facebook analogues.
 
 use crate::common::{banner, ctc_algos, mean, sample_queries, ExpEnv};
-use ctc_core::CtcConfig;
+use ctc_core::{CtcConfig, CtcSearcher};
 use ctc_eval::{fmt_f, fmt_secs, run_workload, Table};
 use ctc_gen::{network_by_name, DegreeRank, Network};
 use ctc_graph::VertexId;
@@ -89,7 +89,7 @@ pub fn run(network: &str, knob: Knob) {
             env.budget
         ),
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     let cfg = CtcConfig::default();
     let points = knob.points(&net, &env);
 

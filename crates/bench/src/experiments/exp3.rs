@@ -4,7 +4,7 @@
 
 use crate::common::{banner, mean, ExpEnv};
 use ctc_baselines::{mdc, qdc, MdcConfig, QdcConfig};
-use ctc_core::{Community, CtcConfig};
+use ctc_core::{Community, CtcConfig, CtcSearcher};
 use ctc_eval::{f1_score, fmt_f, fmt_secs, run_workload, Table};
 use ctc_gen::{ground_truth_networks, QueryGenerator};
 use ctc_graph::VertexId;
@@ -43,7 +43,7 @@ pub fn run() {
             g.num_vertices(),
             g.num_edges()
         );
-        let searcher = env.searcher(g);
+        let searcher = CtcSearcher::new(g);
         let cfg = CtcConfig::default();
         // Workload: (query, ground-truth community index).
         let mut qg = QueryGenerator::new(g, env.seed);

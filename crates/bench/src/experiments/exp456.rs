@@ -2,7 +2,7 @@
 //! fixed-k sweep) and Exp-6 (Figs. 15–16: LCTC parameter sweeps).
 
 use crate::common::{banner, mean, sample_queries, ExpEnv};
-use ctc_core::CtcConfig;
+use ctc_core::{CtcConfig, CtcSearcher};
 use ctc_eval::{f1_score, fmt_f, fmt_secs, run_workload, Table};
 use ctc_gen::{network_by_name, DegreeRank, QueryGenerator};
 use ctc_graph::VertexId;
@@ -20,7 +20,7 @@ pub fn fig13() {
         "Fig. 13 — diameter & trussness approximation (facebook)",
         &format!("{} query sets per point, |Q| = 3", env.queries),
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     let cfg = CtcConfig::default();
     // Cap Basic like the rest of the harness (see common::ctc_algos).
     let basic_cfg = CtcConfig::new().max_iterations(1500);
@@ -87,7 +87,7 @@ pub fn fig14() {
         "Fig. 14 — diameter vs fixed trussness k (facebook, LCTC)",
         "",
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     // Tight (l = 1) queries keep a single query population feasible across
     // the whole k sweep: for k below a query's maximum, a connected k-truss
     // containing it always exists, so every point averages the same sets.
@@ -137,7 +137,7 @@ pub fn fig15_16() {
         "Figs. 15/16 — LCTC parameter sweeps (dblp)",
         &format!("{} ground-truth query sets per point", env.queries),
     );
-    let searcher = env.searcher(g);
+    let searcher = CtcSearcher::new(g);
     let mut qg = QueryGenerator::new(g, env.seed);
     let mut rng = rand::rngs::StdRng::clone(&rand::SeedableRng::seed_from_u64(env.seed ^ 0x15));
     let mut workload: Vec<(Vec<VertexId>, usize)> = Vec::new();

@@ -34,9 +34,9 @@ pub struct CtcConfig {
     pub max_iterations: Option<usize>,
     /// Truss-distance evaluation mode for the LCTC Steiner stage.
     pub steiner_mode: SteinerMode,
-    /// Worker threads for the parallel phases (support computation and
-    /// truss decomposition — LCTC's local decomposition honors this).
-    /// Defaults to serial, which is the reference code path.
+    /// Worker threads for the peel's per-source distance repairs, the
+    /// only search phase that fans out (and only on graphs large enough
+    /// to pay for it). Defaults to serial.
     pub parallelism: Parallelism,
 }
 
@@ -89,8 +89,8 @@ impl CtcConfig {
         self
     }
 
-    /// Sets the worker-thread count for the parallel phases (`0` = all
-    /// available cores, `1` = serial).
+    /// Sets the worker-thread count for the peel's per-source repairs
+    /// (`0` = all available cores, `1` = serial).
     pub fn threads(mut self, n: usize) -> Self {
         self.parallelism = Parallelism::threads(n);
         self

@@ -232,12 +232,7 @@ impl CommunityEngine {
     /// Builds graph + index cold, serially (the offline cost a snapshot
     /// avoids).
     pub fn build(graph: CsrGraph) -> Self {
-        Self::build_par(graph, Parallelism::serial())
-    }
-
-    /// Builds cold with the decomposition spread over `par` threads.
-    pub fn build_par(graph: CsrGraph, par: Parallelism) -> Self {
-        Self::from_snapshot(Snapshot::build_par(graph, par))
+        Self::from_snapshot(Snapshot::build(graph))
     }
 
     /// Adopts a built or loaded [`Snapshot`] — the warm path: no
@@ -399,9 +394,9 @@ impl CommunityEngine {
     /// failing or succeeding independently.
     ///
     /// Queries share the read-only graph and index, so the fan-out is
-    /// contention-free; per-query inner parallelism (LCTC's local
-    /// decomposition) stays whatever the engine config says, which for
-    /// batch serving should normally remain serial.
+    /// contention-free; per-query inner parallelism (the peel's
+    /// per-source repairs) stays whatever the engine config says, which
+    /// for batch serving should normally remain serial.
     pub fn search_batch(&self, queries: &[EngineQuery]) -> Vec<Result<Community>> {
         self.batch_par
             .map_chunks(queries.len(), |range| {

@@ -32,19 +32,11 @@ pub struct CtcSearcher<'g> {
 
 impl<'g> CtcSearcher<'g> {
     /// Builds the truss index for `g` and wraps it (index construction is
-    /// the offline cost reported in Table 3). Serial; see
-    /// [`CtcSearcher::with_parallelism`] for the multi-core build.
+    /// the offline cost reported in Table 3).
     pub fn new(g: &'g CsrGraph) -> Self {
-        Self::with_parallelism(g, Parallelism::serial())
-    }
-
-    /// Builds the truss index across `par` worker threads and wraps it.
-    /// The resulting searcher is identical to [`CtcSearcher::new`]'s for
-    /// every thread count — only the offline build is spread over cores.
-    pub fn with_parallelism(g: &'g CsrGraph, par: Parallelism) -> Self {
         CtcSearcher {
             g,
-            idx: Cow::Owned(TrussIndex::build_par(g, par)),
+            idx: Cow::Owned(TrussIndex::build(g)),
         }
     }
 
@@ -209,14 +201,9 @@ impl<'g> CtcSearcher<'g> {
         let gt = expand_tree(self.g, &self.idx, &tree, cfg.eta);
         let q_gt = gt.locals(q).ok_or(GraphError::Disconnected)?;
         // Step 3: local truss decomposition + maximal connected k-truss
-        // (the online decomposition LCTC pays per query — honors the
-        // configured thread count; the serial build runs over the pooled
+        // (the online decomposition LCTC pays per query, over the pooled
         // decomposition scratch, allocation-free once warm).
-        let idx_t = if cfg.parallelism.is_serial() {
-            TrussIndex::build_with(&gt.graph, &mut scratch.decomp)
-        } else {
-            TrussIndex::build_par(&gt.graph, cfg.parallelism)
-        };
+        let idx_t = TrussIndex::build_with(&gt.graph, &mut scratch.decomp);
         let ht = find_g0_with(&gt.graph, &idx_t, &q_gt, cap, &mut scratch.find)?;
         // Materialize Ht in *original-graph* ids with canonical local
         // numbering: queries that reach the same community through
@@ -399,27 +386,25 @@ mod tests {
         ));
     }
 
+    /// A four-thread config returns the serial answers. Figure 1 is below
+    /// the size where the peel fans its repairs out, so this pins the
+    /// config plumbing; `peel_props.rs` runs `peel_with` itself at 1/2/4
+    /// threads.
     #[test]
     fn parallel_searcher_matches_serial_end_to_end() {
         let g = figure1_graph();
         let f = Figure1Ids::default();
         let q = [f.q1, f.q2, f.q3];
-        let serial = CtcSearcher::new(&g);
-        let parallel = CtcSearcher::with_parallelism(&g, Parallelism::threads(4));
-        assert_eq!(
-            serial.index().edge_truss_slice(),
-            parallel.index().edge_truss_slice(),
-            "index must not depend on thread count"
-        );
+        let s = CtcSearcher::new(&g);
         let cfg_par = CtcConfig::new().threads(4);
         for (a, b) in [
             (
-                serial.basic(&q, &CtcConfig::default()).unwrap(),
-                parallel.basic(&q, &cfg_par).unwrap(),
+                s.basic(&q, &CtcConfig::default()).unwrap(),
+                s.basic(&q, &cfg_par).unwrap(),
             ),
             (
-                serial.local(&q, &CtcConfig::default()).unwrap(),
-                parallel.local(&q, &cfg_par).unwrap(),
+                s.local(&q, &CtcConfig::default()).unwrap(),
+                s.local(&q, &cfg_par).unwrap(),
             ),
         ] {
             assert_eq!(a.k, b.k);

@@ -5,9 +5,8 @@
 //! with strongly-typed ids, a deletion overlay for the paper's peeling
 //! algorithms, BFS/traversal machinery, triangle & support computation,
 //! distances/diameters, induced subgraphs, personalized PageRank, summary
-//! statistics, IO, and the [`Parallelism`] substrate that spreads the hot
-//! phases (triangle counting, support computation, truss decomposition in
-//! `ctc-truss`) across threads.
+//! statistics, IO, and the [`Parallelism`] substrate that fans independent
+//! work (batched searches, per-source distance repairs) out over threads.
 //!
 //! ## Quick tour
 //!
@@ -22,22 +21,23 @@
 //! assert_eq!(g.neighbors(VertexId(0)), &[1, 2, 3]);
 //! ```
 //!
-//! ## Parallel hot paths
+//! ## One triangle kernel
 //!
-//! Every parallel entry point takes an explicit [`Parallelism`] and yields
-//! results byte-identical to its serial counterpart, which stays around as
-//! the `threads = 1` correctness oracle:
+//! Whole-graph support counts run one serial kernel, the degree-oriented
+//! walk of [`Oriented`]; questions about one edge take a single sorted-row
+//! merge. Both agree with the scan-every-vertex oracle:
 //!
 //! ```
-//! use ctc_graph::{graph_from_edges, edge_supports, edge_supports_par, Parallelism};
+//! use ctc_graph::{graph_from_edges, edge_supports, support_of, VertexId};
+//! use ctc_graph::triangles::naive_edge_supports;
 //!
 //! let g = graph_from_edges(&[(0, 1), (0, 2), (1, 2), (2, 3)]);
-//! assert_eq!(edge_supports_par(&g, Parallelism::threads(4)), edge_supports(&g));
+//! assert_eq!(edge_supports(&g), naive_edge_supports(&g));
+//! assert_eq!(support_of(&g, VertexId(0), VertexId(1)), Some(1));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod builder;
 pub mod csr;
 pub mod distance;
@@ -57,7 +57,6 @@ pub mod traversal;
 pub mod triangles;
 pub mod union_find;
 
-pub use bitset::{BitsetAdjacency, DEFAULT_DENSE_DEGREE};
 pub use builder::{graph_from_edges, graph_from_vertex_pairs, GraphBuilder};
 pub use csr::CsrGraph;
 pub use distance::{
@@ -81,8 +80,7 @@ pub use traversal::{
     FilteredGraph, INF,
 };
 pub use triangles::{
-    common_neighbors, common_neighbors_into, edge_supports, edge_supports_adj, edge_supports_dyn,
-    edge_supports_dyn_into, edge_supports_par, for_each_triangle, support_of, triangle_count,
-    triangle_count_par,
+    common_neighbors, edge_supports, edge_supports_dyn, for_each_common_neighbor, support_of,
+    triangle_count, Oriented,
 };
 pub use union_find::{EpochUnionFind, UnionFind};

@@ -1,14 +1,12 @@
-//! The parallel execution substrate shared by every hot path.
+//! The parallel execution substrate shared by the workspace's fan-outs.
 //!
-//! The bottleneck phases of the paper — triangle enumeration, edge-support
-//! computation and truss decomposition — are embarrassingly parallel over
-//! edges. [`Parallelism`] makes "how work is spread across cores" a
-//! first-class, explicit concept: a thread count plus three structured
-//! fork-join helpers built on `std::thread::scope` (the build environment
-//! is offline, so no external thread-pool crates). Every parallel algorithm
-//! in the workspace takes a `Parallelism` and treats `threads = 1` as the
-//! serial reference path, so parallel results can always be validated
-//! against the serial oracle.
+//! [`Parallelism`] makes "how work is spread across cores" a first-class,
+//! explicit concept: a thread count plus two structured fork-join helpers
+//! built on `std::thread::scope`, with no thread-pool crate. It spreads
+//! work that is independent by construction: a batch of searches, the
+//! peel's per-source distance repairs, the server's worker pool, and the
+//! PKT frontier peel that cross-checks the serial truss decomposition.
+//! `threads = 1` runs every helper inline on the caller's thread.
 //!
 //! ```
 //! use ctc_graph::Parallelism;
@@ -130,19 +128,11 @@ impl Parallelism {
         })
     }
 
-    /// [`map_chunks`](Self::map_chunks) with no per-chunk result.
-    pub fn for_each_chunk<F>(self, len: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        self.map_chunks(len, f);
-    }
-
     /// Splits `out` into at most `get()` contiguous sub-slices and runs
     /// `f(start, chunk)` on each in parallel, where `start` is the chunk's
     /// offset in `out`. Because the sub-slices are disjoint, each worker
     /// writes its region without any synchronization — the pattern behind
-    /// the parallel per-edge support fill.
+    /// the peel's per-source distance repairs.
     pub fn fill_chunks<T, F>(self, out: &mut [T], f: F)
     where
         T: Send,
@@ -170,7 +160,6 @@ impl Parallelism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_and_default_are_one_thread() {
@@ -229,18 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_runs_all_work() {
-        let counter = AtomicUsize::new(0);
-        Parallelism::threads(4).for_each_chunk(100, |r| {
-            counter.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     #[should_panic(expected = "parallel worker panicked")]
     fn worker_panic_propagates() {
-        Parallelism::threads(2).for_each_chunk(10, |r| {
+        Parallelism::threads(2).map_chunks(10, |r| {
             if r.contains(&9) {
                 panic!("boom");
             }

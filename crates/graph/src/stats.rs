@@ -5,7 +5,7 @@
 
 use crate::csr::CsrGraph;
 use crate::ids::VertexId;
-use crate::triangles::{edge_supports, triangle_count};
+use crate::triangles::edge_supports;
 
 /// Summary statistics of a network, in the shape of the paper's Table 2.
 #[derive(Clone, Debug)]
@@ -26,10 +26,12 @@ pub struct GraphStats {
     pub avg_clustering: f64,
 }
 
-/// Computes [`GraphStats`] for `g`.
+/// Computes [`GraphStats`] for `g`, counting the supports once for both
+/// the triangles (`Σ sup / 3`) and the clustering.
 pub fn graph_stats(g: &CsrGraph) -> GraphStats {
     let n = g.num_vertices();
     let m = g.num_edges();
+    let sup = edge_supports(g);
     GraphStats {
         num_vertices: n,
         num_edges: m,
@@ -40,8 +42,8 @@ pub fn graph_stats(g: &CsrGraph) -> GraphStats {
             2.0 * m as f64 / n as f64
         },
         density: edge_density(n, m),
-        triangles: triangle_count(g),
-        avg_clustering: average_clustering(g),
+        triangles: sup.iter().map(|&s| u64::from(s)).sum::<u64>() / 3,
+        avg_clustering: clustering_from_supports(g, &sup),
     }
 }
 
@@ -74,14 +76,17 @@ pub fn local_clustering(g: &CsrGraph, v: VertexId) -> f64 {
 
 /// Mean of local clustering coefficients over all vertices.
 pub fn average_clustering(g: &CsrGraph) -> f64 {
+    clustering_from_supports(g, &edge_supports(g))
+}
+
+/// [`average_clustering`] from `g`'s edge supports `sup`: counting closed
+/// wedges per vertex off the support array avoids the quadratic neighbor
+/// scan on hubs.
+fn clustering_from_supports(g: &CsrGraph, sup: &[u32]) -> f64 {
     let n = g.num_vertices();
     if n == 0 {
         return 0.0;
     }
-    // Closed-wedge counting via supports: sum of supports = 3 * triangles =
-    // number of closed wedges counted per apex... computing per-vertex via
-    // the support array avoids the quadratic neighbor scan on hubs.
-    let sup = edge_supports(g);
     let mut closed_at = vec![0u64; n];
     for (e, u, v) in g.edges() {
         // Each triangle over edge (u,v) contributes a closed wedge at the

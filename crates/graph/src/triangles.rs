@@ -2,109 +2,196 @@
 //!
 //! The support of an edge `e = (u,v)` in a graph `H` is the number of
 //! triangles of `H` containing `e` (Def. in §2 of the paper); k-trusses are
-//! defined entirely in terms of support. All hot entry points here route
-//! through the hybrid [`BitsetAdjacency`] kernel — word-parallel AND +
-//! popcount for dense rows, the classic sorted-row merge for sparse ones —
-//! and every path produces answers byte-identical to the merge oracle
-//! ([`naive_edge_supports`] pins that in tests and proptests).
+//! defined entirely in terms of support. Whole-graph counts run one kernel,
+//! the degree-oriented walk of [`Oriented`], which meets each triangle
+//! exactly once; the truss decomposition of `ctc-truss` pools the same
+//! kernel. Questions about one edge or one vertex pair take a single
+//! sorted-row merge, [`for_each_common_neighbor`]. Both are pinned to the
+//! scan-every-vertex oracle [`naive_edge_supports`] in tests and proptests.
 
-use crate::bitset::{merge_count, BitsetAdjacency};
 use crate::csr::CsrGraph;
 use crate::dynamic::DynGraph;
+use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
-use crate::parallel::Parallelism;
 
-/// Computes `sup(e)` for every edge of `g`.
+/// Degree-oriented forward adjacency: every edge `{u, v}` is stored once,
+/// at its lower-ranked endpoint, where `u ≺ v` iff `(deg u, u) < (deg v,
+/// v)`. A triangle `u ≺ v ≺ w` then shows up exactly once, as the wedge
+/// `u → v → w` closed by the arc `u → w`, so each walk finds each triangle
+/// once, from its lowest-ranked vertex; and no out-row is longer than
+/// `√(2m)`, which bounds a walk by `O(m^{1.5})`.
 ///
-/// Cost is `O(Σ_e (d(u) + d(v)))` worst case, but edges whose endpoints
-/// both carry packed bitset rows intersect in `O(span/64)` words instead.
-/// This is the serial reference path; [`edge_supports_par`] spreads the
-/// same per-edge intersections over threads and produces an identical
-/// array.
-pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
-    let adj = BitsetAdjacency::build(g);
-    let mut sup = Vec::new();
-    edge_supports_adj(g, &adj, &mut sup);
-    sup
+/// One instance can be rebuilt for any number of graphs; its buffers keep
+/// their capacity, which is how the truss decomposition's pooled scratch
+/// reuses it.
+///
+/// ```
+/// use ctc_graph::{graph_from_edges, Oriented};
+///
+/// let g = graph_from_edges(&[(0, 1), (0, 2), (1, 2), (2, 3)]);
+/// let mut oriented = Oriented::default();
+/// oriented.build(&g);
+/// let mut sup = Vec::new();
+/// oriented.count(&mut sup);
+/// assert_eq!(sup, vec![1, 1, 1, 0]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Oriented {
+    /// `start[u]..start[u + 1]` is `u`'s slice of `arcs`.
+    start: Vec<u32>,
+    /// `(v, e)` for every out-arc `u → v` of edge `e`, row by row.
+    arcs: Vec<(u32, u32)>,
+    /// `mark[w]` is `e_uw` while `w` is an out-neighbor of the vertex `u`
+    /// being walked, and the dummy edge slot `m` otherwise.
+    mark: Vec<u32>,
 }
 
-/// [`edge_supports`] against a caller-built kernel, writing into a
-/// caller-owned buffer.
-pub fn edge_supports_adj(g: &CsrGraph, adj: &BitsetAdjacency, sup: &mut Vec<u32>) {
-    sup.clear();
-    sup.resize(g.num_edges(), 0);
-    for (e, u, v) in g.edges() {
-        sup[e.index()] = adj.intersection_count(g, u, v);
+impl Oriented {
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.start) + vec_heap_bytes(&self.arcs) + vec_heap_bytes(&self.mark)
     }
-}
 
-/// Computes `sup(e)` for every edge of `g`, spreading the per-edge
-/// intersections over `par` worker threads.
-///
-/// Each edge's support depends only on the immutable CSR rows (and the
-/// shared read-only bitset sidecar) of its endpoints, so workers fill
-/// disjoint chunks of the output with no synchronization and the result is
-/// byte-identical to [`edge_supports`] for every thread count.
-pub fn edge_supports_par(g: &CsrGraph, par: Parallelism) -> Vec<u32> {
-    if par.is_serial() {
-        return edge_supports(g);
-    }
-    let adj = BitsetAdjacency::build(g);
-    let mut sup = vec![0u32; g.num_edges()];
-    par.fill_chunks(&mut sup, |start, chunk| {
-        for (i, s) in chunk.iter_mut().enumerate() {
-            let (u, v) = g.edge_endpoints(EdgeId((start + i) as u32));
-            *s = adj.intersection_count(g, u, v);
+    /// Orients `g` in `O(n + m)`: each CSR row is filtered as it is
+    /// copied, so out-rows stay ascending with no sort.
+    pub fn build(&mut self, g: &CsrGraph) {
+        let n = g.num_vertices();
+        // `(deg v, v)` packed into one ordered key.
+        let rank = |v: u32| ((g.degree(VertexId(v)) as u64) << 32) | u64::from(v);
+        self.start.clear();
+        self.start.reserve_exact(n + 1);
+        // Branch-free filter: every arc is written at `len`, which only
+        // advances past out-arcs; the one spare slot takes the last write.
+        self.arcs.clear();
+        self.arcs.reserve_exact(g.num_edges() + 1);
+        self.arcs.resize(g.num_edges() + 1, (0, 0));
+        let mut len = 0;
+        for u in 0..n as u32 {
+            self.start.push(len as u32);
+            let ru = rank(u);
+            let row = g.neighbors(VertexId(u)).iter();
+            for (&v, &e) in row.zip(g.neighbor_edge_ids(VertexId(u))) {
+                self.arcs[len] = (v, e);
+                len += usize::from(ru < rank(v));
+            }
         }
-    });
+        self.arcs.truncate(len);
+        self.start.push(len as u32);
+        self.mark.clear();
+        self.mark.reserve_exact(n);
+        self.mark.resize(n, g.num_edges() as u32);
+    }
+
+    /// Calls `visit(mark, e_uv, out(v))` for every out-arc `u → v`, with
+    /// `u`'s out-neighbors marked: for each `(w, e_vw)` in `out(v)`,
+    /// `mark[w]` is either the third edge `e_uw` of the triangle `u ≺ v ≺
+    /// w` or the dummy slot `m`.
+    fn walk(&mut self, mut visit: impl FnMut(&[u32], u32, &[(u32, u32)])) {
+        let Self { start, arcs, mark } = self;
+        // Every edge has exactly one arc, so `m` is the arc count.
+        let dummy = arcs.len() as u32;
+        let out = |v: u32| start[v as usize] as usize..start[v as usize + 1] as usize;
+        for u in 0..mark.len() as u32 {
+            let out_u = &arcs[out(u)];
+            for &(v, e) in out_u {
+                mark[v as usize] = e;
+            }
+            for &(v, e_uv) in out_u {
+                visit(mark, e_uv, &arcs[out(v)]);
+            }
+            for &(v, _) in out_u {
+                mark[v as usize] = dummy;
+            }
+        }
+    }
+
+    /// First walk: the support of every edge of the graph last
+    /// [built](Self::build) into `sup`, indexed by edge id. Branch-free: a
+    /// miss lands on the dummy slot `m`, whose wrapping counter is dropped
+    /// at the end.
+    pub fn count(&mut self, sup: &mut Vec<u32>) {
+        let m = self.arcs.len();
+        sup.clear();
+        sup.reserve_exact(m + 1);
+        sup.resize(m + 1, 0);
+        self.walk(|mark, e_uv, out_v| {
+            let mut closed = 0u32;
+            for &(w, e_vw) in out_v {
+                let e_uw = mark[w as usize] as usize;
+                let hit = u32::from(e_uw != m);
+                sup[e_uw] = sup[e_uw].wrapping_add(1);
+                sup[e_vw as usize] += hit;
+                closed += hit;
+            }
+            sup[e_uv as usize] += closed;
+        });
+        sup.truncate(m);
+    }
+
+    /// Second walk: lays out a triangle listing for the supports `sup` the
+    /// first walk counted. Edge `e`'s slots are
+    /// `tri[tri_start[e]..tri_start[e + 1]]`, one pair of the other two
+    /// edge ids per triangle on `e`, in walk order.
+    pub fn fill(&mut self, sup: &[u32], tri_start: &mut Vec<u32>, tri: &mut Vec<u32>) {
+        // Point each edge at the end of its run; the walk fills runs
+        // back to front, leaving `tri_start[e]` at the start of `e`'s run.
+        tri_start.clear();
+        tri_start.reserve_exact(sup.len() + 1);
+        let mut end = 0u32;
+        for &s in sup {
+            end += 2 * s;
+            tri_start.push(end);
+        }
+        tri_start.push(end);
+        tri.clear();
+        tri.reserve_exact(end as usize);
+        tri.resize(end as usize, 0);
+        let m = self.arcs.len() as u32;
+        self.walk(|mark, e_uv, out_v| {
+            for &(w, e_vw) in out_v {
+                let e_uw = mark[w as usize];
+                if e_uw == m {
+                    continue;
+                }
+                for (e, a, b) in [(e_uv, e_vw, e_uw), (e_vw, e_uv, e_uw), (e_uw, e_uv, e_vw)] {
+                    let slot = &mut tri_start[e as usize];
+                    *slot -= 2;
+                    tri[*slot as usize] = a;
+                    tri[*slot as usize + 1] = b;
+                }
+            }
+        });
+    }
+}
+
+/// Computes `sup(e)` for every edge of `g`, indexed by edge id, with one
+/// walk over a freshly built [`Oriented`] adjacency.
+pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
+    let mut oriented = Oriented::default();
+    oriented.build(g);
+    let mut sup = Vec::new();
+    oriented.count(&mut sup);
     sup
 }
 
 /// Computes supports restricted to the alive part of `d`.
 ///
 /// This is line 15 of Algorithm 2: after `FindG0` materializes the working
-/// subgraph, supports within it seed the k-truss maintenance.
+/// subgraph, supports within it seed the k-truss maintenance. A
+/// fully-alive overlay is its base graph and takes [`edge_supports`];
+/// otherwise each alive edge merges its endpoints' alive rows.
 pub fn edge_supports_dyn(d: &DynGraph<'_>) -> Vec<u32> {
-    let mut sup = Vec::new();
-    edge_supports_dyn_into(d, &mut sup);
-    sup
-}
-
-/// [`edge_supports_dyn`] writing into a caller-owned buffer.
-///
-/// A fully-alive overlay takes the static fast path: the bitset/merge
-/// hybrid over the plain CSR with no per-element alive checks. Partial
-/// overlays fall back to the alive-checked merge — bitset rows describe
-/// the *base* graph and would overcount deleted neighbors.
-pub fn edge_supports_dyn_into(d: &DynGraph<'_>, sup: &mut Vec<u32>) {
     let g = d.base();
     if d.num_alive_vertices() == g.num_vertices() && d.num_alive_edges() == g.num_edges() {
-        edge_supports_adj(g, &BitsetAdjacency::build(g), sup);
-        return;
+        return edge_supports(g);
     }
-    sup.clear();
-    sup.resize(g.num_edges(), 0);
+    let mut sup = vec![0u32; g.num_edges()];
     for (e, u, v) in d.alive_edges() {
         let mut c = 0u32;
         d.for_each_common_neighbor(u, v, |_, _, _| c += 1);
         sup[e.index()] = c;
     }
-}
-
-/// Calls `f(a, b, c)` once per triangle of `g`, with `a < b < c` in
-/// ascending vertex-id order.
-///
-/// Each triangle `{a, b, c}` is reported exactly once, discovered from its
-/// lexicographically smallest edge `(a, b)` by listing common neighbors
-/// `w > b` through the hybrid intersection kernel. Runs in `O(m^{3/2})`
-/// like the classic forward algorithm, with the per-edge intersections
-/// taking the word-parallel path wherever rows are packed.
-pub fn for_each_triangle<F: FnMut(VertexId, VertexId, VertexId)>(g: &CsrGraph, mut f: F) {
-    let adj = BitsetAdjacency::build(g);
-    for (_, u, v) in g.edges() {
-        debug_assert!(u < v, "CSR edges are canonical (u < v)");
-        adj.for_each_common(g, u, v, v.0 + 1, |w, _, _| f(u, v, w));
-    }
+    sup
 }
 
 /// Total number of triangles in `g`.
@@ -118,57 +205,49 @@ pub fn for_each_triangle<F: FnMut(VertexId, VertexId, VertexId)>(g: &CsrGraph, m
 /// ```
 pub fn triangle_count(g: &CsrGraph) -> u64 {
     // Sum of supports counts each triangle three times.
-    edge_supports(g).iter().map(|&s| s as u64).sum::<u64>() / 3
+    edge_supports(g).iter().map(|&s| u64::from(s)).sum::<u64>() / 3
 }
 
-/// Total number of triangles in `g`, computed over `par` worker threads.
-///
-/// Per-chunk support sums are reduced in chunk order, so the count equals
-/// [`triangle_count`] exactly for every thread count.
-pub fn triangle_count_par(g: &CsrGraph, par: Parallelism) -> u64 {
-    let adj = BitsetAdjacency::build(g);
-    let partial = par.map_chunks(g.num_edges(), |range| {
-        range
-            .map(|e| {
-                let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-                adj.intersection_count(g, u, v) as u64
-            })
-            .sum::<u64>()
-    });
-    partial.into_iter().sum::<u64>() / 3
-}
-
-/// Support of a single edge `{u, v}` in `g` (`None` if not an edge).
-pub fn support_of(g: &CsrGraph, u: VertexId, v: VertexId) -> Option<u32> {
-    let _ = g.edge_between(u, v)?;
-    Some(merge_count(g.neighbors(u), g.neighbors(v)))
-}
-
-/// Lists the common neighbors of `u` and `v` (the apexes of triangles over
-/// the edge `{u,v}`).
-pub fn common_neighbors(g: &CsrGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    common_neighbors_into(g, u, v, &mut out);
-    out
-}
-
-/// [`common_neighbors`] writing into a caller-owned buffer — the pooled
-/// form for hot loops, so repeated apex listings reuse one allocation.
-pub fn common_neighbors_into(g: &CsrGraph, u: VertexId, v: VertexId, out: &mut Vec<VertexId>) {
-    out.clear();
-    let (a, b) = (g.neighbors(u), g.neighbors(v));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+/// Calls `f(w, e_uw, e_vw)` for every common neighbor `w` of `u` and `v`,
+/// in ascending `w` order: one two-pointer merge of their sorted CSR rows,
+/// which reads each side edge's id off its row position.
+#[inline]
+pub fn for_each_common_neighbor<F: FnMut(VertexId, EdgeId, EdgeId)>(
+    g: &CsrGraph,
+    u: VertexId,
+    v: VertexId,
+    mut f: F,
+) {
+    let (nu, eu) = (g.neighbors(u), g.neighbor_edge_ids(u));
+    let (nv, ev) = (g.neighbors(v), g.neighbor_edge_ids(v));
+    let (mut i, mut j) = (0, 0);
+    while i < nu.len() && j < nv.len() {
+        match nu[i].cmp(&nv[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out.push(VertexId(a[i]));
+                f(VertexId(nu[i]), EdgeId(eu[i]), EdgeId(ev[j]));
                 i += 1;
                 j += 1;
             }
         }
     }
+}
+
+/// Support of a single edge `{u, v}` in `g` (`None` if not an edge).
+pub fn support_of(g: &CsrGraph, u: VertexId, v: VertexId) -> Option<u32> {
+    g.edge_between(u, v)?;
+    let mut c = 0;
+    for_each_common_neighbor(g, u, v, |_, _, _| c += 1);
+    Some(c)
+}
+
+/// Lists the common neighbors of `u` and `v` (the apexes of triangles over
+/// the edge `{u,v}`), ascending.
+pub fn common_neighbors(g: &CsrGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
+    let mut out = Vec::new();
+    for_each_common_neighbor(g, u, v, |w, _, _| out.push(w));
+    out
 }
 
 /// Returns, for every edge, the list-free triangle check used in tests:
@@ -246,34 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn triangle_enumeration_counts_match() {
-        let g = graph_from_edges(&[
-            (0, 1),
-            (1, 2),
-            (0, 2),
-            (1, 3),
-            (2, 3),
-            (0, 3),
-            (3, 4),
-            (4, 5),
-        ]);
-        let mut listed = 0u64;
-        for_each_triangle(&g, |a, b, c| {
-            assert!(a < b && b < c, "ascending-id contract");
-            assert!(g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c));
-            listed += 1;
-        });
-        assert_eq!(listed, triangle_count(&g));
-    }
-
-    #[test]
     fn triangle_free_graph() {
         let g = graph_from_edges(&[(0, 1), (1, 2), (2, 3), (3, 0)]); // C4
         assert_eq!(triangle_count(&g), 0);
         assert!(edge_supports(&g).iter().all(|&s| s == 0));
-        let mut any = false;
-        for_each_triangle(&g, |_, _, _| any = true);
-        assert!(!any);
     }
 
     #[test]
@@ -283,10 +338,6 @@ mod tests {
         assert_eq!(support_of(&g, VertexId(0), VertexId(0)), None);
         let c = common_neighbors(&g, VertexId(0), VertexId(1));
         assert_eq!(c, vec![VertexId(2), VertexId(3)]);
-        // The pooled form reuses its buffer and clears stale contents.
-        let mut buf = vec![VertexId(99)];
-        common_neighbors_into(&g, VertexId(0), VertexId(1), &mut buf);
-        assert_eq!(buf, vec![VertexId(2), VertexId(3)]);
     }
 
     #[test]
@@ -298,49 +349,8 @@ mod tests {
         assert!(triangle_edges(&g2, VertexId(0), VertexId(1), VertexId(2)).is_none());
     }
 
-    #[test]
-    fn parallel_supports_match_serial() {
-        let mut edges = vec![];
-        // Two overlapping K4s plus a tail: mixed supports.
-        for &(u, v) in &[
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (2, 4),
-            (2, 5),
-            (3, 4),
-            (3, 5),
-            (4, 5),
-            (5, 6),
-            (6, 7),
-        ] {
-            edges.push((u, v));
-        }
-        let g = graph_from_edges(&edges);
-        let serial = edge_supports(&g);
-        for threads in [1usize, 2, 3, 8] {
-            let par = edge_supports_par(&g, Parallelism::threads(threads));
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(
-                triangle_count_par(&g, Parallelism::threads(threads)),
-                triangle_count(&g),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_supports_empty_graph() {
-        let g = graph_from_edges(&[]);
-        assert!(edge_supports_par(&g, Parallelism::threads(4)).is_empty());
-        assert_eq!(triangle_count_par(&g, Parallelism::threads(4)), 0);
-    }
-
     /// Hub with many spokes plus chords — dense hub row, sparse spokes:
-    /// the hybrid dispatch must agree with the count on every edge.
+    /// the orientation must agree with the naive count on every edge.
     #[test]
     fn seen_rows_sorted_star_with_chords() {
         let mut edges = vec![];
@@ -352,9 +362,6 @@ mod tests {
         edges.push((5, 6));
         edges.push((7, 8));
         let g = graph_from_edges(&edges);
-        let mut listed = 0;
-        for_each_triangle(&g, |_, _, _| listed += 1);
-        assert_eq!(listed, 4);
         assert_eq!(triangle_count(&g), 4);
         assert_eq!(edge_supports(&g), naive_edge_supports(&g));
     }

@@ -6,27 +6,28 @@
 //! other edges of each triangle it closed. A bucket queue keyed by support
 //! gives `O(1)` re-prioritization, for `O(m^{1.5})` total time.
 //!
-//! The serial path counts supports on a *degree-oriented* adjacency, as
-//! the forward triangle-listing algorithm does: each edge is kept once, at
-//! its endpoint of lower `(degree, id)` rank, so a walk over the oriented
-//! rows meets each triangle exactly once, from its lowest-ranked vertex.
-//! The peel then finds the triangles a removed edge breaks in whichever
+//! It counts supports with the workspace's one triangle kernel, the
+//! *degree-oriented* walk of [`ctc_graph::Oriented`], as the forward
+//! triangle-listing algorithm does: each edge is kept once, at its
+//! endpoint of lower `(degree, id)` rank, so a walk over the oriented rows
+//! meets each triangle exactly once, from its lowest-ranked vertex. The
+//! peel then finds the triangles a removed edge breaks in whichever
 //! structure holds the fewest bytes for the graph at hand: a live
 //! adjacency bit matrix (small dense graphs, such as LCTC's local `Gt`),
 //! a flat triangle pre-index that a second walk fills, or, past a size
 //! cap, row merges over a deletion overlay.
 //!
-//! [`truss_decomposition_par`] is the multi-core variant: instead of one
-//! edge at a time, it peels whole same-trussness *frontiers* — every live
-//! edge whose support has fallen to `k − 2` — concurrently, in the style of
-//! the PKT algorithm (Kabir & Madduri, HPEC'17), intersecting sorted rows
-//! as it goes. Trussness is a well-defined function of the graph, so both
-//! paths produce byte-identical arrays; they share no triangle-finding
-//! code, and each is the correctness oracle for the other.
+//! [`truss_decomposition_par`] is a test oracle, not a build path: it
+//! peels whole same-trussness *frontiers* — every live edge whose support
+//! has fallen to `k − 2` — concurrently, in the style of the PKT algorithm
+//! (Kabir & Madduri, HPEC'17), counting and unwinding triangles with
+//! sorted-row merges. Trussness is a well-defined function of the graph,
+//! so both produce byte-identical arrays; they share no triangle-finding
+//! code, so each checks the other.
 
 use ctc_graph::{
-    edge_supports, edge_supports_par, vec_heap_bytes, CsrGraph, DynGraph, EdgeId, Parallelism,
-    VertexId,
+    edge_supports, for_each_common_neighbor, vec_heap_bytes, CsrGraph, DynGraph, EdgeId, Oriented,
+    Parallelism, VertexId,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -161,139 +162,6 @@ impl SupportBuckets {
             unwind(self, e, floor);
         }
         floor + 2
-    }
-}
-
-/// Degree-oriented forward adjacency: every edge `{u, v}` is stored once,
-/// at its lower-ranked endpoint, where `u ≺ v` iff `(deg u, u) < (deg v,
-/// v)`. A triangle `u ≺ v ≺ w` then shows up exactly once, as the wedge
-/// `u → v → w` closed by the arc `u → w`, so each walk finds each triangle
-/// once, from its lowest-ranked vertex; and no out-row is longer than
-/// `√(2m)`, which bounds a walk by `O(m^{1.5})`.
-#[derive(Clone, Debug, Default)]
-struct Oriented {
-    /// `start[u]..start[u + 1]` is `u`'s slice of `arcs`.
-    start: Vec<u32>,
-    /// `(v, e)` for every out-arc `u → v` of edge `e`, row by row.
-    arcs: Vec<(u32, u32)>,
-    /// `mark[w]` is `e_uw` while `w` is an out-neighbor of the vertex `u`
-    /// being walked, and the dummy edge slot `m` otherwise.
-    mark: Vec<u32>,
-}
-
-impl Oriented {
-    fn heap_bytes(&self) -> usize {
-        vec_heap_bytes(&self.start) + vec_heap_bytes(&self.arcs) + vec_heap_bytes(&self.mark)
-    }
-
-    /// Orients `g` in `O(n + m)`: each CSR row is filtered as it is
-    /// copied, so out-rows stay ascending with no sort.
-    fn build(&mut self, g: &CsrGraph) {
-        let n = g.num_vertices();
-        // `(deg v, v)` packed into one ordered key.
-        let rank = |v: u32| ((g.degree(VertexId(v)) as u64) << 32) | u64::from(v);
-        self.start.clear();
-        self.start.reserve_exact(n + 1);
-        // Branch-free filter: every arc is written at `len`, which only
-        // advances past out-arcs; the one spare slot takes the last write.
-        self.arcs.clear();
-        self.arcs.reserve_exact(g.num_edges() + 1);
-        self.arcs.resize(g.num_edges() + 1, (0, 0));
-        let mut len = 0;
-        for u in 0..n as u32 {
-            self.start.push(len as u32);
-            let ru = rank(u);
-            let row = g.neighbors(VertexId(u)).iter();
-            for (&v, &e) in row.zip(g.neighbor_edge_ids(VertexId(u))) {
-                self.arcs[len] = (v, e);
-                len += usize::from(ru < rank(v));
-            }
-        }
-        self.arcs.truncate(len);
-        self.start.push(len as u32);
-        self.mark.clear();
-        self.mark.reserve_exact(n);
-        self.mark.resize(n, g.num_edges() as u32);
-    }
-
-    /// Calls `visit(mark, e_uv, out(v))` for every out-arc `u → v`, with
-    /// `u`'s out-neighbors marked: for each `(w, e_vw)` in `out(v)`,
-    /// `mark[w]` is either the third edge `e_uw` of the triangle `u ≺ v ≺
-    /// w` or the dummy slot `m`.
-    fn walk(&mut self, mut visit: impl FnMut(&[u32], u32, &[(u32, u32)])) {
-        let Self { start, arcs, mark } = self;
-        // Every edge has exactly one arc, so `m` is the arc count.
-        let dummy = arcs.len() as u32;
-        let out = |v: u32| start[v as usize] as usize..start[v as usize + 1] as usize;
-        for u in 0..mark.len() as u32 {
-            let out_u = &arcs[out(u)];
-            for &(v, e) in out_u {
-                mark[v as usize] = e;
-            }
-            for &(v, e_uv) in out_u {
-                visit(mark, e_uv, &arcs[out(v)]);
-            }
-            for &(v, _) in out_u {
-                mark[v as usize] = dummy;
-            }
-        }
-    }
-
-    /// First walk: per-edge supports into `sup` (identical to
-    /// `edge_supports`). Branch-free: a miss lands on the dummy slot `m`,
-    /// whose wrapping counter is dropped at the end.
-    fn count(&mut self, sup: &mut Vec<u32>) {
-        let m = self.arcs.len();
-        sup.clear();
-        sup.reserve_exact(m + 1);
-        sup.resize(m + 1, 0);
-        self.walk(|mark, e_uv, out_v| {
-            let mut closed = 0u32;
-            for &(w, e_vw) in out_v {
-                let e_uw = mark[w as usize] as usize;
-                let hit = u32::from(e_uw != m);
-                sup[e_uw] = sup[e_uw].wrapping_add(1);
-                sup[e_vw as usize] += hit;
-                closed += hit;
-            }
-            sup[e_uv as usize] += closed;
-        });
-        sup.truncate(m);
-    }
-
-    /// Second walk: lays out the triangle pre-index for the supports
-    /// `sup` the first walk counted. Edge `e`'s slots are
-    /// `tri[tri_start[e]..tri_start[e + 1]]`, one pair of the other two
-    /// edge ids per triangle on `e`, in walk order.
-    fn fill(&mut self, sup: &[u32], tri_start: &mut Vec<u32>, tri: &mut Vec<u32>) {
-        // Point each edge at the end of its run; the walk fills runs
-        // back to front, leaving `tri_start[e]` at the start of `e`'s run.
-        tri_start.clear();
-        tri_start.reserve_exact(sup.len() + 1);
-        let mut end = 0u32;
-        for &s in sup {
-            end += 2 * s;
-            tri_start.push(end);
-        }
-        tri_start.push(end);
-        tri.clear();
-        tri.reserve_exact(end as usize);
-        tri.resize(end as usize, 0);
-        let m = self.arcs.len() as u32;
-        self.walk(|mark, e_uv, out_v| {
-            for &(w, e_vw) in out_v {
-                let e_uw = mark[w as usize];
-                if e_uw == m {
-                    continue;
-                }
-                for (e, a, b) in [(e_uv, e_vw, e_uw), (e_vw, e_uv, e_uw), (e_uw, e_uv, e_vw)] {
-                    let slot = &mut tri_start[e as usize];
-                    *slot -= 2;
-                    tri[*slot as usize] = a;
-                    tri[*slot as usize + 1] = b;
-                }
-            }
-        });
     }
 }
 
@@ -563,15 +431,18 @@ const NEXT: u32 = 2;
 const DEAD: u32 = 3;
 
 /// Runs the truss decomposition on `g` across `par` worker threads,
-/// peeling same-trussness frontiers concurrently.
+/// peeling same-trussness frontiers concurrently: the oracle that
+/// cross-checks [`truss_decomposition`] in the tests and in `ctc-cli
+/// decompose --threads N`. No index build or search runs it.
 ///
-/// For each level `k` the frontier is the set of live edges with support
-/// `≤ k − 2`; every frontier edge is assigned trussness `k`, its surviving
-/// triangles are unwound with atomic support decrements, and edges whose
-/// support drops to the threshold join the next sub-round's frontier.
-/// A triangle shared by two frontier edges is unwound exactly once (the
-/// smaller edge id wins), mirroring the serial algorithm where the second
-/// removal finds the triangle already broken.
+/// The initial supports are counted by a row merge per edge, in `par`
+/// chunks. For each level `k` the frontier is the set of live edges with
+/// support `≤ k − 2`; every frontier edge is assigned trussness `k`, its
+/// surviving triangles are unwound with atomic support decrements, and
+/// edges whose support drops to the threshold join the next sub-round's
+/// frontier. A triangle shared by two frontier edges is unwound exactly
+/// once (the smaller edge id wins), mirroring the serial algorithm where
+/// the second removal finds the triangle already broken.
 ///
 /// `threads = 1` delegates to the serial [`truss_decomposition`]; any
 /// thread count produces a byte-identical `edge_truss` array.
@@ -597,10 +468,13 @@ pub fn truss_decomposition_par(g: &CsrGraph, par: Parallelism) -> TrussDecomposi
             max_truss: 0,
         };
     }
-    let sup: Vec<AtomicU32> = edge_supports_par(g, par)
-        .into_iter()
-        .map(AtomicU32::new)
-        .collect();
+    let mut sup: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
+    par.fill_chunks(&mut sup, |start, chunk| {
+        for (e, s) in (start..).zip(chunk) {
+            let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+            for_each_common_neighbor(g, u, v, |_, _, _| *s.get_mut() += 1);
+        }
+    });
     let state: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(LIVE)).collect();
     let mut live: Vec<u32> = (0..m as u32).collect();
     let mut remaining = m;
@@ -640,46 +514,35 @@ pub fn truss_decomposition_par(g: &CsrGraph, par: Parallelism) -> TrussDecomposi
                 };
                 for &e in &frontier[range] {
                     let (u, v) = g.edge_endpoints(EdgeId(e));
-                    let (ru, eu) = (g.neighbors(u), g.neighbor_edge_ids(u));
-                    let (rv, ev) = (g.neighbors(v), g.neighbor_edge_ids(v));
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < ru.len() && j < rv.len() {
-                        if ru[i] < rv[j] {
-                            i += 1;
-                        } else if rv[j] < ru[i] {
-                            j += 1;
-                        } else {
-                            let (e1, e2) = (eu[i], ev[j]);
-                            let s1 = state[e1 as usize].load(Ordering::Relaxed);
-                            let s2 = state[e2 as usize].load(Ordering::Relaxed);
-                            if s1 != DEAD && s2 != DEAD {
-                                match (s1 == CURR, s2 == CURR) {
-                                    // Both peers outlive this sub-round:
-                                    // the triangle dies with e alone.
-                                    (false, false) => {
-                                        decrement(e1, &mut local_next);
-                                        decrement(e2, &mut local_next);
-                                    }
-                                    // A frontier peer shares the triangle:
-                                    // exactly one of the two unwinds it.
-                                    (true, false) => {
-                                        if e < e1 {
-                                            decrement(e2, &mut local_next);
-                                        }
-                                    }
-                                    (false, true) => {
-                                        if e < e2 {
-                                            decrement(e1, &mut local_next);
-                                        }
-                                    }
-                                    // Whole triangle is being peeled now.
-                                    (true, true) => {}
+                    for_each_common_neighbor(g, u, v, |_, EdgeId(e1), EdgeId(e2)| {
+                        let s1 = state[e1 as usize].load(Ordering::Relaxed);
+                        let s2 = state[e2 as usize].load(Ordering::Relaxed);
+                        if s1 == DEAD || s2 == DEAD {
+                            return;
+                        }
+                        match (s1 == CURR, s2 == CURR) {
+                            // Both peers outlive this sub-round: the
+                            // triangle dies with e alone.
+                            (false, false) => {
+                                decrement(e1, &mut local_next);
+                                decrement(e2, &mut local_next);
+                            }
+                            // A frontier peer shares the triangle: exactly
+                            // one of the two unwinds it.
+                            (true, false) => {
+                                if e < e1 {
+                                    decrement(e2, &mut local_next);
                                 }
                             }
-                            i += 1;
-                            j += 1;
+                            (false, true) => {
+                                if e < e2 {
+                                    decrement(e1, &mut local_next);
+                                }
+                            }
+                            // Whole triangle is being peeled now.
+                            (true, true) => {}
                         }
-                    }
+                    });
                 }
                 local_next
             });
@@ -1084,21 +947,21 @@ mod tests {
     }
 
     #[test]
-    fn counted_supports_match_the_bitset_supports() {
+    fn counted_supports_match_the_naive_supports() {
         let mut scratch = DecomposeScratch::new();
         let mut sup = vec![7; 3];
         for (name, g) in pass_graphs() {
             scratch.count_supports(&g, &mut sup);
-            assert_eq!(sup, edge_supports(&g), "{name}");
+            assert_eq!(sup, ctc_graph::triangles::naive_edge_supports(&g), "{name}");
         }
     }
 
     /// Each edge's slots hold one pair per triangle on it: the same
-    /// triangles, by their other two edge ids, that the bitset kernel's
-    /// listing produces for that edge (pairs compared unordered, since a
-    /// walk meets an edge from either endpoint).
+    /// triangles, by their other two edge ids, that a row merge of the
+    /// edge's endpoints lists (pairs compared unordered, since a walk
+    /// meets an edge from either endpoint).
     #[test]
-    fn oriented_fill_matches_the_bitset_listing() {
+    fn oriented_fill_matches_the_row_merge_listing() {
         let mut oriented = Oriented::default();
         let (mut sup, mut tri_start, mut tri) = (Vec::new(), Vec::new(), Vec::new());
         for (name, g) in pass_graphs() {
@@ -1108,7 +971,6 @@ mod tests {
             assert_eq!(tri_start.len(), g.num_edges() + 1, "{name}");
             assert_eq!(tri_start[0], 0, "{name}");
             let unordered = |a: u32, b: u32| (a.min(b), a.max(b));
-            let adj = ctc_graph::BitsetAdjacency::build(&g);
             for (e, u, v) in g.edges() {
                 let (a, b) = (tri_start[e.index()], tri_start[e.index() + 1]);
                 let mut got: Vec<_> = tri[a as usize..b as usize]
@@ -1116,7 +978,7 @@ mod tests {
                     .map(|p| unordered(p[0], p[1]))
                     .collect();
                 let mut want = Vec::new();
-                adj.for_each_common(&g, u, v, 0, |_, euw, evw| {
+                for_each_common_neighbor(&g, u, v, |_, euw, evw| {
                     want.push(unordered(euw.0, evw.0));
                 });
                 got.sort_unstable();

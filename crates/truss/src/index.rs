@@ -52,14 +52,6 @@ impl TrussIndex {
         Self::from_decomposition(g, truss_decomposition_with(g, scratch))
     }
 
-    /// Builds the index for `g`, running the truss decomposition across
-    /// `par` worker threads. Produces the same index as [`TrussIndex::build`]
-    /// for every thread count (only the decomposition is parallel; row
-    /// sorting is cheap by comparison and stays serial).
-    pub fn build_par(g: &CsrGraph, par: ctc_graph::Parallelism) -> Self {
-        Self::from_decomposition(g, crate::decompose::truss_decomposition_par(g, par))
-    }
-
     /// Builds the index from a precomputed decomposition, taking over its
     /// trussness array.
     pub fn from_decomposition(g: &CsrGraph, decomp: TrussDecomposition) -> Self {

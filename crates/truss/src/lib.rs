@@ -18,10 +18,11 @@
 //! assert_eq!(g0.vertices.len(), 11); // the grey region of Figure 1
 //! ```
 //!
-//! The decomposition behind the index — the offline cost of Table 3 — has
-//! a multi-core variant ([`truss_decomposition_par`] /
-//! [`TrussIndex::build_par`]) that peels same-trussness frontiers
-//! concurrently and matches the serial path byte for byte:
+//! The decomposition behind the index — the offline cost of Table 3 — runs
+//! serially on the workspace's one triangle kernel. A PKT-style frontier
+//! peel, [`truss_decomposition_par`], shares no triangle code with it and
+//! serves as its oracle; no build path runs it, and the two match byte for
+//! byte:
 //!
 //! ```
 //! use ctc_graph::Parallelism;

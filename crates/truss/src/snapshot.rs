@@ -48,7 +48,7 @@ use ctc_graph::io::{
     put_u32_section, put_u64_section,
 };
 use ctc_graph::storage::{write_durable, RealEnv, StorageEnv};
-use ctc_graph::{CsrGraph, Parallelism, VertexId};
+use ctc_graph::{CsrGraph, VertexId};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -84,13 +84,7 @@ impl Snapshot {
     /// Builds graph + index into a snapshot (serial decomposition; the
     /// offline cost of Table 3).
     pub fn build(graph: CsrGraph) -> Self {
-        Self::build_par(graph, Parallelism::serial())
-    }
-
-    /// Builds with the decomposition spread over `par` worker threads.
-    /// Identical output for every thread count.
-    pub fn build_par(graph: CsrGraph, par: Parallelism) -> Self {
-        let index = TrussIndex::build_par(&graph, par);
+        let index = TrussIndex::build(&graph);
         Snapshot {
             graph,
             index,

@@ -10,7 +10,7 @@
 //! any k).
 
 use crate::index::TrussIndex;
-use ctc_graph::{BitsetAdjacency, CsrGraph, EdgeId, VertexId};
+use ctc_graph::{for_each_common_neighbor, CsrGraph, EdgeId, VertexId};
 
 /// One triangle-connected k-truss community.
 #[derive(Clone, Debug)]
@@ -31,9 +31,6 @@ impl TcpCommunity {
 /// All k-truss communities containing the query vertex `q` at level `k`
 /// (possibly several — the model finds overlapping communities).
 pub fn tcp_communities(g: &CsrGraph, idx: &TrussIndex, q: VertexId, k: u32) -> Vec<TcpCommunity> {
-    // The intersection kernel hands back both side-edge ids of every
-    // triangle directly — no per-w allocation and no `edge_between` probes.
-    let adj = BitsetAdjacency::build(g);
     let mut visited = vec![false; g.num_edges()];
     let mut out = Vec::new();
     for (_, e, t) in idx.incident_at_least(q, k) {
@@ -48,8 +45,9 @@ pub fn tcp_communities(g: &CsrGraph, idx: &TrussIndex, q: VertexId, k: u32) -> V
             comm.push(cur);
             let (u, v) = g.edge_endpoints(cur);
             // Triangle adjacency: common neighbors w with both side edges
-            // in the k-truss.
-            adj.for_each_common(g, u, v, 0, |_, euw, evw| {
+            // in the k-truss. The row merge hands back both side-edge ids
+            // directly — no per-w allocation and no `edge_between` probes.
+            for_each_common_neighbor(g, u, v, |_, euw, evw| {
                 if idx.edge_truss(euw) >= k && idx.edge_truss(evw) >= k {
                     for f in [euw, evw] {
                         if !visited[f.index()] {

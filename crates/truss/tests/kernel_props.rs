@@ -1,4 +1,4 @@
-//! Property tests pinning the bitset-kernel locate path to merge-based
+//! Property tests pinning the locate path's kernels to merge-based
 //! oracles at the truss layer: `find_g0` under pooled scratch reuse,
 //! `tcp_communities` against a sorted-merge reimplementation, and the
 //! serial decomposition against itself across scratch reuse, whichever
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 /// Merge-oracle reimplementation of `tcp_communities`: same traversal
 /// structure, but triangle adjacency via `common_neighbors` + explicit
-/// `edge_between` probes instead of the bitset kernel. Output must be
+/// `edge_between` probes instead of the row merge's edge ids. Output must be
 /// byte-identical (both sort community edges and order communities by
 /// descending size with stable ties).
 fn tcp_oracle(g: &CsrGraph, idx: &TrussIndex, q: VertexId, k: u32) -> Vec<TcpCommunity> {

@@ -7,14 +7,14 @@
 //! oracle (`check_against_rebuild`) re-runs the full `O(ρ·m)`
 //! decomposition and compares every edge's trussness, every vertex's
 //! trussness, and the max; `materialize` round-trips the mutable state
-//! back into the immutable CSR + index pair and is pinned against
-//! `TrussIndex::build_par` at 1/2/4 threads.
+//! back into the immutable CSR + index pair and is pinned against a cold
+//! index over the serial decomposition and over PKT at 2 and 4 threads.
 
 use ctc_gen::planted::planted_equal;
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
 use ctc_graph::error::GraphError;
 use ctc_graph::{CsrGraph, Parallelism, VertexId};
-use ctc_truss::{DynamicIndex, TrussIndex};
+use ctc_truss::{truss_decomposition_par, DynamicIndex, TrussIndex};
 use proptest::prelude::*;
 
 /// SplitMix64 — a tiny deterministic stream for schedule sampling, so the
@@ -70,7 +70,8 @@ fn assert_materialize_parity(dynx: &DynamicIndex, label: &str) {
     let (mg, midx) = dynx.materialize().expect("materialize");
     assert_eq!(mg.num_edges(), dynx.num_edges(), "{label}: edge count");
     for threads in [1usize, 2, 4] {
-        let cold = TrussIndex::build_par(&mg, Parallelism::threads(threads));
+        let par = Parallelism::threads(threads);
+        let cold = TrussIndex::from_decomposition(&mg, truss_decomposition_par(&mg, par));
         assert_eq!(
             midx.edge_truss_slice(),
             cold.edge_truss_slice(),

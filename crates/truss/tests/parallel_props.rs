@@ -5,7 +5,7 @@
 use ctc_gen::networks::{dblp_like, facebook_like};
 use ctc_gen::planted::{planted_equal, planted_partition, PlantedConfig};
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
-use ctc_graph::{edge_supports, edge_supports_par, CsrGraph, Parallelism};
+use ctc_graph::{CsrGraph, Parallelism};
 use ctc_truss::{truss_decomposition, truss_decomposition_par};
 use proptest::prelude::*;
 
@@ -13,7 +13,6 @@ const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
 fn assert_parallel_matches_serial(g: &CsrGraph, label: &str) {
     let serial = truss_decomposition(g);
-    let sup = edge_supports(g);
     for t in THREAD_COUNTS {
         let par = Parallelism::threads(t);
         let parallel = truss_decomposition_par(g, par);
@@ -27,11 +26,6 @@ fn assert_parallel_matches_serial(g: &CsrGraph, label: &str) {
         assert_eq!(
             parallel.max_truss, serial.max_truss,
             "{label}: max_truss diverged at {t} threads"
-        );
-        assert_eq!(
-            edge_supports_par(g, par),
-            sup,
-            "{label}: supports diverged at {t} threads"
         );
     }
 }

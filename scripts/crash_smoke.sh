@@ -30,7 +30,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$BIN" generate mini-facebook "$TMP/fb.txt"
-"$BIN" index build "$TMP/fb.txt" -o "$TMP/fb.ctci" --threads 0
+"$BIN" index build "$TMP/fb.txt" -o "$TMP/fb.ctci"
 # The offline replica: same snapshot, same update sequence, no crash.
 cp "$TMP/fb.ctci" "$TMP/replica.ctci"
 

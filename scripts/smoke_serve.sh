@@ -24,7 +24,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$BIN" generate mini-facebook "$TMP/fb.txt"
-"$BIN" index build "$TMP/fb.txt" -o "$TMP/fb.ctci" --threads 0
+"$BIN" index build "$TMP/fb.txt" -o "$TMP/fb.ctci"
 
 "$BIN" serve "$TMP/fb.ctci" --addr 127.0.0.1:0 --threads 2 --cache-cap 64 \
     > "$TMP/serve.log" 2>&1 &

@@ -1,9 +1,9 @@
 //! Command-line front end for closest truss community search.
 //!
 //! ```text
-//! ctc-cli stats <edge-list> [--threads N]
+//! ctc-cli stats <edge-list>
 //! ctc-cli decompose <edge-list> [--threads N]
-//! ctc-cli index build <edge-list> -o graph.ctci [--threads N]
+//! ctc-cli index build <edge-list> -o graph.ctci
 //! ctc-cli index info graph.ctci
 //! ctc-cli index update graph.ctci [--insert U,V]... [--delete U,V]...
 //!                                 [--log graph.ctcd] [--compact]
@@ -21,10 +21,12 @@
 //! Edge lists are SNAP format: `u v` per line, `#` comments. Vertex labels
 //! in `--query` refer to the file's original labels (preserved inside
 //! `.ctci` snapshots, so `search --index` answers label-addressed queries
-//! identically to a cold `search`). `--threads N` spreads the truss
-//! decomposition (and LCTC's local decompositions) over `N` worker
-//! threads; `0` means all available cores, `1` (the default) is the serial
-//! reference path.
+//! identically to a cold `search`). Every index build runs the serial
+//! truss decomposition. `--threads N` (`0` = all cores, default `1`) means
+//! one thing per command: `decompose` cross-checks the serial kernel with
+//! the PKT frontier peel on `N` threads (same histogram), `search` spreads
+//! the peel's per-source distance repairs, and `serve` sizes the worker
+//! pool.
 //!
 //! `index build` pays the offline `O(ρ·m)` construction once and writes a
 //! checksummed snapshot; `search --index` then skips straight to the
@@ -65,10 +67,9 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: ctc-cli <stats|decompose|index|search|serve|generate> ...\n\
                  \n\
-                 stats <edge-list> [--threads N]       graph summary + truss levels\n\
+                 stats <edge-list>                     graph summary + truss levels\n\
                  decompose <edge-list> [--threads N]   trussness histogram\n\
                  index build <edge-list> -o g.ctci     build + persist the truss index\n\
-                        [--threads N]\n\
                  index info g.ctci                     inspect a snapshot\n\
                  index update g.ctci                   apply edge updates with local\n\
                         [--insert U,V]... [--delete U,V]...   truss maintenance\n\
@@ -89,8 +90,10 @@ fn main() -> ExitCode {
                         presets: facebook amazon dblp youtube livejournal orkut\n\
                                  mini-facebook mini-dblp (small, for smoke tests)\n\
                  \n\
-                 --threads N: worker threads for truss decomposition\n\
-                        (0 = all cores, 1 = serial; default 1)"
+                 --threads N (0 = all cores, 1 = serial; default 1):\n\
+                        decompose  cross-check with the PKT frontier peel\n\
+                        search     the peel's per-source distance repairs\n\
+                        serve      worker pool size"
             );
             return ExitCode::from(2);
         }
@@ -146,9 +149,8 @@ fn flag_parallelism(args: &[String]) -> Result<Parallelism, String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (g, _) = load(args)?;
-    let par = flag_parallelism(args)?;
     let s = ctc_graph::graph_stats(&g);
-    let max_truss = ctc::truss::truss_decomposition_par(&g, par).max_truss;
+    let max_truss = ctc::truss::truss_decomposition(&g).max_truss;
     let mut t = Table::new(["metric", "value"]);
     t.row(["vertices".to_string(), s.num_vertices.to_string()]);
     t.row(["edges".to_string(), s.num_edges.to_string()]);
@@ -164,6 +166,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `decompose`: the trussness histogram. With `--threads N > 1` it comes
+/// from the PKT frontier peel, which shares no triangle code with the
+/// serial kernel, so equal output is a cross-check.
 fn cmd_decompose(args: &[String]) -> Result<(), String> {
     let (g, _) = load(args)?;
     let par = flag_parallelism(args)?;
@@ -233,9 +238,8 @@ fn cmd_index_build(args: &[String]) -> Result<(), String> {
     let out = flag_value(args, "-o")
         .or_else(|| flag_value(args, "--out"))
         .ok_or("missing -o <out.ctci>")?;
-    let par = flag_parallelism(args)?;
     let t0 = std::time::Instant::now();
-    let snap = Snapshot::build_par(g, par)
+    let snap = Snapshot::build(g)
         .with_labels(labels)
         .map_err(|e| e.to_string())?;
     let built = t0.elapsed();
@@ -470,11 +474,7 @@ fn cmd_index_update(args: &[String]) -> Result<(), String> {
 /// Query labels are validated against the label table *before* the
 /// `O(ρ·m)` index build on the cold path, so a typo fails in milliseconds
 /// rather than after a full decomposition of a large graph.
-fn load_search_engine(
-    args: &[String],
-    par: Parallelism,
-    query_labels: &[u64],
-) -> Result<CommunityEngine, String> {
+fn load_search_engine(args: &[String], query_labels: &[u64]) -> Result<CommunityEngine, String> {
     match flag_value(args, "--index") {
         Some(path) => {
             let snap = Snapshot::load(path).map_err(|e| format!("loading {path}: {e}"))?;
@@ -488,7 +488,7 @@ fn load_search_engine(
                     return Err(format!("label {label} not in graph"));
                 }
             }
-            let snap = Snapshot::build_par(g, par)
+            let snap = Snapshot::build(g)
                 .with_labels(labels)
                 .map_err(|e| e.to_string())?;
             Ok(CommunityEngine::from_snapshot(snap))
@@ -519,10 +519,9 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     if let Some(k) = flag_checked(args, "--k", |&k: &u32| k >= 2, "an integer >= 2")? {
         cfg = cfg.fixed_k(k);
     }
-    let par = flag_parallelism(args)?;
-    cfg.parallelism = par;
+    cfg.parallelism = flag_parallelism(args)?;
     let algo: SearchAlgo = flag_value(args, "--algo").unwrap_or("lctc").parse()?;
-    let engine = load_search_engine(args, par, &query_labels)?.with_config(cfg);
+    let engine = load_search_engine(args, &query_labels)?.with_config(cfg);
     // Map original labels to dense ids.
     let mut q = Vec::new();
     for &label in &query_labels {

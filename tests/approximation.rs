@@ -1,15 +1,18 @@
 //! The paper's approximation guarantees, checked against brute force.
 //!
-//! For small graphs the optimal CTC is computable exactly: enumerate vertex
-//! supersets of `Q`, peel each induced subgraph to its maximal k-truss, and
-//! take the minimum diameter among connected candidates at the maximum
-//! feasible trussness. (Taking the *maximal* k-truss per vertex set is
-//! sound: adding edges over the same vertices never raises the diameter and
-//! never breaks the truss condition, so some optimum is edge-maximal.)
+//! For small graphs the optimal CTC is computable exactly at every level
+//! `k`: enumerate vertex supersets of `Q`, peel each induced subgraph to
+//! its maximal k-truss, and take the minimum diameter among connected
+//! candidates. (Taking the *maximal* k-truss per vertex set is sound:
+//! adding edges over the same vertices never raises the diameter and never
+//! breaks the truss condition, so some optimum is edge-maximal.)
 //!
 //! Theorem 3: `diam(Basic) ≤ 2·diam(OPT)`.
 //! Theorem 6: `diam(BD) ≤ 2·diam(OPT) + 2`.
+//! Problem 2: `decide_ctck`'s Yes, No and Unknown each agree with the
+//! exact optimum at their level.
 
+use ctc::core::{decide_ctck, CtckAnswer};
 use ctc::prelude::*;
 use ctc::truss::fixtures::{figure1_graph, Figure1Ids};
 use ctc_graph::{
@@ -18,10 +21,12 @@ use ctc_graph::{
 };
 use proptest::prelude::*;
 
-/// Maximal k-truss of `g` (peel edges with support < k−2 to fixpoint);
-/// returns the surviving graph as a DynGraph snapshot materialized anew.
-fn peel_to_ktruss(g: &CsrGraph, k: u32) -> CsrGraph {
-    let mut live = DynGraph::new(g);
+/// Highest level the brute force tries.
+const MAX_K: u32 = 16;
+
+/// Peels `live` to its maximal k-truss: removes edges with support
+/// `< k − 2` to a fixpoint.
+fn peel_to_ktruss(live: &mut DynGraph<'_>, k: u32) {
     loop {
         let doomed: Vec<_> = live
             .alive_edges()
@@ -39,16 +44,17 @@ fn peel_to_ktruss(g: &CsrGraph, k: u32) -> CsrGraph {
             live.remove_edge(e);
         }
     }
-    ctc_graph::alive_subgraph(&live).graph
 }
 
-/// Exact CTC by exhaustive search: returns `(k_max, optimal diameter)`.
+/// Exact CTC at every level by exhaustive search: `opt[k]` is the
+/// minimum diameter of a connected k-truss containing `q`, or `None` when
+/// no connected k-truss contains `q` (`opt[0]` and `opt[1]` stay `None`).
 ///
 /// Only call on graphs with ≤ ~16 non-query vertices.
-fn brute_force_ctc(g: &CsrGraph, q: &[VertexId]) -> Option<(u32, u32)> {
+fn brute_force_levels(g: &CsrGraph, q: &[VertexId]) -> Vec<Option<u32>> {
     let others: Vec<VertexId> = g.vertices().filter(|v| !q.contains(v)).collect();
     assert!(others.len() <= 16, "brute force explosion");
-    let mut best: Option<(u32, u32)> = None; // (k, diameter)
+    let mut opt: Vec<Option<u32>> = vec![None; MAX_K as usize + 1];
     for mask in 0u32..(1 << others.len()) {
         let mut vs: Vec<VertexId> = q.to_vec();
         for (i, &v) in others.iter().enumerate() {
@@ -61,17 +67,22 @@ fn brute_force_ctc(g: &CsrGraph, q: &[VertexId]) -> Option<(u32, u32)> {
             Some(l) => l,
             None => continue,
         };
-        // Try every k from high to low on this vertex set.
-        for k in (2..=16u32).rev() {
-            let peeled = peel_to_ktruss(&sub.graph, k);
+        // Climb the levels on this vertex set: each maximal k-truss
+        // contains the next level's, so the first level where the query
+        // falls apart ends the climb.
+        let mut live = DynGraph::new(&sub.graph);
+        for k in 2..=MAX_K {
+            peel_to_ktruss(&mut live, k);
+            // Peeling removes edges only, so vertex ids are unchanged.
+            let peeled = ctc_graph::alive_subgraph(&live).graph;
             // Every query vertex must survive with at least one edge — a
             // bare vertex is not a k-truss community.
             if ql.iter().any(|&v| peeled.degree(v) == 0) {
-                continue;
+                break;
             }
             let mut scratch = ctc_graph::BfsScratch::new(peeled.num_vertices());
             if !ctc_graph::query_connected(&peeled, &ql, &mut scratch) {
-                continue;
+                break;
             }
             // Restrict to Q's component for the diameter.
             scratch.run(&peeled, ql[0]);
@@ -87,22 +98,79 @@ fn brute_force_ctc(g: &CsrGraph, q: &[VertexId]) -> Option<(u32, u32)> {
             if d == INF {
                 continue;
             }
-            best = match best {
-                None => Some((k, d)),
-                Some((bk, bd)) => {
-                    if k > bk || (k == bk && d < bd) {
-                        Some((k, d))
-                    } else {
-                        Some((bk, bd))
-                    }
-                }
-            };
-            break; // higher k found for this set; lower k on same set can
-                   // only matter if it had higher global k — handled by the
-                   // max over sets
+            let best = &mut opt[k as usize];
+            *best = Some(best.map_or(d, |b| b.min(d)));
         }
     }
-    best
+    opt
+}
+
+/// The highest level `opt` reaches, with its optimal diameter.
+fn top_level(opt: &[Option<u32>]) -> Option<(u32, u32)> {
+    (2..=MAX_K)
+        .rev()
+        .find_map(|k| opt[k as usize].map(|d| (k, d)))
+}
+
+/// Exact CTC by exhaustive search: returns `(k_max, optimal diameter)`.
+///
+/// Only call on graphs with ≤ ~16 non-query vertices.
+fn brute_force_ctc(g: &CsrGraph, q: &[VertexId]) -> Option<(u32, u32)> {
+    top_level(&brute_force_levels(g, q))
+}
+
+/// `decide_ctck` against the exact optimum `opt` (from
+/// [`brute_force_levels`]) at every level up to one past the top and
+/// every `d` in `0..=6`:
+///
+/// * Yes: the witness is a valid connected k-truss containing `q` with
+///   diameter ≤ d;
+/// * No: no connected k-truss containing `q` has diameter ≤ d;
+/// * Unknown: lower bound ≤ d < achieved diameter.
+///
+/// Every lower bound the decider certifies is at most the optimum.
+fn check_decision(searcher: &CtcSearcher<'_>, q: &[VertexId], opt: &[Option<u32>]) {
+    let (k_opt, _) = top_level(opt).expect("a feasible level");
+    for k in 2..=k_opt + 1 {
+        let best = opt[k as usize];
+        for d in 0..=6u32 {
+            let answer = decide_ctck(searcher, q, k, d).expect("decision");
+            match &answer {
+                CtckAnswer::Yes(c) => {
+                    assert_eq!(c.k, k, "witness level (k={k}, d={d})");
+                    c.validate(q)
+                        .unwrap_or_else(|e| panic!("invalid witness (k={k}, d={d}): {e}"));
+                    assert!(c.diameter() <= d, "witness too wide (k={k}, d={d})");
+                }
+                CtckAnswer::No {
+                    diameter_lower_bound,
+                } => {
+                    assert!(
+                        best.is_none_or(|b| b > d),
+                        "No, but a {k}-truss of diameter {best:?} <= {d} exists"
+                    );
+                    assert!(
+                        best.is_none_or(|b| *diameter_lower_bound <= b),
+                        "lower bound {diameter_lower_bound} above the optimum {best:?} (k={k})"
+                    );
+                }
+                CtckAnswer::Unknown {
+                    achieved_diameter,
+                    diameter_lower_bound,
+                } => {
+                    assert!(
+                        *diameter_lower_bound <= d && d < *achieved_diameter,
+                        "Unknown outside its bracket (k={k}, d={d}): {answer:?}"
+                    );
+                    let b = best.expect("Unknown at a level with a community");
+                    assert!(
+                        *diameter_lower_bound <= b,
+                        "lower bound {diameter_lower_bound} above the optimum {b} (k={k})"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -137,9 +205,22 @@ fn figure1_bd_within_guarantee() {
     );
 }
 
+#[test]
+fn figure1_decision_matches_brute_force() {
+    let g = figure1_graph();
+    let f = Figure1Ids::default();
+    let q = [f.q1, f.q2, f.q3];
+    let opt = brute_force_levels(&g, &q);
+    assert_eq!(top_level(&opt), Some((4, 3)), "Figure 1(b) is optimal");
+    // Example 2: at k = 2 the 5-cycle through q1, q2, q3 has diameter 2.
+    assert_eq!(opt[2], Some(2));
+    check_decision(&CtcSearcher::new(&g), &q, &opt);
+}
+
 /// Random small graphs: every algorithm returns a valid community whose
-/// trussness matches the brute-force max, and Basic honors the
-/// 2-approximation.
+/// trussness matches the brute-force max, Basic honors the
+/// 2-approximation, and the CTCk decision agrees with brute force at
+/// every level.
 fn check_on_graph(edges: &[(u32, u32)], q_raw: &[u32]) {
     let g = graph_from_edges(edges);
     if g.num_vertices() < 2 {
@@ -161,7 +242,8 @@ fn check_on_graph(edges: &[(u32, u32)], q_raw: &[u32]) {
         Ok(c) => c,
         Err(_) => return, // disconnected query: nothing to check
     };
-    let Some((k_opt, d_opt)) = brute_force_ctc(&g, &qd) else {
+    let opt = brute_force_levels(&g, &qd);
+    let Some((k_opt, d_opt)) = top_level(&opt) else {
         panic!("algorithm found a community but brute force found none");
     };
     assert_eq!(basic.k, k_opt, "Basic must find the maximum trussness");
@@ -178,6 +260,7 @@ fn check_on_graph(edges: &[(u32, u32)], q_raw: &[u32]) {
     bd.validate(&qd).unwrap();
     let lctc = searcher.local(&qd, &cfg).unwrap();
     lctc.validate(&qd).unwrap();
+    check_decision(&searcher, &qd, &opt);
 }
 
 proptest! {

@@ -160,7 +160,7 @@ fn search_with_threads_matches_serial_output() {
     assert_eq!(hist(&[]), hist(&["--threads", "4"]));
     // Malformed thread counts are a clean error, not a panic.
     let out = cli()
-        .args(["stats", file.to_str().unwrap(), "--threads", "lots"])
+        .args(["decompose", file.to_str().unwrap(), "--threads", "lots"])
         .output()
         .unwrap();
     assert!(!out.status.success());
