@@ -116,6 +116,8 @@ pub struct PeelScratch {
     /// with the searcher so a checked-out engine scratch covers both
     /// phases of a query.
     pub(crate) find: ctc_truss::FindScratch,
+    /// Pooled parent→local ids for copying `G0` into the peel's subgraph.
+    pub(crate) sub: ctc_graph::SubgraphScratch,
     /// Pooled truss-decomposition state: LCTC's per-query index build,
     /// and the support count that arms the maintainer on a cache miss.
     pub(crate) decomp: ctc_truss::DecomposeScratch,
@@ -151,6 +153,7 @@ impl PeelScratch {
             + vec_heap_bytes(&self.cached_edges)
             + vec_heap_bytes(&self.cached_supports)
             + self.find.heap_bytes()
+            + self.sub.heap_bytes()
             + self.decomp.heap_bytes()
     }
 

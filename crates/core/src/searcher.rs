@@ -14,8 +14,8 @@ use crate::peel::{peel_with, DeletePolicy, PeelOutcome, PeelScratch};
 use crate::result::{Community, PhaseTimings};
 use crate::steiner::steiner_tree;
 use ctc_graph::error::{GraphError, Result};
-use ctc_graph::{BfsScratch, CsrGraph, Parallelism, Subgraph, VertexId};
-use ctc_truss::{find_g0_with, Snapshot, TrussIndex, G0};
+use ctc_graph::{edge_subgraph_with, CsrGraph, Parallelism, Subgraph, VertexId};
+use ctc_truss::{find_g0_with, g0_query_distance, Snapshot, TrussIndex, G0};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
@@ -110,8 +110,9 @@ impl<'g> CtcSearcher<'g> {
     ///    (Algorithm 2) for Basic, BulkDelete and Truss; for LCTC, `Ht`
     ///    from a Steiner tree, its expansion and a local decomposition. A
     ///    fixed `k` (§7.1) caps `FindG0`'s starting level.
-    /// 3. **Peel** under the algorithm's [`DeletePolicy`]. The Truss
-    ///    baseline skips this step and reports `G0` as located.
+    /// 3. **Peel** under the algorithm's [`DeletePolicy`], over a copy of
+    ///    the located community with local ids. The Truss baseline skips
+    ///    this step and answers from `G0` itself.
     /// 4. **Assemble** the answer in parent-graph ids.
     pub fn search_with(
         &self,
@@ -122,35 +123,29 @@ impl<'g> CtcSearcher<'g> {
     ) -> Result<Community> {
         let t0 = Instant::now();
         let q = self.normalize_query(q)?;
-        let (g0, sub) = self.locate(&q, algo, cfg, scratch)?;
+        let policy = match algo {
+            SearchAlgo::Basic => DeletePolicy::SingleFurthest,
+            SearchAlgo::BulkDelete => DeletePolicy::BulkAtLeast,
+            SearchAlgo::Local => DeletePolicy::LocalGreedy,
+            SearchAlgo::TrussOnly => return self.truss_answer(&q, cfg, scratch, t0),
+        };
+        let (located, sub) = self.locate(&q, algo, cfg, scratch)?;
         let q_local = sub.locals(&q).ok_or(GraphError::Disconnected)?;
         let t_locate = t0.elapsed();
-        let policy = match algo {
-            SearchAlgo::Basic => Some(DeletePolicy::SingleFurthest),
-            SearchAlgo::BulkDelete => Some(DeletePolicy::BulkAtLeast),
-            SearchAlgo::Local => Some(DeletePolicy::LocalGreedy),
-            SearchAlgo::TrussOnly => None,
-        };
-        let (out, t_peel) = match policy {
-            // Unpeeled, the query-distance BFS counts as finish work.
-            None => (unpeeled(&sub.graph, &q_local), Duration::ZERO),
-            Some(policy) => {
-                let t1 = Instant::now();
-                let par = peel_parallelism(cfg, sub.graph.num_vertices(), q_local.len());
-                let out = peel_with(
-                    &sub.graph,
-                    &q_local,
-                    g0.k,
-                    policy,
-                    cfg.max_iterations,
-                    par,
-                    scratch,
-                );
-                (out, t1.elapsed())
-            }
-        };
+        let t1 = Instant::now();
+        let par = peel_parallelism(cfg, sub.graph.num_vertices(), q_local.len());
+        let out = peel_with(
+            &sub.graph,
+            &q_local,
+            located.k,
+            policy,
+            cfg.max_iterations,
+            par,
+            scratch,
+        );
+        let t_peel = t1.elapsed();
         let timings = PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed());
-        Ok(assemble(&sub, &g0, out, timings))
+        Ok(assemble(&sub, located, out, timings))
     }
 
     /// Normalizes a query: dedup, validity checks.
@@ -170,29 +165,50 @@ impl<'g> CtcSearcher<'g> {
         Ok(q)
     }
 
-    /// The pipeline's locate step: the community the peel starts from, as
-    /// a [`G0`] (for LCTC, `Ht` in `Gt`'s ids; only its `k` and size are
-    /// read) and as a subgraph whose parent ids are the graph's own.
+    /// The Truss baseline, answered from `G0` with no copy: its vertices
+    /// are `G0`'s (ascending), its edges `G0`'s endpoint pairs (canonical
+    /// order), and its query distance comes from BFS over the index rows
+    /// that make up `G0`, which counts as finish work.
+    fn truss_answer(
+        &self,
+        q: &[VertexId],
+        cfg: &CtcConfig,
+        scratch: &mut PeelScratch,
+        t0: Instant,
+    ) -> Result<Community> {
+        let g0 = find_g0_with(self.g, &self.idx, q, level_cap(cfg), &mut scratch.find)?;
+        let t_locate = t0.elapsed();
+        let query_distance = g0_query_distance(&self.idx, &g0, q, &mut scratch.find);
+        let edges = g0.edges.iter().map(|&e| self.g.edge_endpoints(e)).collect();
+        Ok(Community {
+            k: g0.k,
+            g0_size: (g0.vertices.len(), g0.edges.len()),
+            vertices: g0.vertices,
+            edges,
+            query_distance,
+            iterations: 0,
+            timings: PhaseTimings::with_residual(t_locate, Duration::ZERO, t0.elapsed()),
+        })
+    }
+
+    /// The locate step of the peeled algorithms: the community the peel
+    /// starts from, copied into a subgraph whose parent ids are the
+    /// graph's own. The located lists are dropped on return; the peel and
+    /// the answer read only their level and size.
     fn locate(
         &self,
         q: &[VertexId],
         algo: SearchAlgo,
         cfg: &CtcConfig,
         scratch: &mut PeelScratch,
-    ) -> Result<(G0, Subgraph)> {
-        let cap = cfg.fixed_k.unwrap_or(u32::MAX);
+    ) -> Result<(Located, Subgraph)> {
+        let cap = level_cap(cfg);
         if algo != SearchAlgo::Local {
             let g0 = find_g0_with(self.g, &self.idx, q, cap, &mut scratch.find)?;
-            // The peel breaks ties by local id, so the peeled algorithms
-            // keep the discovery numbering; the Truss answer lists G0's
-            // edges in parent order, which canonical numbering preserves.
-            let sub = if algo == SearchAlgo::TrussOnly {
-                let pairs: Vec<_> = g0.edges.iter().map(|&e| self.g.edge_endpoints(e)).collect();
-                ctc_graph::subgraph_from_pairs(&pairs)
-            } else {
-                ctc_graph::edge_subgraph(self.g, &g0.edges)
-            };
-            return Ok((g0, sub));
+            // The peel breaks ties by local id, so it keeps the discovery
+            // numbering.
+            let sub = edge_subgraph_with(self.g, &g0.edges, &mut scratch.sub);
+            return Ok((Located::of(&g0), sub));
         }
         // LCTC step 1: truss-distance Steiner tree.
         let tree = steiner_tree(self.g, &self.idx, q, cfg.gamma, cfg.steiner_mode)
@@ -217,8 +233,30 @@ impl<'g> CtcSearcher<'g> {
                 (gt.parent(u), gt.parent(v))
             })
             .collect();
-        Ok((ht, ctc_graph::subgraph_from_pairs(&pairs)))
+        Ok((Located::of(&ht), ctc_graph::subgraph_from_pairs(&pairs)))
     }
+}
+
+/// What the peel and the answer read of a located community once it is
+/// copied: its level and its `(vertices, edges)` size.
+#[derive(Clone, Copy, Debug)]
+struct Located {
+    k: u32,
+    size: (usize, usize),
+}
+
+impl Located {
+    fn of(g0: &G0) -> Self {
+        Located {
+            k: g0.k,
+            size: (g0.vertices.len(), g0.edges.len()),
+        }
+    }
+}
+
+/// `FindG0`'s starting level: a fixed `k` (§7.1) caps it.
+fn level_cap(cfg: &CtcConfig) -> u32 {
+    cfg.fixed_k.unwrap_or(u32::MAX)
 }
 
 /// Thread policy for the peel phase's per-source distance repairs.
@@ -237,20 +275,13 @@ fn peel_parallelism(cfg: &CtcConfig, n: usize, q_len: usize) -> Parallelism {
     }
 }
 
-/// The Truss baseline's outcome: the located subgraph whole, with its
-/// query distance.
-fn unpeeled(sub: &CsrGraph, q: &[VertexId]) -> PeelOutcome {
-    let mut bfs = BfsScratch::new(sub.num_vertices());
-    PeelOutcome {
-        vertices: sub.vertices().collect(),
-        edges: sub.edges().map(|(_, u, v)| (u, v)).collect(),
-        query_distance: ctc_graph::graph_query_distance(sub, q, &mut bfs),
-        iterations: 0,
-    }
-}
-
 /// Maps a [`PeelOutcome`] in `sub`-local ids back to parent ids.
-fn assemble(sub: &Subgraph, g0: &G0, out: PeelOutcome, timings: PhaseTimings) -> Community {
+fn assemble(
+    sub: &Subgraph,
+    located: Located,
+    out: PeelOutcome,
+    timings: PhaseTimings,
+) -> Community {
     let mut vertices: Vec<VertexId> = out.vertices.iter().map(|&v| sub.parent(v)).collect();
     vertices.sort_unstable();
     let edges = out
@@ -266,12 +297,12 @@ fn assemble(sub: &Subgraph, g0: &G0, out: PeelOutcome, timings: PhaseTimings) ->
         })
         .collect();
     Community {
-        k: g0.k,
+        k: located.k,
         vertices,
         edges,
         query_distance: out.query_distance,
         iterations: out.iterations,
-        g0_size: (g0.vertices.len(), g0.edges.len()),
+        g0_size: located.size,
         timings,
     }
 }
@@ -386,9 +417,58 @@ mod tests {
         ));
     }
 
-    /// A four-thread config returns the serial answers. Figure 1 is below
-    /// the size where the peel fans its repairs out, so this pins the
-    /// config plumbing; `peel_props.rs` runs `peel_with` itself at 1/2/4
+    /// A wheel whose `rim` vertices each carry an outer vertex on a
+    /// triangle with the next rim vertex: the wheel is a 4-truss, the
+    /// outer triangles make the whole a 3-truss of `2·rim + 1` vertices.
+    /// Ids: hub 0, rim `1..=rim`, outer `rim+1..=2·rim`.
+    fn outer_wheel(rim: u32) -> CsrGraph {
+        let mut b = ctc_graph::GraphBuilder::new();
+        for i in 0..rim {
+            let (r, next, outer) = (1 + i, 1 + (i + 1) % rim, 1 + rim + i);
+            b.add_edge(0, r);
+            b.add_edge(r, next);
+            b.add_edge(outer, r);
+            b.add_edge(outer, next);
+        }
+        b.build()
+    }
+
+    /// BulkDelete on a 4097-vertex G0 with |Q| = 2 crosses the threshold
+    /// where the peel spreads its per-source work over threads: the
+    /// four-thread config reaches `peel_with` and returns the serial
+    /// answer, field for field. The first round deletes everything more
+    /// than two hops from the query and the second ends the peel, so it
+    /// runs quickly unoptimized.
+    #[test]
+    fn parallel_peel_fans_out_on_a_large_g0() {
+        let rim = 2048;
+        let g = outer_wheel(rim);
+        let s = CtcSearcher::new(&g);
+        // An outer vertex and its rim neighbor: k = 3, so G0 is everything.
+        let q = [VertexId(1), VertexId(1 + rim)];
+        let cfg_par = CtcConfig::new().threads(4);
+        let serial = s.bulk_delete(&q, &CtcConfig::default()).unwrap();
+        let par = s.bulk_delete(&q, &cfg_par).unwrap();
+        assert_eq!(serial.g0_size.0, 2 * rim as usize + 1);
+        assert_eq!(
+            peel_parallelism(&cfg_par, serial.g0_size.0, q.len()).get(),
+            4,
+            "the config must reach the peel"
+        );
+        assert!(serial.iterations >= 2, "a repair round must run");
+        assert_eq!((serial.k, par.k), (3, 3));
+        assert_eq!(serial.vertices, par.vertices);
+        assert_eq!(serial.edges, par.edges);
+        assert_eq!(serial.query_distance, par.query_distance);
+        assert_eq!(serial.iterations, par.iterations);
+        assert_eq!(serial.g0_size, par.g0_size);
+        assert!(serial.num_vertices() < 16, "the peel must shrink G0");
+        par.validate(&q).unwrap();
+    }
+
+    /// A four-thread config returns the serial answers on Figure 1, below
+    /// the size where the peel fans out (`parallel_peel_fans_out_on_a_large_g0`
+    /// covers that); `peel_props.rs` runs `peel_with` itself at 1/2/4
     /// threads.
     #[test]
     fn parallel_searcher_matches_serial_end_to_end() {

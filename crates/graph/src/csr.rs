@@ -87,6 +87,45 @@ impl CsrGraph {
         }
     }
 
+    /// Builds from filled neighbor rows (`offsets` has `n + 1` entries,
+    /// every row strictly ascending, no self-loops, each edge in both of
+    /// its endpoints' rows), numbering the edges canonically: `(u, v)`,
+    /// `u < v`, ascending — the ids a sort of the whole edge list would
+    /// give, paid for with one sweep instead of that sort.
+    pub(crate) fn from_sorted_rows(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+        let n = offsets.len() - 1;
+        debug_assert!((0..n).all(|v| {
+            neighbors[offsets[v] as usize..offsets[v + 1] as usize]
+                .windows(2)
+                .all(|w| w[0] < w[1])
+        }));
+        let mut arc_edge = vec![0u32; neighbors.len()];
+        let mut edges = Vec::with_capacity(neighbors.len() / 2);
+        // `low[w]` is the slot of `w`'s next neighbor below `w`. The sweep
+        // meets those neighbors in ascending order, which is their order in
+        // the row, and by the time it reaches `u` itself, `low[u]` has moved
+        // past them to the first neighbor above `u`.
+        let mut low: Vec<u32> = offsets[..n].to_vec();
+        for u in 0..n {
+            for i in low[u] as usize..offsets[u + 1] as usize {
+                let w = neighbors[i];
+                debug_assert!(w as usize > u, "rows are sorted and symmetric");
+                let e = edges.len() as u32;
+                edges.push((u as u32, w));
+                arc_edge[i] = e;
+                let j = &mut low[w as usize];
+                arc_edge[*j as usize] = e;
+                *j += 1;
+            }
+        }
+        CsrGraph {
+            offsets,
+            neighbors,
+            arc_edge,
+            edges,
+        }
+    }
+
     /// Builds from a canonical edge list (`u < v`, strictly ascending, all
     /// endpoints `< n`), validating those preconditions — the entry point
     /// for callers that maintain a canonical edge set themselves (the

@@ -7,8 +7,10 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
+use crate::distfield::EpochMarks;
 use crate::dynamic::DynGraph;
 use crate::fx::{fx_map_with_capacity, FxHashMap};
+use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
 
 /// A compact graph extracted from a parent, with both-way vertex mappings.
@@ -87,26 +89,91 @@ pub fn induced_subgraph(g: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
 }
 
 /// Extracts the subgraph of `g` consisting of exactly the given edges
-/// (vertices are the union of their endpoints).
+/// (vertices are the union of their endpoints), with local ids in order of
+/// discovery: each edge's endpoints in turn, the first time they appear.
+/// The edges must be distinct.
 pub fn edge_subgraph(g: &CsrGraph, edges: &[EdgeId]) -> Subgraph {
-    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(edges.len());
+    edge_subgraph_with(g, edges, &mut SubgraphScratch::new())
+}
+
+/// Pooled state for [`edge_subgraph_with`]: a parent→local id array with
+/// one epoch-stamped slot per parent vertex, so arming a call costs O(1)
+/// rather than O(n).
+#[derive(Clone, Debug, Default)]
+pub struct SubgraphScratch {
+    local: Vec<u32>,
+    seen: EpochMarks,
+}
+
+impl SubgraphScratch {
+    /// An empty scratch; it grows to the parent graph on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Heap bytes held (capacity of every buffer).
+    pub fn heap_bytes(&self) -> usize {
+        vec_heap_bytes(&self.local) + self.seen.heap_bytes()
+    }
+}
+
+/// [`edge_subgraph`] over a pooled parent→local array: the same subgraph,
+/// array for array, without a hash map sized by the edge count or a sort
+/// of the edge list.
+///
+/// Rows are filled from degree counts and each is sorted on its own (rows
+/// are short; the edge list is not), then one sweep in local order
+/// numbers the edges canonically, which is the numbering a sort of the
+/// local endpoint pairs gives. Only `from_parent` is a map, sized by the
+/// vertex count.
+pub fn edge_subgraph_with(
+    g: &CsrGraph,
+    edges: &[EdgeId],
+    scratch: &mut SubgraphScratch,
+) -> Subgraph {
+    let SubgraphScratch { local, seen } = scratch;
+    let parents = g.num_vertices();
+    if local.len() < parents {
+        local.resize(parents, 0);
+    }
+    seen.ensure(parents);
+    seen.clear();
+    // Local ids in discovery order; `offsets[l + 1]` counts l's degree.
     let mut to_parent: Vec<u32> = Vec::new();
-    let local_id = |p: u32, to_parent: &mut Vec<u32>, from_parent: &mut FxHashMap<u32, u32>| {
-        *from_parent.entry(p).or_insert_with(|| {
-            to_parent.push(p);
-            (to_parent.len() - 1) as u32
-        })
-    };
-    let mut b = GraphBuilder::with_capacity(edges.len());
+    let mut offsets: Vec<u32> = vec![0];
     for &e in edges {
         let (u, v) = g.edge_endpoints(e);
-        let lu = local_id(u.0, &mut to_parent, &mut from_parent);
-        let lv = local_id(v.0, &mut to_parent, &mut from_parent);
-        b.add_edge(lu, lv);
+        for p in [u.index(), v.index()] {
+            if seen.insert(p) {
+                local[p] = to_parent.len() as u32;
+                to_parent.push(p as u32);
+                offsets.push(0);
+            }
+            offsets[local[p] as usize + 1] += 1;
+        }
     }
-    b.ensure_vertices(to_parent.len());
+    let n = to_parent.len();
+    for l in 0..n {
+        offsets[l + 1] += offsets[l];
+    }
+    let mut fill: Vec<u32> = offsets[..n].to_vec();
+    let mut neighbors = vec![0u32; 2 * edges.len()];
+    for &e in edges {
+        let (u, v) = g.edge_endpoints(e);
+        let (lu, lv) = (local[u.index()] as usize, local[v.index()] as usize);
+        neighbors[fill[lu] as usize] = lv as u32;
+        fill[lu] += 1;
+        neighbors[fill[lv] as usize] = lu as u32;
+        fill[lv] += 1;
+    }
+    drop(fill);
+    for l in 0..n {
+        neighbors[offsets[l] as usize..offsets[l + 1] as usize].sort_unstable();
+    }
+    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(n);
+    from_parent.extend(to_parent.iter().enumerate().map(|(l, &p)| (p, l as u32)));
     Subgraph {
-        graph: b.build(),
+        graph: CsrGraph::from_sorted_rows(offsets, neighbors),
         to_parent,
         from_parent,
     }

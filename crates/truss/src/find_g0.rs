@@ -252,7 +252,9 @@ fn extract_component(g: &CsrGraph, scratch: &mut FindScratch, root: VertexId, k:
     let rep = scratch.uf.find(root.0);
     scratch.comp.ensure(g.num_vertices());
     scratch.comp.clear();
-    let mut vertices: Vec<VertexId> = Vec::new();
+    // Every touched vertex is joined to Q at the final level, so this is
+    // the exact size, and the list never grows.
+    let mut vertices: Vec<VertexId> = Vec::with_capacity(scratch.touched.len());
     for i in 0..scratch.touched.len() {
         let v = scratch.touched[i];
         if scratch.uf.find(v) == rep {
@@ -272,6 +274,59 @@ fn extract_component(g: &CsrGraph, scratch: &mut FindScratch, root: VertexId, k:
     }
     debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "canonical order");
     G0 { k, edges, vertices }
+}
+
+/// The query distance `dist(G0, Q)` of a located community (Def. 3): the
+/// largest eccentricity of a query vertex, since `G0` is connected.
+///
+/// `G0` is a whole component of the `τ ≥ k` edges, so its rows are the
+/// index's `τ ≥ k` row prefixes, and one level-synchronous BFS per query
+/// vertex walks them with no copy of `G0`. `scratch` must be the one that
+/// located `g0`: its cursors stop exactly at those prefixes' ends (the
+/// locate took every `τ ≥ k` edge of each `G0` vertex and no other), and
+/// the walk reuses its visit marks and vertex list, so it allocates
+/// nothing.
+pub fn g0_query_distance(
+    idx: &TrussIndex,
+    g0: &G0,
+    q: &[VertexId],
+    scratch: &mut FindScratch,
+) -> u32 {
+    let FindScratch {
+        cursor,
+        cursor_set,
+        pending_set: seen,
+        touched: queue,
+        ..
+    } = scratch;
+    let mut dist = 0;
+    for &src in q {
+        seen.clear();
+        seen.insert(src.index());
+        queue.clear();
+        queue.push(src.0);
+        let (mut lo, mut depth) = (0, 0);
+        loop {
+            let hi = queue.len();
+            for i in lo..hi {
+                let v = queue[i] as usize;
+                debug_assert!(cursor_set.contains(v), "every G0 vertex was expanded");
+                let (nbrs, _) = idx.sorted_row(VertexId(v as u32));
+                for &nb in &nbrs[..cursor[v] as usize] {
+                    if seen.insert(nb as usize) {
+                        queue.push(nb);
+                    }
+                }
+            }
+            if queue.len() == hi {
+                break;
+            }
+            (lo, depth) = (hi, depth + 1);
+        }
+        debug_assert_eq!(queue.len(), g0.vertices.len(), "G0 is one component");
+        dist = dist.max(depth);
+    }
+    dist
 }
 
 /// Materializes a [`G0`] as a standalone [`Subgraph`] of `g`.

@@ -26,7 +26,8 @@
 //! one thing per command: `decompose` cross-checks the serial kernel with
 //! the PKT frontier peel on `N` threads (same histogram), `search` spreads
 //! the peel's per-source distance repairs, and `serve` sizes the worker
-//! pool.
+//! pool. A flag its command does not take (a stale `--threads` on `stats`,
+//! a misspelling) exits 2 with the usage text.
 //!
 //! `index build` pays the offline `O(ρ·m)` construction once and writes a
 //! checksummed snapshot; `search --index` then skips straight to the
@@ -51,8 +52,50 @@ use ctc_graph::io::{load_edge_list_path, save_edge_list_path};
 use ctc_truss::snapshot_version;
 use std::process::ExitCode;
 
+/// The usage text, printed with exit code 2 for a missing or unknown
+/// command and for a flag its command does not take.
+const USAGE: &str = "\
+usage: ctc-cli <stats|decompose|index|search|serve|generate> ...
+
+  stats <edge-list>                     graph summary + truss levels
+  decompose <edge-list> [--threads N]   trussness histogram
+  index build <edge-list> -o g.ctci     build + persist the truss index
+  index info g.ctci                     inspect a snapshot
+  index update g.ctci                   apply edge updates with local
+      [--insert U,V]... [--delete U,V]...   truss maintenance
+      [--log g.ctcd] [--compact]        (see docs/INDEX_FORMAT.md)
+  index recover g.ctci [--log g.ctcd]   crash recovery: repair a torn
+      log tail or quarantine corruption (exit 0 clean,
+      3 repaired, 4 quarantined, 1 fatal; docs/RELIABILITY.md)
+  search <edge-list> --query a,b,c      find the closest truss community
+      [--algo basic|bd|lctc|truss] [--gamma G] [--eta N] [--k K]
+      [--threads N] [--timings]         (--timings: per-phase breakdown)
+  search --index g.ctci --query a,b,c   same, warm-started from a snapshot
+  serve g.ctci [--addr HOST:PORT]       HTTP query server over the snapshot
+      [--threads N] [--cache-cap C]     (POST /search, GET /healthz|/stats)
+      [--tenant NAME=PATH]...           extra engines at /t/NAME/...
+      [--max-conns N] [--queue-cap N]   admission bounds (503 on overflow)
+      [--tenant-cap N] [--mem-budget BYTES]  429 cap / eviction budget
+      [--log g.ctcd]                    recover, then journal /update batches
+  generate <preset> <out>               write a synthetic network
+      presets: facebook amazon dblp youtube livejournal orkut
+               mini-facebook mini-dblp (small, for smoke tests)
+
+--threads N (0 = all cores, 1 = serial; default 1):
+  decompose  cross-check with the PKT frontier peel
+  search     the peel's per-source distance repairs
+  serve      worker pool size";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args) {
+        let words = if args[0] == "index" { 2 } else { 1 };
+        eprintln!(
+            "error: {} does not take {flag}\n\n{USAGE}",
+            args[..words].join(" ")
+        );
+        return ExitCode::from(2);
+    }
     // Commands return their exit code so `index recover` can report the
     // recovery outcome through typed codes (0 clean, 3 repaired, 4
     // quarantined) instead of flattening everything to success/failure.
@@ -64,37 +107,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]).map(|()| ExitCode::SUCCESS),
         Some("generate") => cmd_generate(&args[1..]).map(|()| ExitCode::SUCCESS),
         _ => {
-            eprintln!(
-                "usage: ctc-cli <stats|decompose|index|search|serve|generate> ...\n\
-                 \n\
-                 stats <edge-list>                     graph summary + truss levels\n\
-                 decompose <edge-list> [--threads N]   trussness histogram\n\
-                 index build <edge-list> -o g.ctci     build + persist the truss index\n\
-                 index info g.ctci                     inspect a snapshot\n\
-                 index update g.ctci                   apply edge updates with local\n\
-                        [--insert U,V]... [--delete U,V]...   truss maintenance\n\
-                        [--log g.ctcd] [--compact]     (see docs/INDEX_FORMAT.md)\n\
-                 index recover g.ctci [--log g.ctcd]   crash recovery: repair a torn\n\
-                        log tail or quarantine corruption (exit 0 clean,\n\
-                        3 repaired, 4 quarantined, 1 fatal; docs/RELIABILITY.md)\n\
-                 search <edge-list> --query a,b,c      find the closest truss community\n\
-                        [--algo basic|bd|lctc|truss] [--gamma G] [--eta N] [--k K]\n\
-                        [--threads N] [--timings]      (--timings: per-phase breakdown)\n\
-                 search --index g.ctci --query a,b,c   same, warm-started from a snapshot\n\
-                 serve g.ctci [--addr HOST:PORT]       HTTP query server over the snapshot\n\
-                        [--threads N] [--cache-cap C]  (POST /search, GET /healthz|/stats)\n\
-                        [--tenant NAME=PATH]...        extra engines at /t/NAME/...\n\
-                        [--max-conns N] [--queue-cap N]  admission bounds (503 on overflow)\n\
-                        [--tenant-cap N] [--mem-budget BYTES]  429 cap / eviction budget\n\
-                 generate <preset> <out>               write a synthetic network\n\
-                        presets: facebook amazon dblp youtube livejournal orkut\n\
-                                 mini-facebook mini-dblp (small, for smoke tests)\n\
-                 \n\
-                 --threads N (0 = all cores, 1 = serial; default 1):\n\
-                        decompose  cross-check with the PKT frontier peel\n\
-                        search     the peel's per-source distance repairs\n\
-                        serve      worker pool size"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -105,6 +118,62 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The flags a command takes: those followed by a value, then the
+/// switches. `None` for a command line that names no known command.
+fn flags_of(args: &[String]) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    let command = args.first()?.as_str();
+    Some(match (command, args.get(1).map(String::as_str)) {
+        ("stats" | "generate", _) | ("index", Some("info")) => (&[], &[]),
+        ("decompose", _) => (&["--threads"], &[]),
+        ("index", Some("build")) => (&["-o", "--out"], &[]),
+        ("index", Some("update")) => (&["--insert", "--delete", "--log"], &["--compact"]),
+        ("index", Some("recover")) => (&["--log"], &[]),
+        ("search", _) => (
+            &[
+                "--query",
+                "--index",
+                "--algo",
+                "--gamma",
+                "--eta",
+                "--k",
+                "--threads",
+            ],
+            &["--timings"],
+        ),
+        ("serve", _) => (
+            &[
+                "--addr",
+                "--threads",
+                "--cache-cap",
+                "--log",
+                "--tenant",
+                "--max-conns",
+                "--queue-cap",
+                "--tenant-cap",
+                "--mem-budget",
+            ],
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
+/// The first argument that looks like a flag (`-…`) but is not one its
+/// command takes. A value flag's value is skipped, so `--gamma -5` reaches
+/// the command, which rejects it with a message that names the flag.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    let (valued, switches) = flags_of(args)?;
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with('-') && !switches.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {

@@ -394,6 +394,84 @@ fn usage_on_no_args() {
 }
 
 #[test]
+fn unknown_flags_exit_2_with_usage() {
+    let dir = std::env::temp_dir().join("ctc_cli_test_flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("fig1.txt");
+    let idx = dir.join("fig1.ctci");
+    write_figure1(&file);
+    let (f, i) = (file.to_str().unwrap(), idx.to_str().unwrap());
+    for args in [
+        // A stale --threads, dropped from these two commands.
+        vec!["stats", f, "--threads", "2"],
+        vec!["index", "build", f, "-o", i, "--threads", "0"],
+        // A flag no command takes, and a misspelt one.
+        vec!["stats", f, "--bogus-flag", "7"],
+        vec!["search", f, "--query", "0,1,2", "--timing"],
+        vec!["search", f, "--query", "0,1,2", "-k", "3"],
+    ] {
+        let out = cli().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+        let flag = args.iter().rev().find(|a| a.starts_with('-')).unwrap();
+        assert!(
+            stderr.contains(&format!("does not take {flag}")),
+            "{stderr}"
+        );
+    }
+    assert!(!idx.exists(), "a rejected command must not run");
+}
+
+/// Every flag the usage text lists reaches its command: with a missing
+/// input file each exits 1 (the load fails), never 2.
+#[test]
+fn every_flag_in_the_usage_text_is_accepted() {
+    let usage = String::from_utf8_lossy(&cli().output().unwrap().stderr).to_string();
+    let missing = std::env::temp_dir().join("ctc_cli_test_no_such_file");
+    let missing = missing.to_str().unwrap();
+    let mut command: Vec<String> = Vec::new();
+    let mut checked = 0;
+    for line in usage.lines() {
+        let indent = line.len() - line.trim_start().len();
+        let words: Vec<&str> = line.split_whitespace().collect();
+        match indent {
+            // A command line names the command; `index` takes a second word.
+            2 => {
+                let n = if words[0] == "index" { 2 } else { 1 };
+                command = words[..n].iter().map(|w| w.to_string()).collect();
+            }
+            0 => command.clear(),
+            _ => {}
+        }
+        if command.is_empty() {
+            continue;
+        }
+        for word in &words {
+            let word = word.trim_start_matches(['[', '(']);
+            let flag: String = word
+                .chars()
+                .take_while(|c| *c == '-' || c.is_ascii_lowercase())
+                .collect();
+            if !flag.starts_with('-') || flag.trim_start_matches('-').is_empty() {
+                continue;
+            }
+            let mut args = command.clone();
+            args.extend([missing.to_string(), flag.clone(), "1".to_string()]);
+            let out = cli().args(&args).output().unwrap();
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 20, "only {checked} flags found in:\n{usage}");
+}
+
+#[test]
 fn generate_mini_preset_writes_a_small_network() {
     let dir = std::env::temp_dir().join("ctc_cli_test_mini");
     std::fs::create_dir_all(&dir).unwrap();
