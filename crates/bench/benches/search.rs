@@ -6,7 +6,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctc_core::{peel_reference, peel_with, CtcConfig, CtcSearcher, DeletePolicy, PeelScratch};
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
-use ctc_graph::Parallelism;
 use ctc_truss::find_g0;
 use std::time::Duration;
 
@@ -59,41 +58,15 @@ fn bench_peel_phase(c: &mut Criterion) {
         // Warm pooled scratch: the serving path (allocation-free rounds,
         // support-cache hits on the repeated community).
         let mut scratch = PeelScratch::new();
-        let _ = peel_with(
-            &sub.graph,
-            &ql,
-            g0.k,
-            policy,
-            None,
-            Parallelism::serial(),
-            &mut scratch,
-        );
+        let _ = peel_with(&sub.graph, &ql, g0.k, policy, None, &mut scratch);
         group.bench_with_input(BenchmarkId::new("warm", label), &ql, |b, ql| {
-            b.iter(|| {
-                peel_with(
-                    &sub.graph,
-                    ql,
-                    g0.k,
-                    policy,
-                    None,
-                    Parallelism::serial(),
-                    &mut scratch,
-                )
-            })
+            b.iter(|| peel_with(&sub.graph, ql, g0.k, policy, None, &mut scratch))
         });
         // Cold scratch per call: what a pool miss pays.
         group.bench_with_input(BenchmarkId::new("cold", label), &ql, |b, ql| {
             b.iter(|| {
                 let mut fresh = PeelScratch::new();
-                peel_with(
-                    &sub.graph,
-                    ql,
-                    g0.k,
-                    policy,
-                    None,
-                    Parallelism::serial(),
-                    &mut fresh,
-                )
+                peel_with(&sub.graph, ql, g0.k, policy, None, &mut fresh)
             })
         });
         // Full-recompute oracle: the pre-incremental loop.

@@ -1,9 +1,9 @@
 //! Search configuration shared by all CTC algorithms.
 
-use ctc_graph::Parallelism;
+use std::hash::{Hash, Hasher};
 
 /// How Steiner-tree truss distances (Def. 7) are evaluated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SteinerMode {
     /// Exact Def. 7 semantics: `d̂(u,v) = min_P len(P) + γ(τ̄(∅) −
     /// min_{e∈P} τ(e))`, evaluated by sweeping trussness thresholds and
@@ -19,6 +19,18 @@ pub enum SteinerMode {
 ///
 /// Defaults follow the paper's experiment setup: `γ = 3`, `η = 1000`
 /// (§6: "we set the parameters η = 1,000 and γ = 3").
+///
+/// Every field can change an answer, so two configs that compare equal
+/// answer every query alike, and a config is the config component of a
+/// response-cache key. Equality and hashing go field by field, with γ
+/// compared and hashed by its bits (`f64` is neither `Eq` nor `Hash`).
+///
+/// ```
+/// use ctc_core::CtcConfig;
+///
+/// assert_eq!(CtcConfig::new(), CtcConfig::default());
+/// assert_ne!(CtcConfig::new(), CtcConfig::new().gamma(5.0));
+/// ```
 #[derive(Clone, Debug)]
 pub struct CtcConfig {
     /// Trussness penalty weight γ in the truss distance (Def. 7).
@@ -34,10 +46,6 @@ pub struct CtcConfig {
     pub max_iterations: Option<usize>,
     /// Truss-distance evaluation mode for the LCTC Steiner stage.
     pub steiner_mode: SteinerMode,
-    /// Worker threads for the peel's per-source distance repairs, the
-    /// only search phase that fans out (and only on graphs large enough
-    /// to pay for it). Defaults to serial.
-    pub parallelism: Parallelism,
 }
 
 impl Default for CtcConfig {
@@ -48,7 +56,6 @@ impl Default for CtcConfig {
             fixed_k: None,
             max_iterations: None,
             steiner_mode: SteinerMode::PathMinExact,
-            parallelism: Parallelism::serial(),
         }
     }
 }
@@ -89,61 +96,39 @@ impl CtcConfig {
         self
     }
 
-    /// Sets the worker-thread count for the peel's per-source repairs
-    /// (`0` = all available cores, `1` = serial).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.parallelism = Parallelism::threads(n);
-        self
-    }
-
-    /// Sets the parallelism policy directly.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = par;
-        self
-    }
-
-    /// The answer-affecting projection of this configuration.
-    ///
-    /// Two configs with equal fingerprints produce identical answers for
-    /// every query and algorithm, so the fingerprint is the correct
-    /// config component of a response-cache key. [`CtcConfig::parallelism`]
-    /// is deliberately excluded: thread count changes wall time, never
-    /// answers (the workspace-wide invariant pinned by the parallel
-    /// property tests).
-    ///
-    /// ```
-    /// use ctc_core::CtcConfig;
-    ///
-    /// let a = CtcConfig::new().threads(8);
-    /// let b = CtcConfig::new(); // serial
-    /// assert_eq!(a.fingerprint(), b.fingerprint());
-    /// assert_ne!(a.fingerprint(), CtcConfig::new().gamma(5.0).fingerprint());
-    /// ```
-    pub fn fingerprint(&self) -> ConfigFingerprint {
-        ConfigFingerprint {
-            gamma_bits: self.gamma.to_bits(),
-            eta: self.eta,
-            fixed_k: self.fixed_k,
-            max_iterations: self.max_iterations,
-            steiner_additive: self.steiner_mode == SteinerMode::EdgeAdditive,
-        }
+    /// The fields equality and hashing compare, γ as its bits. The
+    /// destructuring makes a new field a compile error here until it is
+    /// placed in the key.
+    fn key(&self) -> (u64, usize, Option<u32>, Option<usize>, SteinerMode) {
+        let CtcConfig {
+            gamma,
+            eta,
+            fixed_k,
+            max_iterations,
+            steiner_mode,
+        } = self;
+        (
+            gamma.to_bits(),
+            *eta,
+            *fixed_k,
+            *max_iterations,
+            *steiner_mode,
+        )
     }
 }
 
-/// The hashable projection of a [`CtcConfig`] onto the knobs that can
-/// change a search answer. See [`CtcConfig::fingerprint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ConfigFingerprint {
-    /// Bit pattern of γ (f64 is not `Hash`/`Eq`; bits are).
-    gamma_bits: u64,
-    /// LCTC expansion budget η.
-    eta: usize,
-    /// Fixed target trussness, if any.
-    fixed_k: Option<u32>,
-    /// Peeling iteration cap, if any.
-    max_iterations: Option<usize>,
-    /// Whether the additive Steiner surrogate replaces the exact mode.
-    steiner_additive: bool,
+impl PartialEq for CtcConfig {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for CtcConfig {}
+
+impl Hash for CtcConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
 }
 
 #[cfg(test)]
@@ -157,7 +142,6 @@ mod tests {
         assert_eq!(c.eta, 1000);
         assert_eq!(c.fixed_k, None);
         assert_eq!(c.steiner_mode, SteinerMode::PathMinExact);
-        assert!(c.parallelism.is_serial(), "parallelism is opt-in");
     }
 
     #[test]
@@ -167,48 +151,42 @@ mod tests {
             .eta(0)
             .fixed_k(1)
             .max_iterations(10)
-            .steiner_mode(SteinerMode::EdgeAdditive)
-            .threads(4);
+            .steiner_mode(SteinerMode::EdgeAdditive);
         assert_eq!(c.gamma, 5.0);
         assert_eq!(c.eta, 1, "eta clamps to ≥ 1");
         assert_eq!(c.fixed_k, Some(2), "k clamps to ≥ 2");
         assert_eq!(c.max_iterations, Some(10));
         assert_eq!(c.steiner_mode, SteinerMode::EdgeAdditive);
-        assert_eq!(c.parallelism.get(), 4);
-        assert!(CtcConfig::new().threads(0).parallelism.get() >= 1);
-        assert!(CtcConfig::new()
-            .parallelism(Parallelism::serial())
-            .parallelism
-            .is_serial());
+    }
+
+    fn hash_of(c: &CtcConfig) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        c.hash(&mut h);
+        h.finish()
     }
 
     #[test]
-    fn fingerprint_tracks_answer_knobs_only() {
+    fn equality_and_hash_track_every_answer_knob() {
         let base = CtcConfig::default();
-        // Parallelism never changes answers, so it must not change the key.
-        assert_eq!(
-            base.fingerprint(),
-            CtcConfig::new().threads(8).fingerprint()
-        );
+        // Equal configs, built two ways, are one key.
+        let same = CtcConfig::new().gamma(3.0).eta(1000);
+        assert_eq!(base, same);
+        assert_eq!(hash_of(&base), hash_of(&same));
         // Every answer-affecting knob must change the key.
-        assert_ne!(
-            base.fingerprint(),
-            CtcConfig::new().gamma(2.5).fingerprint()
-        );
-        assert_ne!(base.fingerprint(), CtcConfig::new().eta(500).fingerprint());
-        assert_ne!(
-            base.fingerprint(),
-            CtcConfig::new().fixed_k(4).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            CtcConfig::new().max_iterations(3).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            CtcConfig::new()
-                .steiner_mode(SteinerMode::EdgeAdditive)
-                .fingerprint()
-        );
+        for other in [
+            CtcConfig::new().gamma(2.5),
+            CtcConfig::new().eta(500),
+            CtcConfig::new().fixed_k(4),
+            CtcConfig::new().max_iterations(3),
+            CtcConfig::new().steiner_mode(SteinerMode::EdgeAdditive),
+        ] {
+            assert_ne!(base, other, "{other:?}");
+            assert_ne!(hash_of(&base), hash_of(&other), "{other:?}");
+        }
+        // γ compares by its bits, so equality stays reflexive, as `Eq`
+        // requires, even for a NaN that `f64`'s `==` would reject.
+        let nan = CtcConfig::new().gamma(f64::NAN);
+        assert_eq!(nan, nan.clone());
+        assert_ne!(CtcConfig::new().gamma(0.0), CtcConfig::new().gamma(-0.0));
     }
 }

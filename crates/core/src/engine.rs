@@ -5,8 +5,10 @@
 //! expensive state is built (or loaded from a `.ctci` [`Snapshot`]) exactly
 //! once per process and then shared freely: cloning the engine is two
 //! reference bumps, every [`CommunityEngine::searcher`] borrows rather than
-//! rebuilds, and [`CommunityEngine::search_batch`] fans a query batch out
-//! across the [`Parallelism`] substrate with no per-query setup cost.
+//! rebuilds, and [`CommunityEngine::search_batch`] answers a query batch
+//! with no per-query setup cost. A search runs on its caller's thread;
+//! callers that want concurrency, such as the server's worker pool, share
+//! one engine across their own threads.
 //!
 //! ```
 //! use ctc_core::{CommunityEngine, EngineQuery, SearchAlgo};
@@ -28,7 +30,7 @@ use crate::peel::PeelScratch;
 use crate::result::Community;
 use crate::searcher::CtcSearcher;
 use ctc_graph::error::Result;
-use ctc_graph::{CsrGraph, Parallelism, VertexId};
+use ctc_graph::{CsrGraph, VertexId};
 use ctc_truss::snapshot::snapshot_to_bytes;
 use ctc_truss::{
     DeltaLogFile, DynamicIndex, LabelTable, RecoveryReport, Snapshot, TrussIndex, UpdateReport,
@@ -212,8 +214,8 @@ pub struct BatchReport {
 /// A loaded-once, query-many CTC engine.
 ///
 /// Cheap to clone (all heavy state is behind [`Arc`]) and safe to share
-/// across threads — batch workers borrow the same graph and index, and
-/// every engine draws peel working memory from one process-wide pool.
+/// across threads — concurrent searches borrow the same graph and index,
+/// and every engine draws peel working memory from one process-wide pool.
 #[derive(Clone)]
 pub struct CommunityEngine {
     graph: Arc<CsrGraph>,
@@ -221,7 +223,6 @@ pub struct CommunityEngine {
     /// Shared by clones, so the reverse label index is built once.
     labels: Arc<LabelTable>,
     cfg: CtcConfig,
-    batch_par: Parallelism,
     /// Warm dynamic-maintenance state, created lazily on first mutation.
     /// `None` on read-only engines (and on [`CommunityEngine::frozen_clone`]s,
     /// so reader clones never force the writer's copy-on-write).
@@ -243,7 +244,6 @@ impl CommunityEngine {
             index: Arc::new(snap.index),
             labels: Arc::new(LabelTable::new(snap.labels)),
             cfg: CtcConfig::default(),
-            batch_par: Parallelism::serial(),
             dynamic: None,
         }
     }
@@ -278,13 +278,6 @@ impl CommunityEngine {
     /// Replaces the per-query configuration (γ, η, fixed k, ...).
     pub fn with_config(mut self, cfg: CtcConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sets how many worker threads a [`CommunityEngine::search_batch`]
-    /// call spreads its queries over (default: serial).
-    pub fn with_batch_parallelism(mut self, par: Parallelism) -> Self {
-        self.batch_par = par;
         self
     }
 
@@ -389,23 +382,13 @@ impl CommunityEngine {
         out
     }
 
-    /// Answers a batch of queries, spread over the engine's batch
-    /// [`Parallelism`]; results come back in input order, each query
-    /// failing or succeeding independently.
-    ///
-    /// Queries share the read-only graph and index, so the fan-out is
-    /// contention-free; per-query inner parallelism (the peel's
-    /// per-source repairs) stays whatever the engine config says, which
-    /// for batch serving should normally remain serial.
+    /// Answers a batch of queries in order, on the caller's thread;
+    /// results come back in input order, each query failing or
+    /// succeeding independently.
     pub fn search_batch(&self, queries: &[EngineQuery]) -> Vec<Result<Community>> {
-        self.batch_par
-            .map_chunks(queries.len(), |range| {
-                range
-                    .map(|i| self.search(&queries[i].vertices, queries[i].algo))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
+        queries
+            .iter()
+            .map(|query| self.search(&query.vertices, query.algo))
             .collect()
     }
 
@@ -592,32 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_isolates_failures_like_serial() {
-        let eng = engine().with_batch_parallelism(Parallelism::threads(4));
-        let f = Figure1Ids::default();
-        let queries: Vec<EngineQuery> = (0..16)
-            .map(|i| {
-                if i % 3 == 1 {
-                    EngineQuery::new(vec![VertexId(100 + i)])
-                } else {
-                    EngineQuery::new(vec![f.q1, f.q2])
-                }
-            })
-            .collect();
-        let answers = eng.search_batch(&queries);
-        for (i, a) in answers.iter().enumerate() {
-            if i % 3 == 1 {
-                assert!(
-                    matches!(a, Err(GraphError::VertexOutOfRange { .. })),
-                    "query {i}: {a:?}"
-                );
-            } else {
-                assert!(a.is_ok(), "query {i} poisoned: {a:?}");
-            }
-        }
-    }
-
-    #[test]
     fn resolve_labels_and_stats() {
         let eng = engine();
         assert_eq!(
@@ -654,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_serial_batch() {
+    fn batch_answers_equal_single_searches_in_input_order() {
         let eng = engine();
         let f = Figure1Ids::default();
         let queries: Vec<EngineQuery> = [
@@ -672,21 +629,17 @@ mod tests {
             ]
         })
         .collect();
-        let serial = eng.search_batch(&queries);
-        let par = eng
-            .clone()
-            .with_batch_parallelism(Parallelism::threads(4))
-            .search_batch(&queries);
-        assert_eq!(serial.len(), par.len());
-        for (a, b) in serial.iter().zip(&par) {
-            match (a, b) {
+        let batch = eng.search_batch(&queries);
+        assert_eq!(batch.len(), queries.len());
+        for (query, got) in queries.iter().zip(&batch) {
+            match (eng.search(&query.vertices, query.algo), got) {
                 (Ok(x), Ok(y)) => {
                     assert_eq!(x.k, y.k);
                     assert_eq!(x.vertices, y.vertices);
                     assert_eq!(x.edges, y.edges);
                 }
-                (Err(x), Err(y)) => assert_eq!(x, y),
-                other => panic!("serial/parallel disagree: {other:?}"),
+                (Err(x), Err(y)) => assert_eq!(&x, y),
+                other => panic!("batch and single search disagree: {other:?}"),
             }
         }
     }

@@ -53,7 +53,7 @@ pub mod result;
 pub mod searcher;
 pub mod steiner;
 
-pub use config::{ConfigFingerprint, CtcConfig, SteinerMode};
+pub use config::{CtcConfig, SteinerMode};
 pub use decision::{decide_ctck, CtckAnswer};
 pub use engine::{
     scratch_pool_stats, BatchReport, CommunityEngine, EngineQuery, EngineStats, EngineUpdate,

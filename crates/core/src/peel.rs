@@ -20,16 +20,15 @@
 //! whose distances moved, victim selection runs over the live graph's
 //! `O(alive)` vertex list rather than every slot, and all working state
 //! lives in a caller-pooled [`PeelScratch`], so a warm peel allocates
-//! nothing. The `|Q|` per-source repairs are independent and spread over
-//! the [`Parallelism`] substrate — results are byte-identical at any
-//! thread count.
+//! nothing. The loop, like the paper's, is sequential and runs on its
+//! caller's thread.
 //!
 //! [`peel_reference`] keeps the original full-recompute loop as the
 //! correctness oracle; the property suite pins `peel_with ==
-//! peel_reference` on random graphs for every policy and thread count.
+//! peel_reference` on random graphs for every policy.
 
 use ctc_graph::{query_connected, vec_heap_bytes, EpochMarks, INF};
-use ctc_graph::{BfsScratch, CsrGraph, DistanceField, DynBuffers, DynGraph, Parallelism, VertexId};
+use ctc_graph::{BfsScratch, CsrGraph, DistanceField, DynBuffers, DynGraph, VertexId};
 use ctc_truss::{CascadeReport, TrussMaintainer};
 
 /// Victim-selection policy for one peeling iteration.
@@ -282,7 +281,6 @@ pub fn peel_rounds(
     k: u32,
     policy: DeletePolicy,
     max_iterations: Option<usize>,
-    par: Parallelism,
     scratch: &mut PeelScratch,
 ) -> PeelStats {
     let n = sub.num_vertices();
@@ -300,13 +298,8 @@ pub fn peel_rounds(
     while scratch.fields.len() < q_len {
         scratch.fields.push(DistanceField::new());
     }
-    {
-        let live_ref = &live;
-        par.fill_chunks(&mut scratch.fields[..q_len], |start, chunk| {
-            for (i, f) in chunk.iter_mut().enumerate() {
-                f.init(live_ref, q[start + i]);
-            }
-        });
+    for (f, &qv) in scratch.fields.iter_mut().zip(q) {
+        f.init(&live, qv);
     }
     // Full profile build for round 0; later rounds only patch changes.
     for v in 0..n {
@@ -374,16 +367,10 @@ pub fn peel_rounds(
             // The query itself was hit: the loop is over, skip the repair.
             break;
         }
-        // Repair the |Q| fields — independent per source, so the batch
-        // spreads over the parallel substrate byte-identically.
-        {
-            let live_ref = &live;
-            let report = &scratch.report;
-            par.fill_chunks(&mut scratch.fields[..q_len], |_, chunk| {
-                for f in chunk {
-                    f.repair(live_ref, &report.vertices, &report.edges);
-                }
-            });
+        // Repair the |Q| fields, one per query source.
+        let report = &scratch.report;
+        for f in &mut scratch.fields[..q_len] {
+            f.repair(&live, &report.vertices, &report.edges);
         }
         // Patch the max/sum profiles for exactly the vertices that moved.
         scratch.mark.clear();
@@ -437,23 +424,21 @@ fn reconstruct(sub: &CsrGraph, scratch: &PeelScratch, stats: PeelStats) -> PeelO
 }
 
 /// [`peel_rounds`] plus snapshot materialization: the full peeling
-/// algorithm over pooled scratch, with the `|Q|` distance repairs spread
-/// over `par`.
+/// algorithm over pooled scratch.
 pub fn peel_with(
     sub: &CsrGraph,
     q: &[VertexId],
     k: u32,
     policy: DeletePolicy,
     max_iterations: Option<usize>,
-    par: Parallelism,
     scratch: &mut PeelScratch,
 ) -> PeelOutcome {
-    let stats = peel_rounds(sub, q, k, policy, max_iterations, par, scratch);
+    let stats = peel_rounds(sub, q, k, policy, max_iterations, scratch);
     reconstruct(sub, scratch, stats)
 }
 
-/// Runs the peeling loop with one-shot scratch, serially. Prefer
-/// [`peel_with`] on any warm path.
+/// Runs the peeling loop with one-shot scratch. Prefer [`peel_with`] on
+/// any warm path.
 pub fn peel(
     sub: &CsrGraph,
     q: &[VertexId],
@@ -461,16 +446,7 @@ pub fn peel(
     policy: DeletePolicy,
     max_iterations: Option<usize>,
 ) -> PeelOutcome {
-    let mut scratch = PeelScratch::new();
-    peel_with(
-        sub,
-        q,
-        k,
-        policy,
-        max_iterations,
-        Parallelism::serial(),
-        &mut scratch,
-    )
+    peel_with(sub, q, k, policy, max_iterations, &mut PeelScratch::new())
 }
 
 /// Per-vertex query-distance profile by full recomputation: `|Q|` BFS
@@ -712,15 +688,7 @@ mod tests {
                 DeletePolicy::BulkAtLeast,
                 DeletePolicy::LocalGreedy,
             ] {
-                let warm = peel_with(
-                    &sub.graph,
-                    &q,
-                    4,
-                    policy,
-                    None,
-                    Parallelism::serial(),
-                    &mut scratch,
-                );
+                let warm = peel_with(&sub.graph, &q, 4, policy, None, &mut scratch);
                 let cold = peel(&sub.graph, &q, 4, policy, None);
                 assert_eq!(warm.vertices, cold.vertices, "{policy:?}");
                 assert_eq!(warm.edges, cold.edges, "{policy:?}");
@@ -731,36 +699,9 @@ mod tests {
                 4,
                 DeletePolicy::SingleFurthest,
                 None,
-                Parallelism::serial(),
                 &mut scratch,
             );
             assert_eq!(w.vertices.len(), 4);
-        }
-    }
-
-    #[test]
-    fn parallel_repair_is_byte_identical() {
-        let (sub, q) = figure1_g0();
-        for threads in [2usize, 4] {
-            let mut scratch = PeelScratch::new();
-            for policy in [
-                DeletePolicy::SingleFurthest,
-                DeletePolicy::BulkAtLeast,
-                DeletePolicy::LocalGreedy,
-            ] {
-                let par = peel_with(
-                    &sub.graph,
-                    &q,
-                    4,
-                    policy,
-                    None,
-                    Parallelism::threads(threads),
-                    &mut scratch,
-                );
-                let ser = peel(&sub.graph, &q, 4, policy, None);
-                assert_eq!(par.vertices, ser.vertices, "{policy:?} t={threads}");
-                assert_eq!(par.edges, ser.edges, "{policy:?} t={threads}");
-            }
         }
     }
 

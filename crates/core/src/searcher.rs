@@ -14,7 +14,7 @@ use crate::peel::{peel_with, DeletePolicy, PeelOutcome, PeelScratch};
 use crate::result::{Community, PhaseTimings};
 use crate::steiner::steiner_tree;
 use ctc_graph::error::{GraphError, Result};
-use ctc_graph::{edge_subgraph_with, CsrGraph, Parallelism, Subgraph, VertexId};
+use ctc_graph::{edge_subgraph_with, CsrGraph, Subgraph, VertexId};
 use ctc_truss::{find_g0_with, g0_query_distance, Snapshot, TrussIndex, G0};
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -114,6 +114,11 @@ impl<'g> CtcSearcher<'g> {
     ///    the located community with local ids. The Truss baseline skips
     ///    this step and answers from `G0` itself.
     /// 4. **Assemble** the answer in parent-graph ids.
+    ///
+    /// The whole pipeline runs on the caller's thread. Its timings are
+    /// stamped last: locate covers steps 1–2, peel the peeling loop and
+    /// the best snapshot's reconstruction, and finish the rest: step 4,
+    /// or the Truss baseline's query distance and edge list.
     pub fn search_with(
         &self,
         q: &[VertexId],
@@ -133,19 +138,18 @@ impl<'g> CtcSearcher<'g> {
         let q_local = sub.locals(&q).ok_or(GraphError::Disconnected)?;
         let t_locate = t0.elapsed();
         let t1 = Instant::now();
-        let par = peel_parallelism(cfg, sub.graph.num_vertices(), q_local.len());
         let out = peel_with(
             &sub.graph,
             &q_local,
             located.k,
             policy,
             cfg.max_iterations,
-            par,
             scratch,
         );
         let t_peel = t1.elapsed();
-        let timings = PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed());
-        Ok(assemble(&sub, located, out, timings))
+        let mut community = assemble(&sub, located, out);
+        community.timings = PhaseTimings::with_residual(t_locate, t_peel, t0.elapsed());
+        Ok(community)
     }
 
     /// Normalizes a query: dedup, validity checks.
@@ -259,29 +263,9 @@ fn level_cap(cfg: &CtcConfig) -> u32 {
     cfg.fixed_k.unwrap_or(u32::MAX)
 }
 
-/// Thread policy for the peel phase's per-source distance repairs.
-///
-/// Spreading `|Q|` independent repairs over threads only pays when there
-/// are multiple sources and enough graph for each per-source BFS/repair to
-/// dwarf a scoped-thread spawn+join (paid every peeling round); below
-/// that, stay serial. Results are byte-identical either way — the fields
-/// are independent — so this is purely a scheduling choice, and
-/// [`peel_with`] itself honors whatever [`Parallelism`] it is handed.
-fn peel_parallelism(cfg: &CtcConfig, n: usize, q_len: usize) -> Parallelism {
-    if q_len > 1 && n >= 4096 {
-        cfg.parallelism
-    } else {
-        Parallelism::serial()
-    }
-}
-
-/// Maps a [`PeelOutcome`] in `sub`-local ids back to parent ids.
-fn assemble(
-    sub: &Subgraph,
-    located: Located,
-    out: PeelOutcome,
-    timings: PhaseTimings,
-) -> Community {
+/// Maps a [`PeelOutcome`] in `sub`-local ids back to parent ids; the
+/// caller stamps the timings once this has run.
+fn assemble(sub: &Subgraph, located: Located, out: PeelOutcome) -> Community {
     let mut vertices: Vec<VertexId> = out.vertices.iter().map(|&v| sub.parent(v)).collect();
     vertices.sort_unstable();
     let edges = out
@@ -303,7 +287,7 @@ fn assemble(
         query_distance: out.query_distance,
         iterations: out.iterations,
         g0_size: located.size,
-        timings,
+        timings: PhaseTimings::default(),
     }
 }
 
@@ -415,82 +399,6 @@ mod tests {
             s.basic(&[VertexId(99)], &CtcConfig::default()).unwrap_err(),
             GraphError::VertexOutOfRange { .. }
         ));
-    }
-
-    /// A wheel whose `rim` vertices each carry an outer vertex on a
-    /// triangle with the next rim vertex: the wheel is a 4-truss, the
-    /// outer triangles make the whole a 3-truss of `2·rim + 1` vertices.
-    /// Ids: hub 0, rim `1..=rim`, outer `rim+1..=2·rim`.
-    fn outer_wheel(rim: u32) -> CsrGraph {
-        let mut b = ctc_graph::GraphBuilder::new();
-        for i in 0..rim {
-            let (r, next, outer) = (1 + i, 1 + (i + 1) % rim, 1 + rim + i);
-            b.add_edge(0, r);
-            b.add_edge(r, next);
-            b.add_edge(outer, r);
-            b.add_edge(outer, next);
-        }
-        b.build()
-    }
-
-    /// BulkDelete on a 4097-vertex G0 with |Q| = 2 crosses the threshold
-    /// where the peel spreads its per-source work over threads: the
-    /// four-thread config reaches `peel_with` and returns the serial
-    /// answer, field for field. The first round deletes everything more
-    /// than two hops from the query and the second ends the peel, so it
-    /// runs quickly unoptimized.
-    #[test]
-    fn parallel_peel_fans_out_on_a_large_g0() {
-        let rim = 2048;
-        let g = outer_wheel(rim);
-        let s = CtcSearcher::new(&g);
-        // An outer vertex and its rim neighbor: k = 3, so G0 is everything.
-        let q = [VertexId(1), VertexId(1 + rim)];
-        let cfg_par = CtcConfig::new().threads(4);
-        let serial = s.bulk_delete(&q, &CtcConfig::default()).unwrap();
-        let par = s.bulk_delete(&q, &cfg_par).unwrap();
-        assert_eq!(serial.g0_size.0, 2 * rim as usize + 1);
-        assert_eq!(
-            peel_parallelism(&cfg_par, serial.g0_size.0, q.len()).get(),
-            4,
-            "the config must reach the peel"
-        );
-        assert!(serial.iterations >= 2, "a repair round must run");
-        assert_eq!((serial.k, par.k), (3, 3));
-        assert_eq!(serial.vertices, par.vertices);
-        assert_eq!(serial.edges, par.edges);
-        assert_eq!(serial.query_distance, par.query_distance);
-        assert_eq!(serial.iterations, par.iterations);
-        assert_eq!(serial.g0_size, par.g0_size);
-        assert!(serial.num_vertices() < 16, "the peel must shrink G0");
-        par.validate(&q).unwrap();
-    }
-
-    /// A four-thread config returns the serial answers on Figure 1, below
-    /// the size where the peel fans out (`parallel_peel_fans_out_on_a_large_g0`
-    /// covers that); `peel_props.rs` runs `peel_with` itself at 1/2/4
-    /// threads.
-    #[test]
-    fn parallel_searcher_matches_serial_end_to_end() {
-        let g = figure1_graph();
-        let f = Figure1Ids::default();
-        let q = [f.q1, f.q2, f.q3];
-        let s = CtcSearcher::new(&g);
-        let cfg_par = CtcConfig::new().threads(4);
-        for (a, b) in [
-            (
-                s.basic(&q, &CtcConfig::default()).unwrap(),
-                s.basic(&q, &cfg_par).unwrap(),
-            ),
-            (
-                s.local(&q, &CtcConfig::default()).unwrap(),
-                s.local(&q, &cfg_par).unwrap(),
-            ),
-        ] {
-            assert_eq!(a.k, b.k);
-            assert_eq!(a.vertices, b.vertices);
-            assert_eq!(a.edges, b.edges);
-        }
     }
 
     #[test]

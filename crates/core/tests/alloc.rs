@@ -13,7 +13,7 @@
 
 use ctc_core::{peel_rounds, peel_with, DeletePolicy, PeelScratch};
 use ctc_gen::planted::{planted_partition, PlantedConfig};
-use ctc_graph::{edge_subgraph, Parallelism, VertexId};
+use ctc_graph::{edge_subgraph, VertexId};
 use ctc_truss::{find_g0, TrussIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,15 +68,7 @@ fn warm_peel_rounds_allocate_nothing() {
         // Two warm-up passes: every pooled buffer reaches its high-water
         // mark for this (graph, query, policy) workload.
         for _ in 0..2 {
-            let _ = peel_with(
-                &sub.graph,
-                &ql,
-                g0.k,
-                policy,
-                None,
-                Parallelism::serial(),
-                &mut scratch,
-            );
+            let _ = peel_with(&sub.graph, &ql, g0.k, policy, None, &mut scratch);
         }
         // The counter is process-global, so a concurrently-allocating
         // libtest harness thread could inflate one measurement. A single
@@ -85,15 +77,7 @@ fn warm_peel_rounds_allocate_nothing() {
         let mut min_delta = u64::MAX;
         for _ in 0..5 {
             let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let stats = peel_rounds(
-                &sub.graph,
-                &ql,
-                g0.k,
-                policy,
-                None,
-                Parallelism::serial(),
-                &mut scratch,
-            );
+            let stats = peel_rounds(&sub.graph, &ql, g0.k, policy, None, &mut scratch);
             let after = ALLOCATIONS.load(Ordering::SeqCst);
             assert!(
                 stats.iterations > 0,

@@ -1,13 +1,13 @@
 //! Property suite pinning the incremental peel engine to the
 //! full-recompute oracle: on random ER/BA/planted graphs, for every
-//! [`DeletePolicy`] and at 1/2/4 repair threads, `peel_with` must return
-//! byte-identical communities to `peel_reference` (which re-runs `|Q|`
-//! BFS passes per round, exactly like the pre-incremental implementation).
+//! [`DeletePolicy`], `peel_with` must return byte-identical communities to
+//! `peel_reference` (which re-runs `|Q|` BFS passes per round, exactly
+//! like the pre-incremental implementation).
 
 use ctc_core::{peel_reference, peel_with, DeletePolicy, PeelScratch};
 use ctc_gen::planted::{planted_partition, PlantedConfig};
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
-use ctc_graph::{edge_subgraph, CsrGraph, Parallelism, VertexId};
+use ctc_graph::{edge_subgraph, CsrGraph, VertexId};
 use ctc_truss::{find_g0, TrussIndex};
 
 const POLICIES: [DeletePolicy; 3] = [
@@ -15,7 +15,6 @@ const POLICIES: [DeletePolicy; 3] = [
     DeletePolicy::BulkAtLeast,
     DeletePolicy::LocalGreedy,
 ];
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Runs the real pipeline prefix (FindG0) for `q`, then compares the
 /// incremental and reference peel loops on the extracted subgraph.
@@ -34,34 +33,21 @@ fn assert_incremental_matches_reference(g: &CsrGraph, q: &[VertexId], label: &st
     let mut scratch = PeelScratch::new();
     for policy in POLICIES {
         let slow = peel_reference(&sub.graph, &ql, g0.k, policy, None);
-        for threads in THREADS {
-            let fast = peel_with(
-                &sub.graph,
-                &ql,
-                g0.k,
-                policy,
-                None,
-                Parallelism::threads(threads),
-                &mut scratch,
-            );
-            assert_eq!(
-                fast.vertices, slow.vertices,
-                "{label}: {policy:?} t={threads} vertices diverged (q={q:?}, k={})",
-                g0.k
-            );
-            assert_eq!(
-                fast.edges, slow.edges,
-                "{label}: {policy:?} t={threads} edges diverged"
-            );
-            assert_eq!(
-                fast.query_distance, slow.query_distance,
-                "{label}: {policy:?} t={threads} distance diverged"
-            );
-            assert_eq!(
-                fast.iterations, slow.iterations,
-                "{label}: {policy:?} t={threads} iteration count diverged"
-            );
-        }
+        let fast = peel_with(&sub.graph, &ql, g0.k, policy, None, &mut scratch);
+        assert_eq!(
+            fast.vertices, slow.vertices,
+            "{label}: {policy:?} vertices diverged (q={q:?}, k={})",
+            g0.k
+        );
+        assert_eq!(fast.edges, slow.edges, "{label}: {policy:?} edges diverged");
+        assert_eq!(
+            fast.query_distance, slow.query_distance,
+            "{label}: {policy:?} distance diverged"
+        );
+        assert_eq!(
+            fast.iterations, slow.iterations,
+            "{label}: {policy:?} iteration count diverged"
+        );
     }
 }
 

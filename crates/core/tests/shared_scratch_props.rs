@@ -11,13 +11,15 @@
 //! - through one explicitly shared scratch, grown on the larger graph,
 //!   reused on the smaller and on Figure 1, then back on the larger;
 //! - through [`CommunityEngine::search`], which draws from the pool;
-//! - through [`CommunityEngine::search_batch`] at 4 threads.
+//! - through [`CommunityEngine::search`] on 4 threads at once, striding
+//!   over every engine's queries, so concurrent checkouts serve
+//!   different graphs.
 
-use ctc_core::{Community, CommunityEngine, CtcConfig, EngineQuery, PeelScratch, SearchAlgo};
+use ctc_core::{Community, CommunityEngine, CtcConfig, PeelScratch, SearchAlgo};
 use ctc_gen::planted::{planted_partition, PlantedConfig};
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
 use ctc_graph::error::Result;
-use ctc_graph::{CsrGraph, Parallelism, VertexId};
+use ctc_graph::{CsrGraph, VertexId};
 use ctc_truss::fixtures::figure1_graph;
 use proptest::prelude::*;
 
@@ -178,25 +180,29 @@ fn check_interleaved(small: CsrGraph, large: CsrGraph, fixed_k: u32, seed: u64) 
             }
         }
 
-        for &w in &order {
-            let load = &loads[w];
-            let batch: Vec<EngineQuery> = load
-                .queries
-                .iter()
-                .flat_map(|q| ALGOS.map(|algo| EngineQuery::new(q.clone()).algo(algo)))
-                .collect();
-            let answers = load
-                .engine
-                .clone()
-                .with_batch_parallelism(Parallelism::threads(4))
-                .search_batch(&batch);
-            assert_eq!(answers.len(), batch.len());
-            for (i, got) in answers.iter().enumerate() {
-                let (qi, ai) = (i / ALGOS.len(), i % ALGOS.len());
-                let label = load.label(qi, ALGOS[ai], "batch");
-                assert_same(got, &load.want[qi][ai], &label);
+        // Every engine's queries under every algorithm, searched by four
+        // threads at once.
+        let batch: Vec<(usize, usize, usize)> = loads
+            .iter()
+            .enumerate()
+            .flat_map(|(w, load)| {
+                (0..load.queries.len())
+                    .flat_map(move |qi| (0..ALGOS.len()).map(move |ai| (w, qi, ai)))
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (loads, batch) = (&loads, &batch);
+                scope.spawn(move || {
+                    for &(w, qi, ai) in batch.iter().skip(t).step_by(4) {
+                        let load = &loads[w];
+                        let got = load.engine.search(&load.queries[qi], ALGOS[ai]);
+                        let label = load.label(qi, ALGOS[ai], "threads");
+                        assert_same(&got, &load.want[qi][ai], &label);
+                    }
+                });
             }
-        }
+        });
     }
 }
 

@@ -1,14 +1,12 @@
-//! Experiment harness: timed, budgeted, optionally parallel runs over query
-//! workloads.
+//! Experiment harness: timed, budgeted runs over query workloads.
 //!
 //! The paper reports averages over 100 (Exp-1) or 1000 (Exp-3) random query
 //! sets with a one-hour per-query timeout ("we treat the runtime of a query
 //! as infinite if its runtime exceeds 1 hour"). [`run_workload`] mirrors
-//! that: a wall-clock budget per *workload*, failures and timeouts recorded
-//! rather than panicking, and an optional thread pool (std scoped
-//! threads) since the queries are independent.
+//! that: a wall-clock budget per *workload*, and failures and timeouts
+//! recorded rather than panicking. Queries run one after another on the
+//! caller's thread, so each one's wall time is its own.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Result of running one algorithm over one query set.
@@ -88,45 +86,6 @@ pub fn run_workload<Q, T>(
     (out, stats)
 }
 
-/// Parallel variant: shards `queries` over `threads` std-scoped
-/// workers. `f` must be `Sync` (it only borrows shared read-only state).
-pub fn run_workload_parallel<Q: Sync, T: Send>(
-    queries: &[Q],
-    budget: Duration,
-    threads: usize,
-    f: impl Fn(&Q) -> Result<T, String> + Sync,
-) -> (Vec<RunOutcome<T>>, WorkloadStats) {
-    let threads = threads.max(1);
-    let start = Instant::now();
-    let results: Mutex<Vec<(usize, RunOutcome<T>)>> = Mutex::new(Vec::with_capacity(queries.len()));
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let outcome = if start.elapsed() > budget {
-                    RunOutcome::OverBudget
-                } else {
-                    let t0 = Instant::now();
-                    match f(&queries[i]) {
-                        Ok(v) => RunOutcome::Done(v, t0.elapsed()),
-                        Err(e) => RunOutcome::Failed(e),
-                    }
-                };
-                results.lock().unwrap().push((i, outcome));
-            });
-        }
-    });
-    let mut indexed = results.into_inner().unwrap();
-    indexed.sort_by_key(|(i, _)| *i);
-    let out: Vec<RunOutcome<T>> = indexed.into_iter().map(|(_, o)| o).collect();
-    let stats = summarize(&out);
-    (out, stats)
-}
-
 fn summarize<T>(outcomes: &[RunOutcome<T>]) -> WorkloadStats {
     let mut stats = WorkloadStats::default();
     let mut total = Duration::ZERO;
@@ -183,18 +142,6 @@ mod tests {
         });
         // First query may run (budget checked before each), rest skipped.
         assert!(stats.skipped >= 4);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_results() {
-        let qs: Vec<u32> = (0..32).collect();
-        let (par, pstats) = run_workload_parallel(&qs, Duration::from_secs(60), 4, |&q| {
-            Ok::<u32, String>(q + 1)
-        });
-        assert_eq!(pstats.completed, 32);
-        for (i, o) in par.iter().enumerate() {
-            assert_eq!(o.value(), Some(&(i as u32 + 1)), "order must be preserved");
-        }
     }
 
     #[test]

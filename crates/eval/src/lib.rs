@@ -1,8 +1,9 @@
 //! # ctc-eval — evaluation harness
 //!
 //! Metrics (F1 vs ground truth, density, free-rider percentages), a timed
-//! workload runner with per-workload budgets (sequential and std-thread
-//! parallel), and paper-style table rendering used by every `exp_*` binary.
+//! workload runner with per-workload budgets that runs its queries in
+//! order on the caller's thread, and paper-style table rendering used by
+//! every `exp_*` binary.
 //!
 //! ```
 //! use ctc_eval::{f1_score, Table};
@@ -24,7 +25,7 @@ pub mod report;
 pub mod tables;
 
 pub use f1::{f1_score, mean_std, F1Score};
-pub use harness::{run_workload, run_workload_parallel, RunOutcome, WorkloadStats};
+pub use harness::{run_workload, RunOutcome, WorkloadStats};
 pub use plot::BarChart;
 pub use report::{Record, Report};
 pub use tables::{fmt_f, fmt_mb, fmt_secs, Table};

@@ -5,8 +5,8 @@
 //! with strongly-typed ids, a deletion overlay for the paper's peeling
 //! algorithms, BFS/traversal machinery, triangle & support computation,
 //! distances/diameters, induced subgraphs, personalized PageRank, summary
-//! statistics, IO, and the [`Parallelism`] substrate that fans independent
-//! work (batched searches, per-source distance repairs) out over threads.
+//! statistics, IO, and the [`Parallelism`] substrate behind the server's
+//! worker pool and the PKT decomposition oracle.
 //!
 //! ## Quick tour
 //!

@@ -1,12 +1,12 @@
-//! The parallel execution substrate shared by the workspace's fan-outs.
+//! The fork-join substrate behind the workspace's two thread users.
 //!
-//! [`Parallelism`] makes "how work is spread across cores" a first-class,
-//! explicit concept: a thread count plus two structured fork-join helpers
-//! built on `std::thread::scope`, with no thread-pool crate. It spreads
-//! work that is independent by construction: a batch of searches, the
-//! peel's per-source distance repairs, the server's worker pool, and the
-//! PKT frontier peel that cross-checks the serial truss decomposition.
-//! `threads = 1` runs every helper inline on the caller's thread.
+//! [`Parallelism`] is a thread count plus one structured fork-join
+//! helper, [`Parallelism::map_chunks`], built on `std::thread::scope`
+//! with no thread-pool crate. Two things use threads, and both go
+//! through it: the server's worker pool, where each worker answers whole
+//! requests, and the PKT frontier peel that cross-checks the serial
+//! truss decomposition. A search itself runs on its caller's thread.
+//! `threads = 1` runs the helper inline on the caller's thread.
 //!
 //! ```
 //! use ctc_graph::Parallelism;
@@ -25,10 +25,10 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
-/// A thread-count policy for the workspace's parallel algorithms.
+/// A thread-count policy for the server pool and the PKT oracle.
 ///
 /// Wraps a non-zero worker count and provides deterministic, contiguous
-/// chunking over index spaces. All helpers degrade to a plain in-thread
+/// chunking over index spaces. The helper degrades to a plain in-thread
 /// call when one worker suffices, so `Parallelism::serial()` adds zero
 /// overhead and *is* the serial code path.
 ///
@@ -89,13 +89,6 @@ impl Parallelism {
         self.threads.get() == 1
     }
 
-    /// Number of workers actually used for `len` items (never more workers
-    /// than items, never zero).
-    #[inline]
-    fn workers_for(self, len: usize) -> usize {
-        self.threads.get().min(len).max(1)
-    }
-
     /// Splits `0..len` into at most `get()` contiguous chunks and runs `f`
     /// on each, in parallel, returning the per-chunk results **in chunk
     /// order** (so the output is independent of thread scheduling).
@@ -107,7 +100,8 @@ impl Parallelism {
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let workers = self.workers_for(len);
+        // Never more workers than items, never zero.
+        let workers = self.threads.get().min(len).max(1);
         if workers == 1 {
             return vec![f(0..len)];
         }
@@ -126,34 +120,6 @@ impl Parallelism {
                 .map(|h| h.join().expect("parallel worker panicked"))
                 .collect()
         })
-    }
-
-    /// Splits `out` into at most `get()` contiguous sub-slices and runs
-    /// `f(start, chunk)` on each in parallel, where `start` is the chunk's
-    /// offset in `out`. Because the sub-slices are disjoint, each worker
-    /// writes its region without any synchronization — the pattern behind
-    /// the peel's per-source distance repairs.
-    pub fn fill_chunks<T, F>(self, out: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let len = out.len();
-        if len == 0 {
-            return;
-        }
-        let workers = self.workers_for(len);
-        if workers == 1 {
-            f(0, out);
-            return;
-        }
-        let chunk = len.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (i, piece) in out.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || f(i * chunk, piece));
-            }
-        });
     }
 }
 
@@ -195,26 +161,6 @@ mod tests {
         let pieces = par.map_chunks(3, |r| r.len());
         assert_eq!(pieces.len(), 3);
         assert!(pieces.iter().all(|&l| l == 1));
-    }
-
-    #[test]
-    fn fill_chunks_writes_every_slot_once() {
-        for threads in [1, 2, 5] {
-            let par = Parallelism::threads(threads);
-            let mut out = vec![0usize; 37];
-            par.fill_chunks(&mut out, |start, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = start + i;
-                }
-            });
-            assert_eq!(out, (0..37).collect::<Vec<_>>(), "t={threads}");
-        }
-    }
-
-    #[test]
-    fn fill_chunks_empty_slice_is_fine() {
-        let mut out: Vec<u32> = Vec::new();
-        Parallelism::threads(4).fill_chunks(&mut out, |_, _| panic!("no chunks expected"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A small, deterministic LRU cache for hot query answers.
 //!
 //! Keyed on the *normalized* query (sorted, deduplicated labels), the
-//! algorithm, and the answer-affecting config fingerprint — see
+//! algorithm, and the search config — see
 //! [`crate::wire::QueryKey`] — so a repeated hot query skips the whole
 //! search path. Recency is an intrusive doubly-linked list threaded
 //! through a slab, making every operation `O(1)` and the eviction order

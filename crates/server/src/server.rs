@@ -733,10 +733,9 @@ impl AppState {
             tenant.counters.search_ok.fetch_add(1, Ordering::Relaxed);
             return Response::shared_parts(ans.fields, ans.lists).with_header("x-cache", "hit");
         }
-        // Miss: run the search under the per-request config. The engine
-        // clone is three Arc bumps; per-query inner parallelism stays
-        // whatever the base config says (serial for serving — the pool
-        // already owns the cores).
+        // Miss: run the search under the per-request config, on this
+        // worker's thread (the pool owns the cores). The engine clone is
+        // three Arc bumps.
         let engine = snapshot.clone().with_config(parsed.cfg);
         match engine.search(&q, parsed.algo) {
             Ok(c) => {
@@ -1358,6 +1357,27 @@ mod tests {
             ),
             "{stats}"
         );
+    }
+
+    /// `changed` counts the other edges whose trussness moved, never the
+    /// updated edge: closing the path 0–1–2 into a triangle lifts its two
+    /// edges to 3, and opening it again drops them back.
+    #[test]
+    fn update_changed_counts_other_edges_only() {
+        let s = AppState::new(
+            CommunityEngine::build(ctc_graph::graph_from_edges(&[(0, 1), (1, 2)])),
+            &ServeConfig::default(),
+        );
+        for op in ["insert", "delete"] {
+            let body = format!(r#"{{"updates":[{{"op":"{op}","u":0,"v":2}}]}}"#);
+            let (head, payload) = split(&s.respond(&req("POST", "/update", &body)).unwrap());
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{op}: {head}");
+            let text = String::from_utf8(payload).unwrap();
+            assert!(
+                text.contains(r#"{"status":"applied","trussness":3,"changed":2}"#),
+                "{op}: {text}"
+            );
+        }
     }
 
     #[test]

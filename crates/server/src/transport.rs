@@ -25,10 +25,10 @@
 //!
 //! The pool is the [`Parallelism`] substrate: [`CtcServer::serve`] calls
 //! `pool.map_chunks(workers, ..)` with one index per worker, so worker
-//! threads are the same scoped fork-join primitive every other parallel
-//! phase of the workspace uses, and `serve` returns only once every
-//! worker has drained and joined — clean shutdown is structural, not
-//! best-effort. `map_chunks` propagates worker panics, so the transport
+//! threads are scoped fork-join threads, and `serve` returns only once
+//! every worker has drained and joined — clean shutdown is structural,
+//! not best-effort. The pool is where queries meet threads: each worker
+//! runs whole searches, and a search runs on its worker's thread. `map_chunks` propagates worker panics, so the transport
 //! catches none: a panicking request handler is already answered `500`
 //! inside the handler's one panic boundary, and a panic in the transport
 //! itself is a server bug, like one on the event-loop thread.
@@ -294,10 +294,8 @@ impl CtcServer {
             std::thread::scope(|scope| {
                 let ev = scope.spawn(|| shared.event_loop(&self.listener, &injector, &wake));
                 // The worker pool: one queue-draining loop per
-                // Parallelism worker, scheduled through the same
-                // fork-join substrate as every other parallel phase.
-                // map_chunks returns only when every worker has exited,
-                // i.e. the queue is closed and drained.
+                // Parallelism worker. map_chunks returns only when every
+                // worker has exited, i.e. the queue is closed and drained.
                 self.pool.map_chunks(workers, |_range| {
                     shared.worker(|conn| {
                         // Hand the keep-alive connection back to the

@@ -20,7 +20,7 @@
 //!   label set (the searcher itself normalizes identically).
 
 use crate::json::{Json, JsonError};
-use ctc_core::{Community, CommunityEngine, ConfigFingerprint, CtcConfig, SearchAlgo};
+use ctc_core::{Community, CommunityEngine, CtcConfig, SearchAlgo};
 use ctc_graph::error::GraphError;
 
 /// Hard cap on query labels per request (a 10k-label "set" is a client
@@ -49,22 +49,23 @@ impl SearchRequest {
         QueryKey {
             labels: self.labels.clone(),
             algo: self.algo,
-            cfg: self.cfg.fingerprint(),
+            cfg: self.cfg.clone(),
         }
     }
 }
 
-/// The identity of an answer: normalized labels + algorithm + the
-/// answer-affecting config fingerprint. Everything that can change the
-/// response body is in here; nothing else is.
+/// The identity of an answer: normalized labels + algorithm + config.
+/// Everything that can change the response body is in here; nothing else
+/// is.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct QueryKey {
     /// Sorted, deduplicated query labels.
     pub labels: Vec<u64>,
     /// The algorithm.
     pub algo: SearchAlgo,
-    /// The config fingerprint (γ, η, fixed k, iteration cap, Steiner mode).
-    pub cfg: ConfigFingerprint,
+    /// The config (γ, η, fixed k, iteration cap, Steiner mode), every
+    /// field of which can change an answer.
+    pub cfg: CtcConfig,
 }
 
 /// Why a `/search` body was rejected, with the HTTP status it maps to.
@@ -321,8 +322,8 @@ pub enum UpdateOutcome {
         /// The edge's new trussness after an insertion, or its former
         /// trussness after a deletion.
         trussness: u32,
-        /// Edges whose trussness the cascade changed (the edge itself
-        /// included for an insertion).
+        /// Other edges whose trussness the cascade changed (the
+        /// inserted or deleted edge itself is never counted).
         changed: u64,
     },
     /// The update was rejected; the rest of the batch is unaffected.
@@ -525,7 +526,7 @@ mod tests {
         let r = decode(r#"{"query":[3,1,2,1]}"#).unwrap();
         assert_eq!(r.labels, vec![1, 2, 3], "sorted + deduped");
         assert_eq!(r.algo, SearchAlgo::Local);
-        assert_eq!(r.cfg.fingerprint(), CtcConfig::default().fingerprint());
+        assert_eq!(r.cfg, CtcConfig::default());
     }
 
     #[test]

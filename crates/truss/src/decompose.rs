@@ -468,13 +468,20 @@ pub fn truss_decomposition_par(g: &CsrGraph, par: Parallelism) -> TrussDecomposi
             max_truss: 0,
         };
     }
-    let mut sup: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-    par.fill_chunks(&mut sup, |start, chunk| {
-        for (e, s) in (start..).zip(chunk) {
-            let (u, v) = g.edge_endpoints(EdgeId(e as u32));
-            for_each_common_neighbor(g, u, v, |_, _, _| *s.get_mut() += 1);
-        }
-    });
+    let sup: Vec<AtomicU32> = par
+        .map_chunks(m, |range| {
+            range
+                .map(|e| {
+                    let (u, v) = g.edge_endpoints(EdgeId(e as u32));
+                    let mut s = 0;
+                    for_each_common_neighbor(g, u, v, |_, _, _| s += 1);
+                    AtomicU32::new(s)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     let state: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(LIVE)).collect();
     let mut live: Vec<u32> = (0..m as u32).collect();
     let mut remaining = m;

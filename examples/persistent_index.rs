@@ -4,7 +4,7 @@
 //! is paid once; queries are fast thereafter) made durable: the truss
 //! index is persisted as a checksummed `.ctci` snapshot, a warm process
 //! loads it without re-running the decomposition, and a
-//! `CommunityEngine` answers a whole batch of queries concurrently.
+//! `CommunityEngine` answers a whole batch of queries warm.
 //!
 //! Run with: `cargo run --release --example persistent_index`
 
@@ -38,9 +38,7 @@ fn main() {
 
     // --- Warm start: load without decomposing. ---------------------------
     let t = Instant::now();
-    let engine = CommunityEngine::load(&path)
-        .expect("load snapshot")
-        .with_batch_parallelism(Parallelism::threads(0)); // all cores
+    let engine = CommunityEngine::load(&path).expect("load snapshot");
     let load_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("warm start: loaded + validated snapshot in {load_ms:.1}ms\n");
 

@@ -9,8 +9,7 @@
 //!                                 [--log graph.ctcd] [--compact]
 //! ctc-cli index recover graph.ctci [--log graph.ctcd]
 //! ctc-cli search <edge-list> --query 3,17,42 [--algo basic|bd|lctc|truss]
-//!                            [--gamma 3] [--eta 1000] [--k K] [--threads N]
-//!                            [--timings]
+//!                            [--gamma 3] [--eta 1000] [--k K] [--timings]
 //! ctc-cli search --index graph.ctci --query 3,17,42 [...same flags]
 //! ctc-cli serve graph.ctci [--addr 127.0.0.1:7341] [--threads N]
 //!                          [--cache-cap C] [--log graph.ctcd]
@@ -22,12 +21,13 @@
 //! in `--query` refer to the file's original labels (preserved inside
 //! `.ctci` snapshots, so `search --index` answers label-addressed queries
 //! identically to a cold `search`). Every index build runs the serial
-//! truss decomposition. `--threads N` (`0` = all cores, default `1`) means
-//! one thing per command: `decompose` cross-checks the serial kernel with
-//! the PKT frontier peel on `N` threads (same histogram), `search` spreads
-//! the peel's per-source distance repairs, and `serve` sizes the worker
-//! pool. A flag its command does not take (a stale `--threads` on `stats`,
-//! a misspelling) exits 2 with the usage text.
+//! truss decomposition, and a search runs on one thread. `--threads N`
+//! (`0` = all cores, default `1`, at most 1024) means one thing per
+//! command that takes it: `decompose` cross-checks the serial kernel with
+//! the PKT frontier peel on `N` threads (same histogram), and `serve`
+//! sizes the worker pool. A flag its command does not take (a stale
+//! `--threads` on `stats` or `search`, a misspelling) exits 2 with the
+//! usage text.
 //!
 //! `index build` pays the offline `O(ρ·m)` construction once and writes a
 //! checksummed snapshot; `search --index` then skips straight to the
@@ -69,7 +69,7 @@ usage: ctc-cli <stats|decompose|index|search|serve|generate> ...
       3 repaired, 4 quarantined, 1 fatal; docs/RELIABILITY.md)
   search <edge-list> --query a,b,c      find the closest truss community
       [--algo basic|bd|lctc|truss] [--gamma G] [--eta N] [--k K]
-      [--threads N] [--timings]         (--timings: per-phase breakdown)
+      [--timings]                       (--timings: per-phase breakdown)
   search --index g.ctci --query a,b,c   same, warm-started from a snapshot
   serve g.ctci [--addr HOST:PORT]       HTTP query server over the snapshot
       [--threads N] [--cache-cap C]     (POST /search, GET /healthz|/stats)
@@ -81,10 +81,9 @@ usage: ctc-cli <stats|decompose|index|search|serve|generate> ...
       presets: facebook amazon dblp youtube livejournal orkut
                mini-facebook mini-dblp (small, for smoke tests)
 
---threads N (0 = all cores, 1 = serial; default 1):
+--threads N (0 = all cores, 1 = serial; default 1; at most 1024):
   decompose  cross-check with the PKT frontier peel
-  search     the peel's per-source distance repairs
-  serve      worker pool size";
+  serve      worker pool size (a search runs on one worker's thread)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -131,15 +130,7 @@ fn flags_of(args: &[String]) -> Option<(&'static [&'static str], &'static [&'sta
         ("index", Some("update")) => (&["--insert", "--delete", "--log"], &["--compact"]),
         ("index", Some("recover")) => (&["--log"], &[]),
         ("search", _) => (
-            &[
-                "--query",
-                "--index",
-                "--algo",
-                "--gamma",
-                "--eta",
-                "--k",
-                "--threads",
-            ],
+            &["--query", "--index", "--algo", "--gamma", "--eta", "--k"],
             &["--timings"],
         ),
         ("serve", _) => (
@@ -205,15 +196,14 @@ fn flag_checked<T: std::str::FromStr>(
     }
 }
 
+/// The largest `--threads` count: `serve` starts one thread per count.
+const MAX_THREADS: usize = 1024;
+
 /// Parses `--threads N` (0 = all cores; absent = serial).
-fn flag_parallelism(args: &[String]) -> Result<Parallelism, String> {
-    match flag_value(args, "--threads") {
-        None => Ok(Parallelism::serial()),
-        Some(raw) => {
-            let n: usize = raw.parse().map_err(|_| format!("bad --threads {raw:?}"))?;
-            Ok(Parallelism::threads(n))
-        }
-    }
+fn flag_threads(args: &[String]) -> Result<Parallelism, String> {
+    let rule = format!("an integer from 0 (all cores) to {MAX_THREADS}");
+    let n = flag_checked(args, "--threads", |&n: &usize| n <= MAX_THREADS, &rule)?;
+    Ok(n.map_or(Parallelism::serial(), Parallelism::threads))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -239,8 +229,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 /// from the PKT frontier peel, which shares no triangle code with the
 /// serial kernel, so equal output is a cross-check.
 fn cmd_decompose(args: &[String]) -> Result<(), String> {
+    let par = flag_threads(args)?;
     let (g, _) = load(args)?;
-    let par = flag_parallelism(args)?;
     let d = ctc::truss::truss_decomposition_par(&g, par);
     let mut hist: std::collections::BTreeMap<u32, usize> = Default::default();
     for &t in &d.edge_truss {
@@ -588,7 +578,6 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     if let Some(k) = flag_checked(args, "--k", |&k: &u32| k >= 2, "an integer >= 2")? {
         cfg = cfg.fixed_k(k);
     }
-    cfg.parallelism = flag_parallelism(args)?;
     let algo: SearchAlgo = flag_value(args, "--algo").unwrap_or("lctc").parse()?;
     let engine = load_search_engine(args, &query_labels)?.with_config(cfg);
     // Map original labels to dense ids.
@@ -637,7 +626,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .filter(|a| !a.starts_with("--"))
         .ok_or("missing snapshot path (build one with: index build <edge-list> -o g.ctci)")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7341");
-    let pool = flag_parallelism(args)?;
+    let pool = flag_threads(args)?;
     let cache_cap = match flag_value(args, "--cache-cap") {
         None => 1024,
         Some(raw) => raw

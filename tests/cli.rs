@@ -124,13 +124,13 @@ fn search_timings_flag_prints_phases() {
 }
 
 #[test]
-fn search_with_threads_matches_serial_output() {
+fn decompose_with_threads_matches_serial_histogram() {
     let dir = std::env::temp_dir().join("ctc_cli_test_threads");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("fig1.txt");
     write_figure1(&file);
-    let run = |extra: &[&str]| {
-        let mut args = vec!["search", file.to_str().unwrap(), "--query", "0,1,2"];
+    let hist = |extra: &[&str]| {
+        let mut args = vec!["decompose", file.to_str().unwrap()];
         args.extend_from_slice(extra);
         let out = cli().args(&args).output().unwrap();
         assert!(
@@ -138,33 +138,25 @@ fn search_with_threads_matches_serial_output() {
             "args {args:?} stderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        // The members line is timing-free and fully determined.
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .find(|l| l.starts_with("members:"))
-            .expect("members line")
-            .to_string()
-    };
-    let serial = run(&[]);
-    for t in ["2", "4", "0"] {
-        assert_eq!(run(&["--threads", t]), serial, "--threads {t} diverged");
-    }
-    // decompose with threads: identical histogram.
-    let hist = |extra: &[&str]| {
-        let mut args = vec!["decompose", file.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        let out = cli().args(&args).output().unwrap();
-        assert!(out.status.success());
         String::from_utf8_lossy(&out.stdout).to_string()
     };
-    assert_eq!(hist(&[]), hist(&["--threads", "4"]));
-    // Malformed thread counts are a clean error, not a panic.
-    let out = cli()
-        .args(["decompose", file.to_str().unwrap(), "--threads", "lots"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads"));
+    // The PKT frontier peel gives the serial kernel's histogram, up to the
+    // largest count accepted (Figure 1's 25 edges cap the threads at 25).
+    let serial = hist(&[]);
+    for t in ["4", "0", "1024"] {
+        assert_eq!(hist(&["--threads", t]), serial, "--threads {t} diverged");
+    }
+    // Malformed and oversized thread counts are a clean error that names
+    // the flag, not a panic.
+    for bad in ["lots", "1025", "-1"] {
+        let out = cli()
+            .args(["decompose", file.to_str().unwrap(), "--threads", bad])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--threads {bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--threads"), "--threads {bad}: {err}");
+    }
 }
 
 #[test]
@@ -402,9 +394,10 @@ fn unknown_flags_exit_2_with_usage() {
     write_figure1(&file);
     let (f, i) = (file.to_str().unwrap(), idx.to_str().unwrap());
     for args in [
-        // A stale --threads, dropped from these two commands.
+        // A stale --threads, dropped from these commands.
         vec!["stats", f, "--threads", "2"],
         vec!["index", "build", f, "-o", i, "--threads", "0"],
+        vec!["search", f, "--query", "0,1,2", "--threads", "2"],
         // A flag no command takes, and a misspelt one.
         vec!["stats", f, "--bogus-flag", "7"],
         vec!["search", f, "--query", "0,1,2", "--timing"],

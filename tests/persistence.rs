@@ -68,9 +68,7 @@ fn engine_file_roundtrip_matches_cold_on_figure1() {
     let g = ctc::truss::fixtures::figure1_graph();
     let f = ctc::truss::fixtures::Figure1Ids::default();
     Snapshot::build(g.clone()).save(&path).unwrap();
-    let engine = CommunityEngine::load(&path)
-        .unwrap()
-        .with_batch_parallelism(Parallelism::threads(4));
+    let engine = CommunityEngine::load(&path).unwrap();
     let cold = CtcSearcher::new(&g);
     let q = vec![f.q1, f.q2, f.q3];
     let batch = vec![
