@@ -5,7 +5,8 @@
 //! * [`mdc::mdc`] — minimum-degree community with distance/size constraints
 //!   (Sozio & Gionis, the paper's \[27\]);
 //! * [`qdc::qdc`] — query-biased densest connected subgraph (Wu et al., \[32\]),
-//!   reimplemented as RWR-weighted peeling (see DESIGN.md §5);
+//!   reimplemented as RWR-weighted peeling (the module doc gives the
+//!   objective);
 //! * [`kcore_community`] — plain maximum-k-core community.
 //!
 //! All return the same [`ctc_core::Community`] type as the truss

@@ -1,6 +1,5 @@
 //! QDC — query-biased densest connected subgraph (Wu et al., PVLDB'15, the
-//! paper's reference 32), reimplemented as RWR-weighted greedy peeling
-//! (DESIGN.md §5).
+//! paper's reference 32), reimplemented as RWR-weighted greedy peeling.
 //!
 //! Node relevance comes from a random walk with restart at the query
 //! vertices; each vertex costs `1 / r(v)` (irrelevant vertices are

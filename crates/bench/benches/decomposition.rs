@@ -73,8 +73,8 @@ fn lctc_local_graphs(g: &CsrGraph, count: usize) -> Vec<CsrGraph> {
     (0..count)
         .filter_map(|_| {
             let q = gen.sample(3, DegreeRank::top(0.8), 2)?;
-            let tree = steiner_tree(g, &idx, &q, cfg.gamma, cfg.steiner_mode)?;
-            Some(expand_tree(g, &idx, &tree, cfg.eta).graph)
+            let tree = steiner_tree(g, &idx, &q, cfg.gamma)?;
+            Some(expand_tree(&idx, &tree, cfg.eta).graph)
         })
         .collect()
 }

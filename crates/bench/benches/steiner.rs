@@ -1,8 +1,8 @@
-//! Ablation bench: exact path-min truss distance (Def. 7) vs the additive
-//! surrogate (DESIGN.md §4) in the Steiner stage.
+//! The Steiner stage of LCTC's locate: the exact truss-distance (Def. 7)
+//! tree over seeded query sets of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ctc_core::{steiner_tree, SteinerMode};
+use ctc_core::steiner_tree;
 use ctc_gen::{mini_network, DegreeRank, QueryGenerator};
 use ctc_truss::TrussIndex;
 use std::time::Duration;
@@ -21,12 +21,7 @@ fn bench_steiner(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("path_min_exact", format!("|Q|={size}")),
             &q,
-            |b, q| b.iter(|| steiner_tree(&g, &idx, q, 3.0, SteinerMode::PathMinExact)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("edge_additive", format!("|Q|={size}")),
-            &q,
-            |b, q| b.iter(|| steiner_tree(&g, &idx, q, 3.0, SteinerMode::EdgeAdditive)),
+            |b, q| b.iter(|| steiner_tree(&g, &idx, q, 3.0)),
         );
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! Regenerates the two design-choice ablations (DESIGN.md §4).
+//! Regenerates the deletion-policy ablation (Alg. 1 vs Alg. 4 vs LCTC's
+//! greedy on identical `G0`s).
 fn main() {
-    ctc_bench::experiments::ablation::steiner_modes();
     ctc_bench::experiments::ablation::delete_policies();
 }

@@ -1,4 +1,4 @@
-//! Regenerates every table and figure in sequence (the EXPERIMENTS.md run).
+//! Regenerates every table and figure in sequence.
 use ctc_bench::experiments::*;
 fn main() {
     tables::table2();

@@ -1,57 +1,12 @@
-//! Ablations for the design choices DESIGN.md §4 calls out:
-//!
-//! 1. **Truss-distance semantics** — exact path-min (Def. 7) vs the
-//!    additive surrogate in the LCTC Steiner stage;
-//! 2. **Deletion policy** — single-furthest (Alg. 1) vs bulk `d−1`
-//!    (Alg. 4) vs the LCTC `L'` greedy, run on identical `G0`s.
+//! The deletion-policy ablation: single-furthest (Alg. 1) vs bulk `d−1`
+//! (Alg. 4) vs the LCTC `L'` greedy, run on identical `G0`s.
 
 use crate::common::{banner, mean, sample_queries, ExpEnv};
-use ctc_core::{peel, CtcConfig, CtcSearcher, DeletePolicy, SteinerMode};
-use ctc_eval::{fmt_f, fmt_secs, run_workload, Table};
+use ctc_core::{peel, CtcSearcher, DeletePolicy};
+use ctc_eval::{fmt_f, fmt_secs, Table};
 use ctc_gen::{network_by_name, DegreeRank};
 use ctc_truss::g0_subgraph;
 use std::time::Instant;
-
-/// Steiner truss-distance mode ablation (LCTC end to end on dblp).
-pub fn steiner_modes() {
-    let env = ExpEnv::with_default_queries(20);
-    let net = network_by_name("dblp").expect("dblp preset");
-    let g = &net.data.graph;
-    banner(
-        "Ablation A — truss-distance mode in LCTC (dblp)",
-        &format!("{} spread query sets (|Q| = 4, l = 3)", env.queries),
-    );
-    let searcher = CtcSearcher::new(g);
-    let queries = sample_queries(&net, env.queries, 4, DegreeRank::any(), 3, env.seed);
-    let mut t = Table::new(["mode", "k", "|V|", "diameter", "time"]);
-    for (label, mode) in [
-        ("PathMinExact (Def. 7)", SteinerMode::PathMinExact),
-        ("EdgeAdditive (surrogate)", SteinerMode::EdgeAdditive),
-    ] {
-        let cfg = CtcConfig::new().steiner_mode(mode);
-        let (outs, stats) = run_workload(&queries, env.budget, |q| {
-            searcher.local(q, &cfg).map_err(|e| e.to_string())
-        });
-        t.row([
-            label.to_string(),
-            fmt_f(mean(
-                outs.iter().filter_map(|o| o.value()).map(|c| c.k as f64),
-            )),
-            fmt_f(mean(
-                outs.iter()
-                    .filter_map(|o| o.value())
-                    .map(|c| c.num_vertices() as f64),
-            )),
-            fmt_f(mean(
-                outs.iter()
-                    .filter_map(|o| o.value())
-                    .map(|c| c.diameter() as f64),
-            )),
-            fmt_secs(stats.mean_seconds),
-        ]);
-    }
-    println!("{}", t.render());
-}
 
 /// Deletion-policy ablation on shared `G0`s (facebook).
 pub fn delete_policies() {
@@ -59,7 +14,7 @@ pub fn delete_policies() {
     let net = network_by_name("facebook").expect("facebook preset");
     let g = &net.data.graph;
     banner(
-        "Ablation B — peeling policy on identical G0 (facebook)",
+        "Ablation — peeling policy on identical G0 (facebook)",
         &format!("{} query sets (|Q| = 3, l = 2)", env.queries),
     );
     let searcher = CtcSearcher::new(g);

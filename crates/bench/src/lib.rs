@@ -1,8 +1,9 @@
 //! # ctc-bench — experiment binaries and criterion benches
 //!
-//! One binary per paper table/figure (see DESIGN.md §6 for the index), all
-//! driven by the `CTC_QUERIES` / `CTC_BUDGET_SECS` / `CTC_SEED` environment
-//! knobs. `run_all` regenerates every result for EXPERIMENTS.md.
+//! One binary per paper table/figure (`docs/PAPER_MAP.md`, "Figures and
+//! tables", maps each artifact to its binary), all driven by the
+//! `CTC_QUERIES` / `CTC_BUDGET_SECS` / `CTC_SEED` environment knobs.
+//! `run_all` regenerates every result in one run.
 
 pub mod common;
 pub mod experiments;

@@ -2,19 +2,6 @@
 
 use std::hash::{Hash, Hasher};
 
-/// How Steiner-tree truss distances (Def. 7) are evaluated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SteinerMode {
-    /// Exact Def. 7 semantics: `d̂(u,v) = min_P len(P) + γ(τ̄(∅) −
-    /// min_{e∈P} τ(e))`, evaluated by sweeping trussness thresholds and
-    /// BFS-ing the `τ ≥ t` subgraphs. Default.
-    PathMinExact,
-    /// Additive surrogate: Dijkstra with per-edge weight
-    /// `1 + γ(τ̄(∅) − τ(e))`. Upper-bounds the exact distance; cheaper on
-    /// graphs with many truss levels. Kept as an ablation (DESIGN.md §4).
-    EdgeAdditive,
-}
-
 /// Configuration for CTC searches.
 ///
 /// Defaults follow the paper's experiment setup: `γ = 3`, `η = 1000`
@@ -44,8 +31,6 @@ pub struct CtcConfig {
     /// Hard cap on peeling iterations (safety valve; `None` = unbounded,
     /// the paper's semantics).
     pub max_iterations: Option<usize>,
-    /// Truss-distance evaluation mode for the LCTC Steiner stage.
-    pub steiner_mode: SteinerMode,
 }
 
 impl Default for CtcConfig {
@@ -55,7 +40,6 @@ impl Default for CtcConfig {
             eta: 1000,
             fixed_k: None,
             max_iterations: None,
-            steiner_mode: SteinerMode::PathMinExact,
         }
     }
 }
@@ -90,30 +74,17 @@ impl CtcConfig {
         self
     }
 
-    /// Chooses the Steiner truss-distance mode.
-    pub fn steiner_mode(mut self, mode: SteinerMode) -> Self {
-        self.steiner_mode = mode;
-        self
-    }
-
     /// The fields equality and hashing compare, γ as its bits. The
     /// destructuring makes a new field a compile error here until it is
     /// placed in the key.
-    fn key(&self) -> (u64, usize, Option<u32>, Option<usize>, SteinerMode) {
+    fn key(&self) -> (u64, usize, Option<u32>, Option<usize>) {
         let CtcConfig {
             gamma,
             eta,
             fixed_k,
             max_iterations,
-            steiner_mode,
         } = self;
-        (
-            gamma.to_bits(),
-            *eta,
-            *fixed_k,
-            *max_iterations,
-            *steiner_mode,
-        )
+        (gamma.to_bits(), *eta, *fixed_k, *max_iterations)
     }
 }
 
@@ -141,7 +112,7 @@ mod tests {
         assert_eq!(c.gamma, 3.0);
         assert_eq!(c.eta, 1000);
         assert_eq!(c.fixed_k, None);
-        assert_eq!(c.steiner_mode, SteinerMode::PathMinExact);
+        assert_eq!(c.max_iterations, None);
     }
 
     #[test]
@@ -150,13 +121,11 @@ mod tests {
             .gamma(5.0)
             .eta(0)
             .fixed_k(1)
-            .max_iterations(10)
-            .steiner_mode(SteinerMode::EdgeAdditive);
+            .max_iterations(10);
         assert_eq!(c.gamma, 5.0);
         assert_eq!(c.eta, 1, "eta clamps to ≥ 1");
         assert_eq!(c.fixed_k, Some(2), "k clamps to ≥ 2");
         assert_eq!(c.max_iterations, Some(10));
-        assert_eq!(c.steiner_mode, SteinerMode::EdgeAdditive);
     }
 
     fn hash_of(c: &CtcConfig) -> u64 {
@@ -178,7 +147,6 @@ mod tests {
             CtcConfig::new().eta(500),
             CtcConfig::new().fixed_k(4),
             CtcConfig::new().max_iterations(3),
-            CtcConfig::new().steiner_mode(SteinerMode::EdgeAdditive),
         ] {
             assert_ne!(base, other, "{other:?}");
             assert_ne!(hash_of(&base), hash_of(&other), "{other:?}");

@@ -8,11 +8,11 @@
 //! trussness the local decomposition can certify.
 
 use crate::steiner::SteinerTree;
-use ctc_graph::{CsrGraph, GraphBuilder, Subgraph, VertexId};
+use ctc_graph::{GraphBuilder, Subgraph, VertexId};
 use ctc_truss::TrussIndex;
 
 /// Expands `tree` into a locality `Gt` of at most `eta` vertices.
-pub fn expand_tree(_g: &CsrGraph, idx: &TrussIndex, tree: &SteinerTree, eta: usize) -> Subgraph {
+pub fn expand_tree(idx: &TrussIndex, tree: &SteinerTree, eta: usize) -> Subgraph {
     let kt = tree.min_truss;
     let mut from_parent: ctc_graph::FxHashMap<u32, u32> = Default::default();
     let mut to_parent: Vec<u32> = Vec::new();
@@ -65,8 +65,8 @@ pub fn expand_tree(_g: &CsrGraph, idx: &TrussIndex, tree: &SteinerTree, eta: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SteinerMode;
     use crate::steiner::steiner_tree;
+    use ctc_graph::CsrGraph;
     use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
 
     fn setup() -> (CsrGraph, TrussIndex, Figure1Ids) {
@@ -79,8 +79,8 @@ mod tests {
     fn expansion_contains_tree_and_respects_kt() {
         let (g, idx, f) = setup();
         let q = [f.q1, f.q2, f.q3];
-        let tree = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::PathMinExact).unwrap();
-        let gt = expand_tree(&g, &idx, &tree, 1000);
+        let tree = steiner_tree(&g, &idx, &q, 3.0).unwrap();
+        let gt = expand_tree(&idx, &tree, 1000);
         for &v in &tree.vertices {
             assert!(gt.local(v).is_some(), "tree vertex {v} missing from Gt");
         }
@@ -97,8 +97,8 @@ mod tests {
     #[test]
     fn eta_bounds_vertex_count() {
         let (g, idx, f) = setup();
-        let tree = steiner_tree(&g, &idx, &[f.q1], 3.0, SteinerMode::PathMinExact).unwrap();
-        let gt = expand_tree(&g, &idx, &tree, 3);
+        let tree = steiner_tree(&g, &idx, &[f.q1], 3.0).unwrap();
+        let gt = expand_tree(&idx, &tree, 3);
         assert!(gt.num_vertices() <= 3);
         assert!(gt.local(f.q1).is_some());
     }
@@ -107,8 +107,8 @@ mod tests {
     fn large_eta_captures_whole_truss_level() {
         let (g, idx, f) = setup();
         let q = [f.q1, f.q2, f.q3];
-        let tree = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::PathMinExact).unwrap();
-        let gt = expand_tree(&g, &idx, &tree, 10_000);
+        let tree = steiner_tree(&g, &idx, &q, 3.0).unwrap();
+        let gt = expand_tree(&idx, &tree, 10_000);
         // All 11 grey vertices are reachable via trussness-4 edges.
         assert_eq!(gt.num_vertices(), 11);
         assert_eq!(gt.num_edges(), 23);
@@ -118,8 +118,8 @@ mod tests {
     fn tree_edges_survive_expansion() {
         let (g, idx, f) = setup();
         let q = [f.q2, f.v3];
-        let tree = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::PathMinExact).unwrap();
-        let gt = expand_tree(&g, &idx, &tree, 1000);
+        let tree = steiner_tree(&g, &idx, &q, 3.0).unwrap();
+        let gt = expand_tree(&idx, &tree, 1000);
         for &e in &tree.edges {
             let (u, v) = g.edge_endpoints(e);
             let (lu, lv) = (gt.local(u).unwrap(), gt.local(v).unwrap());

@@ -215,10 +215,9 @@ impl<'g> CtcSearcher<'g> {
             return Ok((Located::of(&g0), sub));
         }
         // LCTC step 1: truss-distance Steiner tree.
-        let tree = steiner_tree(self.g, &self.idx, q, cfg.gamma, cfg.steiner_mode)
-            .ok_or(GraphError::Disconnected)?;
+        let tree = steiner_tree(self.g, &self.idx, q, cfg.gamma).ok_or(GraphError::Disconnected)?;
         // Step 2: expand to Gt (≤ η vertices).
-        let gt = expand_tree(self.g, &self.idx, &tree, cfg.eta);
+        let gt = expand_tree(&self.idx, &tree, cfg.eta);
         let q_gt = gt.locals(q).ok_or(GraphError::Disconnected)?;
         // Step 3: local truss decomposition + maximal connected k-truss
         // (the online decomposition LCTC pays per query, over the pooled

@@ -7,17 +7,12 @@
 //! penalty for the weakest edge on the path.
 //!
 //! The tree is built with the classic Kou–Markowsky–Berman 2-approximation
-//! skeleton (metric closure over `Q` → MST → path substitution → prune),
-//! with two interchangeable distance oracles:
-//!
-//! * [`SteinerMode::PathMinExact`] — exact Def. 7 semantics. Because the
-//!   penalty depends only on the *minimum* trussness along the path, the
-//!   exact distance is `min_t (hops in the τ≥t subgraph + γ(τ̄ − t))` over
-//!   the distinct trussness levels `t`; one BFS per (query, level).
-//! * [`SteinerMode::EdgeAdditive`] — Dijkstra with additive weights
-//!   `1 + γ(τ̄ − τ(e))`, an upper bound kept for the ablation bench.
+//! skeleton (metric closure over `Q` → MST → path substitution → prune).
+//! The closure holds the exact Def. 7 distances: because the penalty
+//! depends only on the *minimum* trussness along the path, the distance is
+//! `min_t (hops in the τ≥t subgraph + γ(τ̄ − t))` over the distinct
+//! trussness levels `t`, one BFS per (query, level).
 
-use crate::config::SteinerMode;
 use ctc_graph::{BfsScratch, CsrGraph, EdgeId, FilteredGraph, UnionFind, VertexId, INF};
 use ctc_truss::TrussIndex;
 
@@ -41,7 +36,6 @@ pub fn steiner_tree(
     idx: &TrussIndex,
     q: &[VertexId],
     gamma: f64,
-    mode: SteinerMode,
 ) -> Option<SteinerTree> {
     match q {
         [] => None,
@@ -50,10 +44,7 @@ pub fn steiner_tree(
             vertices: vec![*only],
             min_truss: idx.vertex_truss(*only).max(2),
         }),
-        _ => match mode {
-            SteinerMode::PathMinExact => steiner_path_min(g, idx, q, gamma),
-            SteinerMode::EdgeAdditive => steiner_additive(g, idx, q, gamma),
-        },
+        _ => steiner_path_min(g, idx, q, gamma),
     }
 }
 
@@ -119,9 +110,7 @@ fn steiner_path_min(
             }
         }
     }
-    build_tree_from_closure(g, idx, q, closure, |g, idx, src, dst, level| {
-        bfs_path(g, idx, src, dst, level)
-    })
+    build_tree_from_closure(g, idx, q, closure)
 }
 
 /// BFS path from `src` to `dst` in the `τ ≥ level` subgraph.
@@ -165,79 +154,13 @@ fn bfs_path(
     Some(path)
 }
 
-fn steiner_additive(
-    g: &CsrGraph,
-    idx: &TrussIndex,
-    q: &[VertexId],
-    gamma: f64,
-) -> Option<SteinerTree> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    const SCALE: u64 = 1024;
-    let r = q.len();
-    let tau_bar = idx.max_truss();
-    let n = g.num_vertices();
-    let weight = |e: EdgeId| -> u64 {
-        SCALE + (gamma * (tau_bar - idx.edge_truss(e)) as f64 * SCALE as f64) as u64
-    };
-    // Dijkstra from each query vertex, keeping parents for path extraction.
-    let mut parents: Vec<Vec<(u32, u32)>> = Vec::with_capacity(r); // (parent, edge)
-    let mut dists: Vec<Vec<u64>> = Vec::with_capacity(r);
-    for &src in q {
-        let mut dist = vec![u64::MAX; n];
-        let mut par = vec![(u32::MAX, u32::MAX); n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        dist[src.index()] = 0;
-        heap.push(Reverse((0, src.0)));
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d > dist[v as usize] {
-                continue;
-            }
-            for (nb, e) in g.incident(VertexId(v)) {
-                let nd = d + weight(e);
-                if nd < dist[nb.index()] {
-                    dist[nb.index()] = nd;
-                    par[nb.index()] = (v, e.0);
-                    heap.push(Reverse((nd, nb.0)));
-                }
-            }
-        }
-        parents.push(par);
-        dists.push(dist);
-    }
-    let mut closure = vec![vec![(f64::INFINITY, 0u32); r]; r];
-    for i in 0..r {
-        for j in 0..r {
-            if i == j {
-                continue;
-            }
-            let d = dists[i][q[j].index()];
-            if d != u64::MAX {
-                closure[i][j] = (d as f64 / SCALE as f64, i as u32);
-            }
-        }
-    }
-    build_tree_from_closure(g, idx, q, closure, |_, _, src, dst, src_idx| {
-        // `level` carries the source's index into the parents table.
-        let par = &parents[src_idx as usize];
-        let _ = src;
-        let mut path = Vec::new();
-        let mut cur = dst;
-        while par[cur.index()].0 != u32::MAX {
-            path.push(EdgeId(par[cur.index()].1));
-            cur = VertexId(par[cur.index()].0);
-        }
-        Some(path)
-    })
-}
-
-/// Shared KMB tail: MST over the closure, path substitution, leaf pruning.
+/// KMB tail: MST over the closure, path substitution, leaf pruning. Each
+/// closure entry holds a pair's cost and the level its best path lives at.
 fn build_tree_from_closure(
     g: &CsrGraph,
     idx: &TrussIndex,
     q: &[VertexId],
     closure: Vec<Vec<(f64, u32)>>,
-    extract_path: impl Fn(&CsrGraph, &TrussIndex, VertexId, VertexId, u32) -> Option<Vec<EdgeId>>,
 ) -> Option<SteinerTree> {
     let r = q.len();
     // Prim over the metric closure.
@@ -269,7 +192,7 @@ fn build_tree_from_closure(
     let mut edge_set: ctc_graph::FxHashSet<u32> = Default::default();
     for (i, j) in mst_edges {
         let level = closure[i][j].1;
-        let path = extract_path(g, idx, q[i], q[j], level)?;
+        let path = bfs_path(g, idx, q[i], q[j], level)?;
         for e in path {
             edge_set.insert(e.0);
         }
@@ -327,13 +250,13 @@ fn prune_to_tree(
     }
     let final_edges: Vec<EdgeId> = tree.into_iter().filter(|e| alive.contains(&e.0)).collect();
     // Verify all query vertices are still connected through the tree.
-    let mut uf2 = UnionFind::new(g.num_vertices());
+    uf.reset(g.num_vertices());
     for &e in &final_edges {
         let (u, v) = g.edge_endpoints(e);
-        uf2.union(u.0, v.0);
+        uf.union(u.0, v.0);
     }
     let q_raw: Vec<u32> = q.iter().map(|v| v.0).collect();
-    if !uf2.all_connected(&q_raw) {
+    if !uf.all_connected(&q_raw) {
         return None;
     }
     let vertices = ctc_truss::edge_list_vertices(g, &final_edges);
@@ -367,20 +290,14 @@ mod tests {
         // tree must avoid t.
         let (g, idx, f) = setup();
         let q = [f.q1, f.q2, f.q3];
-        for mode in [SteinerMode::PathMinExact, SteinerMode::EdgeAdditive] {
-            let t = steiner_tree(&g, &idx, &q, 3.0, mode).unwrap();
-            assert!(
-                !t.vertices.contains(&f.t),
-                "{mode:?}: tree runs through the weak bridge t"
-            );
-            assert_eq!(t.min_truss, 4, "{mode:?}: kt should be 4");
-            // Tree spans Q with r-1 ≤ |edges| ≤ small.
-            assert!(
-                t.edges.len() >= 3,
-                "{mode:?}: tree too small: {:?}",
-                t.edges
-            );
-        }
+        let t = steiner_tree(&g, &idx, &q, 3.0).unwrap();
+        assert!(
+            !t.vertices.contains(&f.t),
+            "tree runs through the weak bridge t"
+        );
+        assert_eq!(t.min_truss, 4, "kt should be 4");
+        // Tree spans Q with r-1 ≤ |edges| ≤ small.
+        assert!(t.edges.len() >= 3, "tree too small: {:?}", t.edges);
     }
 
     #[test]
@@ -388,7 +305,7 @@ mod tests {
         // With γ = 0 the truss distance is plain hop count and the q1–t–q3
         // shortcut (2 hops) beats any trussness-4 detour (3 hops).
         let (g, idx, f) = setup();
-        let t = steiner_tree(&g, &idx, &[f.q1, f.q3], 0.0, SteinerMode::PathMinExact).unwrap();
+        let t = steiner_tree(&g, &idx, &[f.q1, f.q3], 0.0).unwrap();
         assert!(
             t.vertices.contains(&f.t),
             "γ=0 should take the short bridge"
@@ -399,7 +316,7 @@ mod tests {
     #[test]
     fn singleton_query() {
         let (g, idx, f) = setup();
-        let t = steiner_tree(&g, &idx, &[f.q2], 3.0, SteinerMode::PathMinExact).unwrap();
+        let t = steiner_tree(&g, &idx, &[f.q2], 3.0).unwrap();
         assert!(t.edges.is_empty());
         assert_eq!(t.vertices, vec![f.q2]);
         assert_eq!(t.min_truss, 4);
@@ -408,28 +325,21 @@ mod tests {
     #[test]
     fn empty_query_is_none() {
         let (g, idx, _) = setup();
-        assert!(steiner_tree(&g, &idx, &[], 3.0, SteinerMode::PathMinExact).is_none());
+        assert!(steiner_tree(&g, &idx, &[], 3.0).is_none());
     }
 
     #[test]
     fn disconnected_query_is_none() {
         let g = ctc_graph::graph_from_edges(&[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
         let idx = TrussIndex::build(&g);
-        let t = steiner_tree(
-            &g,
-            &idx,
-            &[VertexId(0), VertexId(3)],
-            3.0,
-            SteinerMode::PathMinExact,
-        );
-        assert!(t.is_none());
+        assert!(steiner_tree(&g, &idx, &[VertexId(0), VertexId(3)], 3.0).is_none());
     }
 
     #[test]
     fn tree_is_acyclic_and_spans_q() {
         let (g, idx, f) = setup();
         let q = [f.q1, f.q2, f.q3, f.v3];
-        let t = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::PathMinExact).unwrap();
+        let t = steiner_tree(&g, &idx, &q, 3.0).unwrap();
         // |E| = |V| - 1 for a tree.
         assert_eq!(t.edges.len() + 1, t.vertices.len());
         for qi in q {
@@ -447,17 +357,5 @@ mod tests {
                 assert!(q.iter().any(|&x| x.0 == v), "non-terminal leaf {v}");
             }
         }
-    }
-
-    #[test]
-    fn additive_mode_upper_bounds_exact() {
-        // Both modes must produce valid trees; additive may be worse but
-        // never invalid.
-        let (g, idx, f) = setup();
-        let q = [f.q1, f.v3];
-        let exact = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::PathMinExact).unwrap();
-        let add = steiner_tree(&g, &idx, &q, 3.0, SteinerMode::EdgeAdditive).unwrap();
-        assert!(exact.min_truss >= add.min_truss.min(exact.min_truss));
-        assert!(!exact.edges.is_empty() && !add.edges.is_empty());
     }
 }

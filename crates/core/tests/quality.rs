@@ -1,7 +1,7 @@
 //! Quality-focused integration tests for the search algorithms on
 //! generated networks (beyond the unit fixtures).
 
-use ctc_core::{CtcConfig, CtcSearcher, SteinerMode};
+use ctc_core::{CtcConfig, CtcSearcher};
 use ctc_gen::{planted_equal, DegreeRank, QueryGenerator};
 
 #[test]
@@ -39,34 +39,6 @@ fn lctc_matches_global_trussness_on_tight_queries() {
         same * 10 >= total * 7,
         "LCTC matched global k only {same}/{total} times"
     );
-}
-
-#[test]
-fn steiner_modes_agree_on_high_truss_queries() {
-    // Inside a dense circle every connecting path is high-truss; both
-    // distance modes must produce communities of equal trussness.
-    let gt = planted_equal(8, 30, 0.6, 0.8, 41);
-    let g = &gt.graph;
-    let searcher = CtcSearcher::new(g);
-    let mut qg = QueryGenerator::new(g, 9);
-    for _ in 0..8 {
-        let Some((q, _)) = qg.sample_from_ground_truth(&gt, 3) else {
-            continue;
-        };
-        let exact = searcher
-            .local(
-                &q,
-                &CtcConfig::new().steiner_mode(SteinerMode::PathMinExact),
-            )
-            .unwrap();
-        let additive = searcher
-            .local(
-                &q,
-                &CtcConfig::new().steiner_mode(SteinerMode::EdgeAdditive),
-            )
-            .unwrap();
-        assert_eq!(exact.k, additive.k, "modes disagree on trussness");
-    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper presents most results as plots; the experiment binaries print
 //! tables plus, where a trend matters, one of these horizontal bar charts —
-//! legible in a terminal and in EXPERIMENTS.md code blocks.
+//! legible in a terminal and in markdown code blocks.
 
 /// A labeled horizontal bar chart.
 #[derive(Clone, Debug, Default)]

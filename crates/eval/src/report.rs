@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries print human tables; this module additionally
 //! captures results as simple records that can be dumped as CSV for
-//! plotting — the artifact EXPERIMENTS.md points at.
+//! plotting.
 
 use std::fmt::Write as _;
 

@@ -1,10 +1,10 @@
 //! Preset networks standing in for the paper's six SNAP datasets (Table 2).
 //!
 //! The originals (Facebook … Orkut, up to 117M edges) are proprietary-scale
-//! downloads; per DESIGN.md §5 each preset is a seeded synthetic analogue
-//! matched on the *structural knobs the algorithms care about*: community
-//! structure (for F1), degree skew (for peeling cost), density (for truss
-//! levels), at laptop scale. Scale factors are recorded per preset.
+//! downloads; each preset is a seeded synthetic analogue matched on the
+//! *structural knobs the algorithms care about*: community structure (for
+//! F1), degree skew (for peeling cost), density (for truss levels), at
+//! laptop scale. Scale factors are recorded per preset.
 
 use crate::lfr::{lfr_like, LfrConfig};
 use crate::planted::{planted_partition, GroundTruthGraph, PlantedConfig};

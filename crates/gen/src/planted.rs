@@ -2,10 +2,10 @@
 //! communities.
 //!
 //! The CTC paper evaluates against SNAP networks with 5000 ground-truth
-//! communities; this generator is the workspace's stand-in (see DESIGN.md
-//! §5): disjoint communities with dense internal wiring (`p_in`) and sparse
-//! global noise (`p_out`), which is exactly the structure the F1 experiments
-//! (Fig. 12) need.
+//! communities; this generator is the workspace's stand-in: disjoint
+//! communities with dense internal wiring (`p_in`) and sparse global noise
+//! (`p_out`), which is exactly the structure the F1 experiments (Fig. 12)
+//! need.
 
 use ctc_graph::{CsrGraph, GraphBuilder, VertexId};
 use rand::rngs::StdRng;

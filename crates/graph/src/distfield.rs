@@ -43,8 +43,12 @@ use crate::traversal::INF;
 /// epoch wraparound every stamp is zeroed, so marks from four billion
 /// clears ago can never alias. This is the one shared implementation of
 /// the wraparound-sensitive idiom the BFS and repair machinery relies on
-/// (distance-field settled tags, suspect marks, the peel scratch's
-/// changed-vertex dedup in `ctc-core`).
+/// (distance-field settled tags, suspect marks, [`BfsScratch`]'s visited
+/// set, [`UnionFind`]'s live slots, the peel scratch's changed-vertex
+/// dedup in `ctc-core`).
+///
+/// [`BfsScratch`]: crate::BfsScratch
+/// [`UnionFind`]: crate::UnionFind
 #[derive(Clone, Debug)]
 pub struct EpochMarks {
     stamp: Vec<u32>,
@@ -63,6 +67,15 @@ impl EpochMarks {
         // Stamps start at 0, so the live epoch must never be 0.
         EpochMarks {
             stamp: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    /// An unmarked set of `n` slots. The stamps are allocated zeroed, so
+    /// no page of them is written before its first mark.
+    pub fn with_len(n: usize) -> Self {
+        EpochMarks {
+            stamp: vec![0; n],
             epoch: 1,
         }
     }
@@ -418,6 +431,26 @@ mod tests {
     use crate::builder::graph_from_edges;
     use crate::csr::CsrGraph;
     use crate::traversal::bfs_distances;
+
+    /// Marks set just before the `u32` epoch wraps must not survive the
+    /// clear that wraps it, and the wrapped set must mark afresh.
+    #[test]
+    fn epoch_marks_clear_across_the_u32_wrap() {
+        let mut marks = EpochMarks::with_len(4);
+        marks.epoch = u32::MAX;
+        assert!(marks.insert(0));
+        assert!(marks.insert(3));
+        assert!(marks.contains(0) && marks.contains(3));
+        marks.clear();
+        assert_eq!(marks.epoch, 1, "the live epoch skips 0");
+        assert!(
+            (0..4).all(|i| !marks.contains(i)),
+            "a mark survived the wrap"
+        );
+        assert!(marks.insert(3));
+        assert!(!marks.insert(3));
+        assert!((0..3).all(|i| !marks.contains(i)));
+    }
 
     /// Full-recompute oracle: field must equal a fresh BFS over `live`.
     fn assert_matches_oracle(field: &DistanceField, live: &DynGraph<'_>, src: VertexId) {

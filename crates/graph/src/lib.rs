@@ -84,4 +84,4 @@ pub use triangles::{
     common_neighbors, edge_supports, edge_supports_dyn, for_each_common_neighbor, support_of,
     triangle_count, Oriented,
 };
-pub use union_find::{EpochUnionFind, UnionFind};
+pub use union_find::UnionFind;

@@ -7,6 +7,7 @@
 //! with epoch stamping (no `O(n)` clearing per BFS).
 
 use crate::csr::CsrGraph;
+use crate::distfield::EpochMarks;
 use crate::dynamic::DynGraph;
 use crate::ids::{EdgeId, VertexId};
 
@@ -102,40 +103,35 @@ impl<F: Fn(EdgeId) -> bool> Adjacency for FilteredGraph<'_, F> {
 /// Reusable BFS workspace with epoch-stamped visitation.
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
-    stamp: Vec<u32>,
+    /// Vertices reached by the most recent BFS.
+    reached: EpochMarks,
+    /// Distance per vertex; valid iff the vertex is in `reached`.
     dist: Vec<u32>,
     queue: Vec<u32>,
-    epoch: u32,
 }
 
 impl BfsScratch {
     /// Creates a scratch sized for graphs with up to `n` vertices.
     pub fn new(n: usize) -> Self {
         BfsScratch {
-            stamp: vec![0; n],
-            dist: vec![INF; n],
+            reached: EpochMarks::with_len(n),
+            dist: vec![0; n],
             queue: Vec::with_capacity(n),
-            epoch: 0,
         }
     }
 
     /// Grows internal buffers to hold `n` vertices.
     pub fn ensure(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, INF);
+        self.reached.ensure(n);
+        if self.dist.len() < n {
+            self.dist.resize(n, 0);
         }
     }
 
     #[inline]
     fn begin(&mut self, n: usize) {
         self.ensure(n);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: stamps from 4 billion BFS runs ago could alias.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
+        self.reached.clear();
         self.queue.clear();
     }
 
@@ -143,7 +139,7 @@ impl BfsScratch {
     /// unreached).
     #[inline(always)]
     pub fn dist(&self, v: VertexId) -> u32 {
-        if self.stamp[v.index()] == self.epoch {
+        if self.reached.contains(v.index()) {
             self.dist[v.index()]
         } else {
             INF
@@ -166,7 +162,7 @@ impl BfsScratch {
     pub fn run<A: Adjacency>(&mut self, adj: &A, src: VertexId) -> (VertexId, u32) {
         self.begin(adj.vertex_count());
         debug_assert!(adj.is_active(src), "BFS source {src} is not active");
-        self.stamp[src.index()] = self.epoch;
+        self.reached.insert(src.index());
         self.dist[src.index()] = 0;
         self.queue.push(src.0);
         let mut head = 0usize;
@@ -179,10 +175,8 @@ impl BfsScratch {
                 far = (v, dv);
             }
             adj.for_each_neighbor(v, |nb| {
-                let i = nb.index();
-                if self.stamp[i] != self.epoch {
-                    self.stamp[i] = self.epoch;
-                    self.dist[i] = dv + 1;
+                if self.reached.insert(nb.index()) {
+                    self.dist[nb.index()] = dv + 1;
                     self.queue.push(nb.0);
                 }
             });
@@ -193,7 +187,7 @@ impl BfsScratch {
     /// Runs a BFS bounded to `max_depth` hops from `src`.
     pub fn run_bounded<A: Adjacency>(&mut self, adj: &A, src: VertexId, max_depth: u32) {
         self.begin(adj.vertex_count());
-        self.stamp[src.index()] = self.epoch;
+        self.reached.insert(src.index());
         self.dist[src.index()] = 0;
         self.queue.push(src.0);
         let mut head = 0usize;
@@ -205,10 +199,8 @@ impl BfsScratch {
                 continue;
             }
             adj.for_each_neighbor(v, |nb| {
-                let i = nb.index();
-                if self.stamp[i] != self.epoch {
-                    self.stamp[i] = self.epoch;
-                    self.dist[i] = dv + 1;
+                if self.reached.insert(nb.index()) {
+                    self.dist[nb.index()] = dv + 1;
                     self.queue.push(nb.0);
                 }
             });

@@ -1472,6 +1472,21 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_gamma_hits_the_zero_gamma_slot() {
+        let s = state(8);
+        let f = Figure1Ids::default();
+        let body = |gamma: &str| format!(r#"{{"query":[{},{}],"gamma":{gamma}}}"#, f.q1.0, f.q3.0);
+        let (head, first) = split(&s.respond(&req("POST", "/search", &body("0"))).unwrap());
+        assert!(head.contains("x-cache: miss"), "{head}");
+        let (head, second) = split(&s.respond(&req("POST", "/search", &body("-0"))).unwrap());
+        assert!(
+            head.contains("x-cache: hit"),
+            "γ = −0 must share γ = 0's slot: {head}"
+        );
+        assert_eq!(second, first);
+    }
+
+    #[test]
     fn search_error_paths_map_to_statuses() {
         let s = state(8);
         for (body, status) in [

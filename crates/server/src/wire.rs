@@ -63,8 +63,9 @@ pub struct QueryKey {
     pub labels: Vec<u64>,
     /// The algorithm.
     pub algo: SearchAlgo,
-    /// The config (γ, η, fixed k, iteration cap, Steiner mode), every
-    /// field of which can change an answer.
+    /// The config (γ, η, fixed k, iteration cap), every field of which
+    /// can change an answer. γ compares by its bits; the decoder stores a
+    /// requested −0 as 0, so the two share a key.
     pub cfg: CtcConfig,
 }
 
@@ -163,7 +164,10 @@ pub fn decode_search_request(body: &[u8], base: &CtcConfig) -> Result<SearchRequ
         if !gamma.is_finite() || gamma < 0.0 {
             return Err(DecodeError::new("\"gamma\" must be finite and >= 0"));
         }
-        cfg = cfg.gamma(gamma);
+        // JSON's `-0` parses as −0.0, which passes the check above. The
+        // key compares γ by its bits, so −0 is stored as 0 to keep the
+        // two spellings of one γ in one cache slot.
+        cfg = cfg.gamma(if gamma == 0.0 { 0.0 } else { gamma });
     }
     if let Some(v) = root.get("eta") {
         let eta = v
@@ -514,7 +518,6 @@ pub fn search_error_response(e: &GraphError) -> (u16, &'static str, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctc_core::SteinerMode;
     use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
 
     fn decode(body: &str) -> Result<SearchRequest, DecodeError> {
@@ -537,9 +540,29 @@ mod tests {
         assert_eq!(r.cfg.eta, 50);
         assert_eq!(r.cfg.fixed_k, Some(4));
         // The base config's non-overridden knobs survive.
-        let base = CtcConfig::default().steiner_mode(SteinerMode::EdgeAdditive);
+        let base = CtcConfig::default().max_iterations(7);
         let r = decode_search_request(br#"{"query":[1]}"#, &base).unwrap();
-        assert_eq!(r.cfg.steiner_mode, SteinerMode::EdgeAdditive);
+        assert_eq!(r.cfg.max_iterations, Some(7));
+    }
+
+    #[test]
+    fn negative_zero_gamma_shares_the_zero_gamma_key() {
+        fn hash_of(key: &QueryKey) -> u64 {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            key.hash(&mut h);
+            h.finish()
+        }
+        let zero = decode(r#"{"query":[1,2],"gamma":0}"#).unwrap();
+        for body in [
+            r#"{"query":[1,2],"gamma":-0}"#,
+            r#"{"query":[1,2],"gamma":-0.0}"#,
+        ] {
+            let negative = decode(body).unwrap();
+            assert!(negative.cfg.gamma.is_sign_positive(), "{body}");
+            assert_eq!(negative.key(), zero.key(), "{body}");
+            assert_eq!(hash_of(&negative.key()), hash_of(&zero.key()), "{body}");
+        }
     }
 
     #[test]

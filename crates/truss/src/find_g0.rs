@@ -11,8 +11,8 @@
 use crate::index::TrussIndex;
 use ctc_graph::error::{GraphError, Result};
 use ctc_graph::{
-    nested_heap_bytes, vec_heap_bytes, BfsScratch, CsrGraph, EdgeId, EpochMarks, EpochUnionFind,
-    Subgraph, VertexId,
+    nested_heap_bytes, vec_heap_bytes, BfsScratch, CsrGraph, EdgeId, EpochMarks, Subgraph,
+    UnionFind, VertexId,
 };
 
 /// Output of [`find_g0`]: the maximal connected k-truss containing `Q` with
@@ -44,7 +44,7 @@ pub struct FindScratch {
     pending_set: EpochMarks,
     in_g0_vertex: EpochMarks,
     in_g0_edge: EpochMarks,
-    uf: EpochUnionFind,
+    uf: UnionFind,
     g0_edges: Vec<EdgeId>,
     /// Every vertex first marked `in_g0_vertex`, in discovery order.
     touched: Vec<u32>,

@@ -40,7 +40,7 @@ pub use ctc_truss as truss;
 pub mod prelude {
     pub use ctc_baselines::{kcore_community, mdc, qdc, MdcConfig, QdcConfig};
     pub use ctc_core::{
-        Community, CommunityEngine, CtcConfig, CtcSearcher, EngineQuery, SearchAlgo, SteinerMode,
+        Community, CommunityEngine, CtcConfig, CtcSearcher, EngineQuery, SearchAlgo,
     };
     pub use ctc_eval::{f1_score, Table};
     pub use ctc_gen::{DegreeRank, QueryGenerator};

@@ -1,10 +1,10 @@
 //! Property tests on substrate invariants: distances, connectivity,
 //! serialization, Steiner trees, PageRank.
 
-use ctc_core::{steiner_tree, SteinerMode};
+use ctc_core::steiner_tree;
 use ctc_graph::{
     bfs_distances, connected_components, diameter_double_sweep, diameter_exact, graph_from_edges,
-    personalized_pagerank, PageRankOptions, UnionFind, VertexId, INF,
+    personalized_pagerank, FilteredGraph, PageRankOptions, UnionFind, VertexId, INF,
 };
 use ctc_truss::{Snapshot, TrussIndex};
 use proptest::prelude::*;
@@ -110,35 +110,74 @@ proptest! {
         q.sort();
         q.dedup();
         let idx = TrussIndex::build(&g);
-        for mode in [SteinerMode::PathMinExact, SteinerMode::EdgeAdditive] {
-            match steiner_tree(&g, &idx, &q, gamma, mode) {
-                None => {
-                    // Legitimate only if the query is not mutually reachable
-                    // (or some query vertex is isolated with |q| > 1).
-                    if q.len() > 1 {
-                        let d = bfs_distances(&g, q[0]);
-                        prop_assert!(
-                            q.iter().any(|&v| d[v.index()] == INF),
-                            "{mode:?} failed on a reachable query"
-                        );
-                    }
+        match steiner_tree(&g, &idx, &q, gamma) {
+            None => {
+                // Legitimate only if the query is not mutually reachable
+                // (or some query vertex is isolated with |q| > 1).
+                if q.len() > 1 {
+                    let d = bfs_distances(&g, q[0]);
+                    prop_assert!(
+                        q.iter().any(|&v| d[v.index()] == INF),
+                        "no tree for a reachable query"
+                    );
                 }
-                Some(t) => {
-                    // Tree: |E| = |V| − 1, spans Q, connected.
-                    prop_assert_eq!(t.edges.len() + 1, t.vertices.len());
-                    let mut uf = UnionFind::new(g.num_vertices());
-                    for &e in &t.edges {
-                        let (u, v) = g.edge_endpoints(e);
-                        prop_assert!(uf.union(u.0, v.0), "cycle in Steiner tree");
-                    }
-                    let q_ids: Vec<u32> = q.iter().map(|v| v.0).collect();
-                    prop_assert!(uf.all_connected(&q_ids));
-                    // kt is the min edge trussness of the tree.
-                    if !t.edges.is_empty() {
-                        let kt = t.edges.iter().map(|&e| idx.edge_truss(e)).min().unwrap();
-                        prop_assert_eq!(kt, t.min_truss);
-                    }
+            }
+            Some(t) => {
+                // Tree: |E| = |V| − 1, spans Q, connected.
+                prop_assert_eq!(t.edges.len() + 1, t.vertices.len());
+                let mut uf = UnionFind::new(g.num_vertices());
+                for &e in &t.edges {
+                    let (u, v) = g.edge_endpoints(e);
+                    prop_assert!(uf.union(u.0, v.0), "cycle in Steiner tree");
                 }
+                let q_ids: Vec<u32> = q.iter().map(|v| v.0).collect();
+                prop_assert!(uf.all_connected(&q_ids));
+                // kt is the min edge trussness of the tree.
+                if !t.edges.is_empty() {
+                    let kt = t.edges.iter().map(|&e| idx.edge_truss(e)).min().unwrap();
+                    prop_assert_eq!(kt, t.min_truss);
+                }
+            }
+        }
+    }
+
+    /// For two query vertices the Steiner tree is the closure's best path
+    /// at its argmin level, so its Def. 7 cost `|P| + γ(τ̄ − min τ(P))`
+    /// is the exact truss distance: the minimum, over every level `t`, of
+    /// the hop distance in the `τ ≥ t` subgraph plus `γ(τ̄ − t)`.
+    #[test]
+    fn steiner_tree_is_exact_for_two_query_vertices(
+        edges in arb_edges(),
+        a in 0u32..16,
+        offset in 0u32..16,
+        gamma in 0.0f64..6.0,
+    ) {
+        let g = graph_from_edges(&edges);
+        let n = g.num_vertices() as u32;
+        if n < 2 {
+            return Ok(());
+        }
+        let a = a % n;
+        let (a, b) = (VertexId(a), VertexId((a + 1 + offset % (n - 1)) % n));
+        let idx = TrussIndex::build(&g);
+        let tau_bar = idx.max_truss();
+        let brute = (2..=tau_bar)
+            .filter_map(|t| {
+                let view = FilteredGraph::new(&g, |e| idx.edge_truss(e) >= t);
+                let hops = bfs_distances(&view, a)[b.index()];
+                (hops != INF).then(|| hops as f64 + gamma * (tau_bar - t) as f64)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let connected = bfs_distances(&g, a)[b.index()] != INF;
+        match steiner_tree(&g, &idx, &[a, b], gamma) {
+            None => prop_assert!(!connected, "no tree for the connected pair {a}, {b}"),
+            Some(t) => {
+                prop_assert!(connected, "a tree for the disconnected pair {a}, {b}");
+                let cost = t.edges.len() as f64 + gamma * (tau_bar - t.min_truss) as f64;
+                prop_assert!(
+                    (cost - brute).abs() < 1e-9,
+                    "tree for {a}, {b} costs {cost}, Def. 7 gives {brute}"
+                );
             }
         }
     }
