@@ -5,7 +5,6 @@ use crate::common::{banner, mean, sample_queries, ExpEnv};
 use ctc_core::{peel, CtcSearcher, DeletePolicy};
 use ctc_eval::{fmt_f, fmt_secs, Table};
 use ctc_gen::{network_by_name, DegreeRank};
-use ctc_truss::g0_subgraph;
 use std::time::Instant;
 
 /// Deletion-policy ablation on shared `G0`s (facebook).
@@ -29,7 +28,7 @@ pub fn delete_policies() {
         let Ok(g0) = ctc_truss::find_g0(g, searcher.index(), q) else {
             continue;
         };
-        let sub = g0_subgraph(g, &g0);
+        let sub = ctc_graph::edge_subgraph(g, &g0.edges);
         let Some(ql) = sub.locals(q) else { continue };
         for (i, policy) in [
             DeletePolicy::SingleFurthest,

@@ -58,7 +58,6 @@ pub fn expand_tree(idx: &TrussIndex, tree: &SteinerTree, eta: usize) -> Subgraph
     Subgraph {
         graph: b.build(),
         to_parent,
-        from_parent,
     }
 }
 

@@ -1,8 +1,8 @@
 //! Community result types returned by every search algorithm.
 
 use ctc_graph::{
-    diameter_exact, edge_density, induced_subgraph, BfsScratch, CsrGraph, EdgeId, Subgraph,
-    VertexId,
+    ascending_subgraph, diameter_exact, edge_density, induced_subgraph, BfsScratch, CsrGraph,
+    EdgeId, Subgraph, VertexId,
 };
 use std::time::Duration;
 
@@ -92,22 +92,8 @@ impl Community {
     /// The community's own edge list is used (not the induced subgraph of
     /// the parent: peeling may have removed edges whose endpoints survive).
     pub fn subgraph(&self) -> Subgraph {
-        let mut from_parent: ctc_graph::FxHashMap<u32, u32> = Default::default();
-        let mut to_parent: Vec<u32> = Vec::with_capacity(self.vertices.len());
-        for &v in &self.vertices {
-            from_parent.insert(v.0, to_parent.len() as u32);
-            to_parent.push(v.0);
-        }
-        let mut b = ctc_graph::GraphBuilder::with_capacity(self.edges.len());
-        b.ensure_vertices(to_parent.len());
-        for &(u, v) in &self.edges {
-            b.add_edge(from_parent[&u.0], from_parent[&v.0]);
-        }
-        Subgraph {
-            graph: b.build(),
-            to_parent,
-            from_parent,
-        }
+        let vertices = self.vertices.iter().map(|v| v.0).collect();
+        ascending_subgraph(vertices, self.edges.iter().copied())
     }
 
     /// Exact diameter of the community (all-pairs BFS over its subgraph).
@@ -142,15 +128,6 @@ impl Community {
             return Err(format!("edge {e} violates the {}-truss condition", self.k));
         }
         Ok(())
-    }
-
-    /// Recomputes the query distance of the community from scratch
-    /// (diagnostic; `query_distance` is filled by the algorithms).
-    pub fn recompute_query_distance(&self, q: &[VertexId]) -> u32 {
-        let sub = self.subgraph();
-        let ql: Vec<VertexId> = q.iter().filter_map(|&v| sub.local(v)).collect();
-        let mut scratch = BfsScratch::new(sub.num_vertices());
-        ctc_graph::graph_query_distance(&sub.graph, &ql, &mut scratch)
     }
 }
 
@@ -290,28 +267,20 @@ pub fn community_from_induced(
     iterations: usize,
     timings: PhaseTimings,
 ) -> Community {
-    let mut vertices = vertices;
-    vertices.sort_unstable();
-    vertices.dedup();
+    // Local ids ascend with parent ids, so the members come out ascending
+    // and deduplicated, and each edge's endpoints in order.
     let sub = induced_subgraph(g, &vertices);
     let edges = sub
         .graph
         .edges()
-        .map(|(_, u, v)| {
-            let (pu, pv) = (sub.parent(u), sub.parent(v));
-            if pu < pv {
-                (pu, pv)
-            } else {
-                (pv, pu)
-            }
-        })
+        .map(|(_, u, v)| (sub.parent(u), sub.parent(v)))
         .collect();
     let ql: Vec<VertexId> = q.iter().filter_map(|&v| sub.local(v)).collect();
     let mut scratch = BfsScratch::new(sub.num_vertices());
     let qd = ctc_graph::graph_query_distance(&sub.graph, &ql, &mut scratch);
     Community {
         k,
-        vertices,
+        vertices: sub.to_parent.iter().map(|&p| VertexId(p)).collect(),
         edges,
         query_distance: qd,
         iterations,
@@ -488,13 +457,6 @@ mod tests {
             .validate(&[VertexId(0)])
             .unwrap_err()
             .contains("not a community"));
-    }
-
-    #[test]
-    fn query_distance_recomputation() {
-        let c = k4_community();
-        assert_eq!(c.recompute_query_distance(&[VertexId(0)]), 1);
-        assert_eq!(c.query_distance, 1);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! * A warm Truss search allocates at most its answer plus `G0`'s two
 //!   lists plus a small constant: it answers from `G0` and makes no copy.
 //! * A warm BulkDelete copy of `G0` (`edge_subgraph_with`) allocates its
-//!   CSR arrays plus `O(|V(G0)|)`: no map sized by the edge count. On the
-//!   dense graph below such a map alone would break the bound.
+//!   CSR arrays plus 20 bytes per vertex and no map: not one sized by the
+//!   edge count, which alone would break the bound on the dense graph
+//!   below, nor one from parent to local id, whose 512 buckets for this
+//!   `G0`'s 240 vertices would too.
 //!
 //! The allocator counts per thread the bytes each allocation adds (a
 //! `realloc` counts its growth), so other threads cannot disturb a
@@ -83,7 +85,9 @@ fn warm_locate_allocates_no_copy_of_g0() {
          and G0's lists {g0_lists}"
     );
 
-    // BulkDelete's copy: CSR arrays plus O(|V(G0)|).
+    // BulkDelete's copy: CSR arrays plus, per vertex, `to_parent` (up to
+    // 8 bytes with its growth slack), the offsets' growth slack (4) and
+    // two row cursors (4 each).
     let idx = searcher.index();
     let mut find = FindScratch::new();
     let g0 = find_g0_with(&g, idx, &q, u32::MAX, &mut find).unwrap();
@@ -94,7 +98,7 @@ fn warm_locate_allocates_no_copy_of_g0() {
     let spent = added() - before;
     let (n, m) = (sub.num_vertices() as u64, sub.num_edges() as u64);
     let csr = 4 * (n + 1) + 3 * 8 * m;
-    let per_vertex = 64 * n;
+    let per_vertex = 20 * n;
     // A map with a slot per edge holds at least 8 bytes of key and value
     // per edge, which the vertex term cannot absorb here.
     assert!(

@@ -1,10 +1,18 @@
-//! Property suite pinning the copy-free locate paths to the constructions
-//! they replaced, on ER, BA and planted graphs and Figure 1, for queries
-//! of one to three vertices, uncapped and at every cap in `2..=6`:
+//! Property suite pinning the copy-free locate paths and the map-free
+//! subgraph copies to the constructions they replaced, on ER, BA and
+//! planted graphs and Figure 1, for queries of one to three vertices,
+//! uncapped and at every cap in `2..=6`:
 //!
 //! * `edge_subgraph` (and its pooled form) over `G0`, and over shuffled
 //!   random edge subsets, equals a hash-map + `GraphBuilder` construction
 //!   with the same discovery numbering, array for array;
+//! * every caller of the shared ascending-id constructor equals the same
+//!   construction fed the ascending vertex list first: `induced_subgraph`
+//!   on shuffled input with repeats, `alive_subgraph` after random
+//!   deletions, `Community::subgraph` on every algorithm's answers, and
+//!   `subgraph_from_pairs` with repeated and self-loop pairs;
+//! * `Subgraph::local` agrees with the construction's map on every parent
+//!   id, present or absent;
 //! * the Truss baseline's answer, taken straight from `G0`, equals the
 //!   answer assembled from `subgraph_from_pairs` + `graph_query_distance`,
 //!   edge order included.
@@ -14,17 +22,24 @@ use ctc_gen::planted::{planted_partition, PlantedConfig};
 use ctc_gen::random::{barabasi_albert, erdos_renyi_nm};
 use ctc_graph::error::Result;
 use ctc_graph::{
-    edge_subgraph, edge_subgraph_with, graph_query_distance, subgraph_from_pairs, BfsScratch,
-    CsrGraph, EdgeId, FxHashMap, GraphBuilder, Subgraph, SubgraphScratch, VertexId,
+    alive_subgraph, edge_subgraph, edge_subgraph_with, graph_query_distance, induced_subgraph,
+    subgraph_from_pairs, BfsScratch, CsrGraph, DynGraph, EdgeId, FxHashMap, GraphBuilder, Subgraph,
+    SubgraphScratch, VertexId,
 };
 use ctc_truss::fixtures::{figure1_graph, Figure1Ids};
 use ctc_truss::{find_g0_with, FindScratch, TrussIndex};
+use std::collections::BTreeSet;
 
 const CAPS: [Option<u32>; 6] = [None, Some(2), Some(3), Some(4), Some(5), Some(6)];
 
-/// The pre-pooled `edge_subgraph`: local ids from a hash map in discovery
-/// order, edges sorted by `GraphBuilder`.
-fn oracle_edge_subgraph(g: &CsrGraph, edges: &[EdgeId]) -> Subgraph {
+/// The hash-map + `GraphBuilder` construction every copy is held to:
+/// local ids from a hash map in order of first appearance, in `vertices`
+/// and then in `pairs`; `GraphBuilder` drops self-loops and repeats and
+/// sorts the edges. Returns the map too, the oracle for `local()`.
+fn oracle_subgraph(
+    vertices: impl IntoIterator<Item = u32>,
+    pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> (Subgraph, FxHashMap<u32, u32>) {
     let mut from_parent: FxHashMap<u32, u32> = FxHashMap::default();
     let mut to_parent: Vec<u32> = Vec::new();
     let mut local_id = |p: u32| {
@@ -33,18 +48,35 @@ fn oracle_edge_subgraph(g: &CsrGraph, edges: &[EdgeId]) -> Subgraph {
             (to_parent.len() - 1) as u32
         })
     };
-    let mut b = GraphBuilder::with_capacity(edges.len());
-    for &e in edges {
-        let (u, v) = g.edge_endpoints(e);
+    for p in vertices {
+        local_id(p);
+    }
+    let mut b = GraphBuilder::new();
+    for (u, v) in pairs {
         let (lu, lv) = (local_id(u.0), local_id(v.0));
         b.add_edge(lu, lv);
     }
     b.ensure_vertices(to_parent.len());
-    Subgraph {
+    let sub = Subgraph {
         graph: b.build(),
         to_parent,
-        from_parent,
-    }
+    };
+    (sub, from_parent)
+}
+
+/// The pre-pooled `edge_subgraph`: local ids in discovery order.
+fn oracle_edge_subgraph(g: &CsrGraph, edges: &[EdgeId]) -> (Subgraph, FxHashMap<u32, u32>) {
+    oracle_subgraph([], edges.iter().map(|&e| g.edge_endpoints(e)))
+}
+
+/// A copy with ascending local ids: the ascending vertex list first, so
+/// the pairs add no vertex.
+fn oracle_ascending(
+    vertices: impl IntoIterator<Item = u32>,
+    pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> (Subgraph, FxHashMap<u32, u32>) {
+    let ascending: BTreeSet<u32> = vertices.into_iter().collect();
+    oracle_subgraph(ascending, pairs)
 }
 
 /// The Truss answer as the searcher used to build it: a canonical copy of
@@ -78,7 +110,15 @@ fn oracle_truss(g: &CsrGraph, idx: &TrussIndex, q: &[VertexId], cap: u32) -> Res
     })
 }
 
-fn assert_same_subgraph(a: &Subgraph, b: &Subgraph, label: &str) {
+/// `a` equals the oracle's copy array for array, and its `local()`
+/// answers as the oracle's map does for every parent id below `n`.
+fn assert_same_subgraph(
+    a: &Subgraph,
+    want: &(Subgraph, FxHashMap<u32, u32>),
+    n: usize,
+    label: &str,
+) {
+    let (b, map) = want;
     assert_eq!(
         a.graph.offsets_raw(),
         b.graph.offsets_raw(),
@@ -96,7 +136,10 @@ fn assert_same_subgraph(a: &Subgraph, b: &Subgraph, label: &str) {
     );
     assert_eq!(a.graph, b.graph, "{label}: edge list");
     assert_eq!(a.to_parent, b.to_parent, "{label}: to_parent");
-    assert_eq!(a.from_parent, b.from_parent, "{label}: from_parent");
+    for p in 0..n as u32 {
+        let want = map.get(&p).map(|&l| VertexId(l));
+        assert_eq!(a.local(VertexId(p)), want, "{label}: local({p})");
+    }
 }
 
 /// A small LCG: the suite's queries and edge subsets, seeded.
@@ -110,7 +153,20 @@ impl Lcg {
             .wrapping_add(1442695040888963407);
         ((self.0 >> 33) % n as u64) as usize
     }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
 }
+
+const ALGOS: [SearchAlgo; 4] = [
+    SearchAlgo::Basic,
+    SearchAlgo::BulkDelete,
+    SearchAlgo::Local,
+    SearchAlgo::TrussOnly,
+];
 
 fn exercise(g: &CsrGraph, seed: u64, label: &str) {
     let n = g.num_vertices();
@@ -150,9 +206,41 @@ fn exercise(g: &CsrGraph, seed: u64, label: &str) {
                 continue;
             };
             let want = oracle_edge_subgraph(g, &g0.edges);
-            assert_same_subgraph(&edge_subgraph(g, &g0.edges), &want, &tag);
+            assert_same_subgraph(&edge_subgraph(g, &g0.edges), &want, n, &tag);
             let pooled = edge_subgraph_with(g, &g0.edges, &mut sub_scratch);
-            assert_same_subgraph(&pooled, &want, &tag);
+            assert_same_subgraph(&pooled, &want, n, &tag);
+            // G0's endpoint pairs, shuffled, with repeats (some reversed)
+            // and self-loops, one of them on a vertex outside G0.
+            let mut pairs: Vec<(VertexId, VertexId)> =
+                g0.edges.iter().map(|&e| g.edge_endpoints(e)).collect();
+            for i in 0..pairs.len() / 3 {
+                let (u, v) = pairs[i * 2 % pairs.len()];
+                pairs.push(if i % 2 == 0 { (u, v) } else { (v, u) });
+            }
+            pairs.push((q[0], q[0]));
+            let loner = VertexId(rng.below(n) as u32);
+            pairs.push((loner, loner));
+            rng.shuffle(&mut pairs);
+            let want = oracle_ascending(pairs.iter().flat_map(|&(u, v)| [u.0, v.0]), pairs.clone());
+            assert_same_subgraph(
+                &subgraph_from_pairs(&pairs),
+                &want,
+                n,
+                &format!("{tag}: pairs"),
+            );
+        }
+        // Every algorithm's answer, copied by `Community::subgraph`.
+        for algo in ALGOS {
+            let Ok(c) = searcher.search_with(&q, algo, &CtcConfig::default(), &mut peel) else {
+                continue;
+            };
+            let want = oracle_ascending(c.vertices.iter().map(|v| v.0), c.edges.clone());
+            assert_same_subgraph(
+                &c.subgraph(),
+                &want,
+                n,
+                &format!("{label}: {algo:?} q={q:?}"),
+            );
         }
     }
     // Discovery numbering under arbitrary edge orders: shuffled random
@@ -163,13 +251,42 @@ fn exercise(g: &CsrGraph, seed: u64, label: &str) {
             .filter(|_| rng.below(3) != 0)
             .map(EdgeId::from)
             .collect();
-        for i in (1..edges.len()).rev() {
-            edges.swap(i, rng.below(i + 1));
-        }
+        rng.shuffle(&mut edges);
         let tag = format!("{label}: subset {round} of {} edges", edges.len());
         let want = oracle_edge_subgraph(g, &edges);
         let pooled = edge_subgraph_with(g, &edges, &mut sub_scratch);
-        assert_same_subgraph(&pooled, &want, &tag);
+        assert_same_subgraph(&pooled, &want, n, &tag);
+    }
+    // Induced copies of shuffled vertex subsets with repeats.
+    for round in 0..4 {
+        let mut vertices: Vec<VertexId> = g.vertices().filter(|_| rng.below(2) == 0).collect();
+        for i in 0..vertices.len() / 4 {
+            vertices.push(vertices[i * 3 % vertices.len()]);
+        }
+        rng.shuffle(&mut vertices);
+        let members: BTreeSet<u32> = vertices.iter().map(|v| v.0).collect();
+        let pairs = g
+            .edges()
+            .map(|(_, u, v)| (u, v))
+            .filter(|(u, v)| members.contains(&u.0) && members.contains(&v.0));
+        let want = oracle_ascending(members.iter().copied(), pairs);
+        let tag = format!("{label}: induced {round} on {} listed", vertices.len());
+        assert_same_subgraph(&induced_subgraph(g, &vertices), &want, n, &tag);
+    }
+    // Alive copies after random vertex and edge deletions.
+    for round in 0..4 {
+        let mut live = DynGraph::new(g);
+        for _ in 0..n / 5 {
+            live.remove_vertex(VertexId(rng.below(n) as u32));
+        }
+        for _ in 0..m / 5 {
+            live.remove_edge(EdgeId::from(rng.below(m)));
+        }
+        let alive = (0..n as u32).filter(|&v| live.is_vertex_alive(VertexId(v)));
+        let pairs: Vec<_> = live.alive_edges().map(|(_, u, v)| (u, v)).collect();
+        let want = oracle_ascending(alive, pairs);
+        let tag = format!("{label}: alive {round}");
+        assert_same_subgraph(&alive_subgraph(&live), &want, n, &tag);
     }
 }
 

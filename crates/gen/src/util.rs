@@ -1,6 +1,6 @@
 //! Small shared helpers for the generators.
 
-use ctc_graph::{connected_components, CsrGraph, GraphBuilder, VertexId};
+use ctc_graph::{connected_components, CsrGraph, GraphBuilder};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -48,28 +48,6 @@ pub fn stitch_connected(g: CsrGraph, rng: &mut StdRng) -> CsrGraph {
         // handled by the same branch.
     }
     b.build()
-}
-
-/// `true` if `v`'s component label equals the largest component's label —
-/// exposed for tests.
-pub fn in_largest_component(g: &CsrGraph, v: VertexId) -> bool {
-    let (labels, count) = connected_components(g);
-    if count <= 1 {
-        return true;
-    }
-    let mut sizes = vec![0usize; count];
-    for &l in &labels {
-        if l != u32::MAX {
-            sizes[l as usize] += 1;
-        }
-    }
-    let main = sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, s)| s)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    labels[v.index()] as usize == main
 }
 
 #[cfg(test)]

@@ -314,11 +314,6 @@ impl<'g> DynGraph<'g> {
             }
         }
     }
-
-    /// Collects the alive vertex set (sorted ascending).
-    pub fn alive_vertex_vec(&self) -> Vec<VertexId> {
-        self.alive_vertices().collect()
-    }
 }
 
 #[cfg(test)]
@@ -405,7 +400,7 @@ mod tests {
         let mut d = DynGraph::new(&g);
         d.remove_vertex(VertexId(3));
         assert_eq!(
-            d.alive_vertex_vec(),
+            d.alive_vertices().collect::<Vec<_>>(),
             vec![VertexId(0), VertexId(1), VertexId(2)]
         );
         assert_eq!(d.alive_edges().count(), 3);

@@ -74,11 +74,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
-/// Creates an empty [`FxHashMap`] with at least `cap` capacity.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 /// Creates an empty [`FxHashSet`] with at least `cap` capacity.
 pub fn fx_set_with_capacity<K>(cap: usize) -> FxHashSet<K> {
     FxHashSet::with_capacity_and_hasher(cap, BuildHasherDefault::default())
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn map_basics() {
-        let mut m: FxHashMap<(u32, u32), u32> = fx_map_with_capacity(16);
+        let mut m: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         for i in 0..1000u32 {
             m.insert((i, i + 1), i * 2);
         }

@@ -73,8 +73,8 @@ pub use parallel::Parallelism;
 pub use stats::{edge_density, graph_stats, vertices_by_degree_desc, GraphStats};
 pub use storage::{real_env, write_durable, Fault, FaultEnv, RealEnv, StorageEnv};
 pub use subgraph::{
-    alive_subgraph, edge_subgraph, edge_subgraph_with, induced_subgraph, subgraph_from_pairs,
-    Subgraph, SubgraphScratch,
+    alive_subgraph, ascending_subgraph, edge_subgraph, edge_subgraph_with, induced_subgraph,
+    subgraph_from_pairs, Subgraph, SubgraphScratch,
 };
 pub use traversal::{
     bfs_distances, connected_components, is_connected, query_connected, Adjacency, BfsScratch,

@@ -1,34 +1,35 @@
-//! Induced subgraph extraction with id remapping.
+//! Subgraph extraction with id remapping.
 //!
 //! CTC search constantly narrows scope: `FindG0` yields an edge subset of
 //! `G`, LCTC expands a Steiner tree into a local subgraph, and peeling
 //! operates on the extracted piece. [`Subgraph`] packages the extracted
 //! [`CsrGraph`] together with the mapping back to the parent's vertex ids.
 
-use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::distfield::EpochMarks;
 use crate::dynamic::DynGraph;
-use crate::fx::{fx_map_with_capacity, FxHashMap};
+use crate::fx::FxHashMap;
 use crate::heap::vec_heap_bytes;
 use crate::ids::{EdgeId, VertexId};
 
-/// A compact graph extracted from a parent, with both-way vertex mappings.
+/// A compact graph extracted from a parent, with its local ids mapped
+/// back to the parent's.
 #[derive(Clone, Debug)]
 pub struct Subgraph {
     /// The extracted graph with dense local ids.
     pub graph: CsrGraph,
     /// `to_parent[local] = parent id`.
     pub to_parent: Vec<u32>,
-    /// `parent id -> local id`.
-    pub from_parent: FxHashMap<u32, u32>,
 }
 
 impl Subgraph {
-    /// Maps a parent vertex into this subgraph, if included.
-    #[inline]
+    /// Maps a parent vertex into this subgraph, if included: a scan of
+    /// `to_parent`, O(n'). A search looks up only its query vertices.
     pub fn local(&self, parent: VertexId) -> Option<VertexId> {
-        self.from_parent.get(&parent.0).map(|&l| VertexId(l))
+        self.to_parent
+            .iter()
+            .position(|&p| p == parent.0)
+            .map(VertexId::from)
     }
 
     /// Maps a local vertex back to the parent graph.
@@ -42,11 +43,6 @@ impl Subgraph {
         parents.iter().map(|&p| self.local(p)).collect()
     }
 
-    /// Maps local vertices back to parent ids.
-    pub fn parents(&self, locals: &[VertexId]) -> Vec<VertexId> {
-        locals.iter().map(|&l| self.parent(l)).collect()
-    }
-
     /// Number of vertices in the extracted graph.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -58,34 +54,70 @@ impl Subgraph {
     }
 }
 
-/// Extracts the subgraph of `g` induced by `vertices`.
+/// The subgraph on `vertices`, ascending distinct parent ids, whose edges
+/// are `pairs` (parent-id endpoint pairs in any order; repeats and
+/// self-loops are dropped). Local id `l` is `vertices[l]`, so the
+/// numbering is canonical: two routes to the same vertex and edge sets
+/// give byte-identical subgraphs, which is what lets the pooled peel
+/// scratch in `ctc-core` recognize a repeated LCTC community and reuse its
+/// cached support table.
+///
+/// # Panics
+///
+/// If a pair has an endpoint outside `vertices`.
+pub fn ascending_subgraph(
+    vertices: Vec<u32>,
+    pairs: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> Subgraph {
+    debug_assert!(
+        vertices.windows(2).all(|w| w[0] < w[1]),
+        "subgraph vertices must be ascending and distinct"
+    );
+    let local: FxHashMap<u32, u32> = vertices
+        .iter()
+        .enumerate()
+        .map(|(l, &p)| (p, l as u32))
+        .collect();
+    let pairs = pairs.into_iter();
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(pairs.size_hint().0);
+    for (u, v) in pairs {
+        if u == v {
+            continue;
+        }
+        let (a, b) = (local[&u.0], local[&v.0]);
+        edges.push(if a < b { (a, b) } else { (b, a) });
+    }
+    // The renumbering is monotone, so pairs handed over in ascending
+    // canonical order (the induced and alive copies') map to a sorted,
+    // duplicate-free list and skip the sort.
+    if !edges.windows(2).all(|w| w[0] < w[1]) {
+        edges.sort_unstable();
+        edges.dedup();
+    }
+    Subgraph {
+        graph: CsrGraph::from_sorted_dedup_edges(vertices.len(), edges),
+        to_parent: vertices,
+    }
+}
+
+/// Extracts the subgraph of `g` induced by `vertices` (any order, repeats
+/// allowed), with local ids in ascending parent id order.
 ///
 /// Keeps every edge of `g` whose endpoints are both in `vertices`.
 pub fn induced_subgraph(g: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
-    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(vertices.len());
-    let mut to_parent = Vec::with_capacity(vertices.len());
-    for &v in vertices {
-        if from_parent.insert(v.0, to_parent.len() as u32).is_none() {
-            to_parent.push(v.0);
-        }
-    }
-    let mut b = GraphBuilder::new();
-    b.ensure_vertices(to_parent.len());
-    for (local_u, &pu) in to_parent.iter().enumerate() {
+    let mut members: Vec<u32> = vertices.iter().map(|v| v.0).collect();
+    members.sort_unstable();
+    members.dedup();
+    let mut pairs = Vec::new();
+    for &pu in &members {
         for &pv in g.neighbors(VertexId(pu)) {
-            if pv <= pu {
-                continue; // visit each edge once, from the smaller parent id
-            }
-            if let Some(&local_v) = from_parent.get(&pv) {
-                b.add_edge(local_u as u32, local_v);
+            // Each edge once, from its smaller endpoint.
+            if pv > pu && members.binary_search(&pv).is_ok() {
+                pairs.push((VertexId(pu), VertexId(pv)));
             }
         }
     }
-    Subgraph {
-        graph: b.build(),
-        to_parent,
-        from_parent,
-    }
+    ascending_subgraph(members, pairs)
 }
 
 /// Extracts the subgraph of `g` consisting of exactly the given edges
@@ -117,15 +149,13 @@ impl SubgraphScratch {
     }
 }
 
-/// [`edge_subgraph`] over a pooled parent→local array: the same subgraph,
-/// array for array, without a hash map sized by the edge count or a sort
-/// of the edge list.
+/// [`edge_subgraph`] over a pooled parent→local array, which is the only
+/// id map the copy needs: it builds no hash map and sorts no edge list.
 ///
 /// Rows are filled from degree counts and each is sorted on its own (rows
 /// are short; the edge list is not), then one sweep in local order
 /// numbers the edges canonically, which is the numbering a sort of the
-/// local endpoint pairs gives. Only `from_parent` is a map, sized by the
-/// vertex count.
+/// local endpoint pairs gives.
 pub fn edge_subgraph_with(
     g: &CsrGraph,
     edges: &[EdgeId],
@@ -170,77 +200,27 @@ pub fn edge_subgraph_with(
     for l in 0..n {
         neighbors[offsets[l] as usize..offsets[l + 1] as usize].sort_unstable();
     }
-    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(n);
-    from_parent.extend(to_parent.iter().enumerate().map(|(l, &p)| (p, l as u32)));
     Subgraph {
         graph: CsrGraph::from_sorted_rows(offsets, neighbors),
         to_parent,
-        from_parent,
     }
 }
 
-/// Builds a subgraph from explicit parent-id endpoint pairs, with
-/// **canonical** local numbering: locals are assigned in ascending parent
-/// id order, independent of the pairs' order of discovery.
-///
-/// Two callers that reach the same edge set through different routes (the
-/// LCTC pipeline reaches one community through query-dependent Steiner
-/// trees) therefore produce byte-identical subgraphs — which is what lets
-/// the pooled peel scratch in `ctc-core` recognize a repeated community
-/// and reuse its cached support table.
+/// Builds a subgraph from explicit parent-id endpoint pairs (LCTC's `Ht`)
+/// on the union of their endpoints, numbered in ascending parent id order
+/// by [`ascending_subgraph`], independent of the pairs' order.
 pub fn subgraph_from_pairs(pairs: &[(VertexId, VertexId)]) -> Subgraph {
-    let mut to_parent: Vec<u32> = pairs.iter().flat_map(|&(u, v)| [u.0, v.0]).collect();
-    to_parent.sort_unstable();
-    to_parent.dedup();
-    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(to_parent.len());
-    for (local, &p) in to_parent.iter().enumerate() {
-        from_parent.insert(p, local as u32);
-    }
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-    for &(u, v) in pairs {
-        if u == v {
-            continue;
-        }
-        let (a, b) = (from_parent[&u.0], from_parent[&v.0]);
-        edges.push(if a < b { (a, b) } else { (b, a) });
-    }
-    // The hot caller (LCTC materialization) hands over sorted unique
-    // canonical pairs, and the parent→local renumbering above is monotone,
-    // so the mapped list is already sorted and deduplicated — the strictness
-    // scan below then skips the `GraphBuilder` re-sort entirely.
-    if !edges.windows(2).all(|w| w[0] < w[1]) {
-        edges.sort_unstable();
-        edges.dedup();
-    }
-    Subgraph {
-        graph: CsrGraph::from_sorted_dedup_edges(to_parent.len(), edges),
-        to_parent,
-        from_parent,
-    }
+    let mut vertices: Vec<u32> = pairs.iter().flat_map(|&(u, v)| [u.0, v.0]).collect();
+    vertices.sort_unstable();
+    vertices.dedup();
+    ascending_subgraph(vertices, pairs.iter().copied())
 }
 
-/// Materializes the alive part of a [`DynGraph`] as a standalone subgraph.
+/// Materializes the alive part of a [`DynGraph`] as a standalone subgraph,
+/// with local ids in ascending parent id order.
 pub fn alive_subgraph(d: &DynGraph<'_>) -> Subgraph {
-    let vertices = d.alive_vertex_vec();
-    let mut from_parent: FxHashMap<u32, u32> = fx_map_with_capacity(vertices.len());
-    let mut to_parent = Vec::with_capacity(vertices.len());
-    for &v in &vertices {
-        from_parent.insert(v.0, to_parent.len() as u32);
-        to_parent.push(v.0);
-    }
-    let mut b = GraphBuilder::new();
-    b.ensure_vertices(to_parent.len());
-    for (e, u, v) in d.alive_edges() {
-        let _ = e;
-        let lu = from_parent[&u.0];
-        let lv = from_parent[&v.0];
-        b.add_edge(lu, lv);
-    }
-    Subgraph {
-        graph: b.build(),
-        to_parent,
-        from_parent,
-    }
+    let vertices = d.alive_vertices().map(|v| v.0).collect();
+    ascending_subgraph(vertices, d.alive_edges().map(|(_, u, v)| (u, v)))
 }
 
 #[cfg(test)]
@@ -306,6 +286,7 @@ mod tests {
         let verts = [VertexId(2), VertexId(4), VertexId(5)];
         let s = induced_subgraph(&g, &verts);
         let locals = s.locals(&verts).unwrap();
-        assert_eq!(s.parents(&locals), verts.to_vec());
+        let back: Vec<VertexId> = locals.iter().map(|&l| s.parent(l)).collect();
+        assert_eq!(back, verts.to_vec());
     }
 }

@@ -1845,7 +1845,7 @@ mod tests {
         handle.shutdown();
         let report = join.join().expect("serve thread panicked");
         assert_eq!(report.counters.healthz, 1);
-        assert!(report.connections >= 1);
+        assert!(report.server.admitted >= 1);
     }
 
     #[test]

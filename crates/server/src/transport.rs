@@ -175,8 +175,6 @@ pub struct ServeReport {
     pub counters: CountersSnapshot,
     /// Final serving-layer counters (admission, sheds, panics).
     pub server: ServerCountersSnapshot,
-    /// Connections admitted across the server's lifetime.
-    pub connections: u64,
 }
 
 /// A bound-but-not-yet-serving server.
@@ -324,11 +322,9 @@ impl CtcServer {
                 acceptor.join().expect("acceptor panicked");
             });
         }
-        let server = self.state.server_counters();
         ServeReport {
             counters: self.state.counters(),
-            server,
-            connections: server.admitted,
+            server: self.state.server_counters(),
         }
     }
 }

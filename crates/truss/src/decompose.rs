@@ -57,13 +57,6 @@ impl TrussDecomposition {
             .max()
             .unwrap_or(0)
     }
-
-    /// Vertex trussness for every vertex.
-    pub fn vertex_truss_all(&self, g: &CsrGraph) -> Vec<u32> {
-        (0..g.num_vertices())
-            .map(|v| self.vertex_truss(g, VertexId::from(v)))
-            .collect()
-    }
 }
 
 /// Bucket queue over edges keyed by current support.

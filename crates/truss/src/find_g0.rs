@@ -11,8 +11,8 @@
 use crate::index::TrussIndex;
 use ctc_graph::error::{GraphError, Result};
 use ctc_graph::{
-    nested_heap_bytes, vec_heap_bytes, BfsScratch, CsrGraph, EdgeId, EpochMarks, Subgraph,
-    UnionFind, VertexId,
+    nested_heap_bytes, vec_heap_bytes, BfsScratch, CsrGraph, EdgeId, EpochMarks, UnionFind,
+    VertexId,
 };
 
 /// Output of [`find_g0`]: the maximal connected k-truss containing `Q` with
@@ -329,11 +329,6 @@ pub fn g0_query_distance(
     dist
 }
 
-/// Materializes a [`G0`] as a standalone [`Subgraph`] of `g`.
-pub fn g0_subgraph(g: &CsrGraph, g0: &G0) -> Subgraph {
-    ctc_graph::edge_subgraph(g, &g0.edges)
-}
-
 /// The maximal connected k-truss containing `q` for a *given* `k`, or
 /// `None` if the query is not covered / not connected at that level.
 ///
@@ -484,7 +479,7 @@ mod tests {
         let idx = TrussIndex::build(&g);
         let f = Figure1Ids::default();
         let g0 = find_g0(&g, &idx, &[f.q1, f.q2, f.q3]).unwrap();
-        let sub = g0_subgraph(&g, &g0);
+        let sub = ctc_graph::edge_subgraph(&g, &g0.edges);
         assert!(crate::decompose::is_k_truss(&sub.graph, g0.k));
         assert!(ctc_graph::is_connected(&sub.graph));
     }

@@ -66,7 +66,7 @@ pub use decompose::{
 };
 pub use dynamic::{DynamicIndex, UpdateReport};
 pub use find_g0::{
-    find_g0, find_g0_with, find_ktruss_containing, g0_query_distance, g0_subgraph, FindScratch, G0,
+    find_g0, find_g0_with, find_ktruss_containing, g0_query_distance, FindScratch, G0,
 };
 pub use index::TrussIndex;
 pub use ktruss::{connected_ktruss_components, edge_list_vertices, ktruss_edges};

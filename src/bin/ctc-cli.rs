@@ -713,7 +713,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     println!(
         "ctc-serve drained: {} connections, {} requests ({} search ok, {} search err, \
          {} cache hits, {} rejects)",
-        report.connections,
+        report.server.admitted,
         report.counters.total,
         report.counters.search_ok,
         report.counters.search_err,

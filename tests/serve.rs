@@ -196,7 +196,7 @@ fn soak_concurrent_clients_get_byte_identical_answers_then_clean_shutdown() {
     let report = serve_thread.join().expect("serve thread panicked");
     assert_eq!(report.counters.total, total_sent);
     assert!(
-        report.connections >= total_sent,
+        report.server.admitted >= total_sent,
         "one connection per request"
     );
     std::thread::sleep(Duration::from_millis(50));

@@ -257,5 +257,5 @@ fn thousand_connection_soak_with_hostile_clients() {
     handle.shutdown();
     let report = join.join().expect("serve thread panicked");
     assert_eq!(report.server.open_conns, 0);
-    assert_eq!(report.connections as usize, MAX_CONNS);
+    assert_eq!(report.server.admitted as usize, MAX_CONNS);
 }
